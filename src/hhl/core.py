@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
+import numpy as np
+
 Edge = tuple[int, ...]
 
 
@@ -49,8 +51,11 @@ def edge_mask(edge: Iterable[int]) -> int:
 class VertexSet:
     """Immutable subset of {1..t} backed by an int bitmask (bit v-1 = vertex v).
 
-    Every set operation costs O(t/word), which keeps the learner's
-    exhaustive loops cheap even for t in the hundreds of thousands.
+    Union, intersection, difference, complement, subset tests and len()
+    cost O(t/w) for machine word size w. split_lowest costs O(t/w) too: it
+    bisects over halving bit windows. members() and iteration cost
+    O(t/64 + |S|): one numpy scan over 64-bit words, unpacking only the
+    nonzero ones. Building a set from n members costs O(n * t/w).
     """
 
     __slots__ = ("t", "mask")
@@ -95,11 +100,15 @@ class VertexSet:
         return 1 <= v <= self.t and (self.mask >> (v - 1)) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length()
-            m ^= low
+        """Members in increasing order."""
+        mask = self.mask
+        data = mask.to_bytes(8 * ((mask.bit_length() + 63) >> 6), "little")
+        words = np.frombuffer(data, dtype="<u8")
+        nonzero = np.flatnonzero(words)
+        bits = np.flatnonzero(
+            np.unpackbits(words[nonzero].view(np.uint8), bitorder="little")
+        )
+        return iter((nonzero[bits >> 6] * 64 + (bits & 63) + 1).tolist())
 
     def members(self) -> tuple[int, ...]:
         return tuple(self)
@@ -131,22 +140,24 @@ class VertexSet:
 
     def split_lowest(self, k: int) -> tuple["VertexSet", "VertexSet"]:
         """Split into (k lowest-numbered members, the rest)."""
-        n = len(self)
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot take {k} of {n} members")
         if k == 0:
             return VertexSet.empty(self.t), self
-        if k == n:
-            return self, VertexSet.empty(self.t)
-        # Binary search the shortest prefix of bit positions holding k members.
-        lo, hi = 1, self.t
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (self.mask & ((1 << mid) - 1)).bit_count() >= k:
-                hi = mid
+        # Rank-select the k-th lowest member: bisect over halving bit windows,
+        # keeping the window's offset and the rank still wanted inside it.
+        window, pos, rank = self.mask, 0, k
+        while window > 1:
+            half = window.bit_length() >> 1
+            low = window & ((1 << half) - 1)
+            below = low.bit_count()
+            if below >= rank:
+                window = low
             else:
-                lo = mid + 1
-        low_mask = self.mask & ((1 << lo) - 1)
+                window >>= half
+                pos += half
+                rank -= below
+        if window != 1 or rank != 1:
+            raise ValueError(f"cannot take {k} of {len(self)} members")
+        low_mask = self.mask & ((2 << pos) - 1)
         return (
             VertexSet._from_mask(self.t, low_mask),
             VertexSet._from_mask(self.t, self.mask ^ low_mask),

@@ -83,26 +83,26 @@ def find_active_vertex(
     """
     s._check(f)
     pool = s - f
-    n = len(pool)
+    n = size = len(pool)
     if n == 0:
         raise SearchContractError("no candidate vertices: S - F is empty")
     fixed = s & f
     before = oracle.count
-    while len(pool) > 1:
+    while size > 1:
         if debug_checks:
             _assert_bisection_invariant(oracle, pool, fixed)
-        half, rest = pool.split_lowest((len(pool) + 1) // 2)
+        k = (size + 1) // 2
+        half, rest = pool.split_lowest(k)
         if oracle.query(half | fixed):
-            pool = half
+            pool, size = half, k
         else:
-            pool = rest
+            pool, size = rest, size - k
             fixed = fixed | half
     if debug_checks:
         _assert_bisection_invariant(oracle, pool, fixed)
     if stats is not None:
         stats.vertex_search_log.append((n, oracle.count - before))
-    (v,) = pool.members()
-    return v
+    return pool.mask.bit_length()
 
 
 def find_edges_on(
@@ -152,13 +152,13 @@ def find_next_query(
     for a Sperner hidden hypergraph certifies that every edge is known.
     """
     edges = list(found_edges)
-    covered_mask = 0
-    for e in edges:
-        covered_mask |= edge_mask(e)
-    covered = VertexSet._from_mask(t, covered_mask)
-    outside = covered.complement()
     e_masks = [edge_mask(e) for e in edges]
-    members = covered.members()
+    covered_mask = 0
+    for em in e_masks:
+        covered_mask |= em
+    outside = VertexSet._from_mask(t, covered_mask).complement()
+    # At most s*l vertices: cheaper from the edge tuples than from a t-bit scan.
+    members = sorted({v for e in edges for v in e})
     for size in range(len(members) + 1):
         for d in combinations(members, size):
             dmask = edge_mask(d) if d else 0

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Edge, FamilyParams, Hypergraph, VertexSet
+from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_mask
 from .coverfree import BinaryCode
 from .oracle import Oracle
 
@@ -262,18 +262,11 @@ def decode_block(
     for row, ans in zip(design.rows, answers):
         if ans:
             hull &= row
-    members = []
-    m = hull
-    while m:
-        low = m & -m
-        members.append(low.bit_length())
-        m ^= low
+    members = VertexSet._from_mask(design.n_cols, hull).members()
     matches: list[Edge] = []
     for size in range(1, min(max_edge_size, len(members)) + 1):
         for cand in combinations(members, size):
-            cmask = 0
-            for c in cand:
-                cmask |= 1 << (c - 1)
+            cmask = edge_mask(cand)
             if all(
                 ((row & cmask) == cmask) == bool(ans)
                 for row, ans in zip(design.rows, answers)
@@ -373,15 +366,10 @@ def two_stage_trial(
         mid = oracle.count
         block_answers: list[list[bool]] = []
         for verts, design in blocks:
-            vert_bits = [1 << (v - 1) for v in verts]
             answers = []
             for row in design.rows:
-                gmask = 0
-                m = row
-                while m:
-                    low = m & -m
-                    gmask |= vert_bits[low.bit_length() - 1]
-                    m ^= low
+                local = VertexSet._from_mask(design.n_cols, row)
+                gmask = edge_mask(verts[j - 1] for j in local)
                 answers.append(oracle.query(VertexSet._from_mask(t, gmask)))
             block_answers.append(answers)
         stage2 = oracle.count - mid

@@ -71,10 +71,52 @@ def test_vertex_set_split_lowest(members, data):
         assert max(low.members()) < min(high.members())
 
 
+# Universe sizes on both sides of byte and 64-bit word boundaries.
+BOUNDARY_TS = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 4097, 2**16 + 3)
+
+
+@st.composite
+def boundary_vertex_sets(draw):
+    """(t, members) with members biased toward 1, t and multiples of 8 and 64 (+-1)."""
+    t = draw(st.sampled_from(BOUNDARY_TS))
+    near = st.sampled_from((-1, 0, 1))
+    vertex = st.one_of(
+        st.sampled_from((1, t)),
+        st.builds(lambda j, d: 8 * j + d, st.integers(0, t // 8), near),
+        st.builds(lambda j, d: 64 * j + d, st.integers(0, t // 64), near),
+        st.integers(1, t),
+    ).map(lambda v: min(max(v, 1), t))
+    members = draw(st.sets(vertex, max_size=min(t, 60)))
+    # A dense run that can span several words (empty when its length is 0).
+    start = draw(st.integers(1, t))
+    members |= set(range(start, min(t + 1, start + draw(st.integers(0, 300)))))
+    return t, members
+
+
+@given(boundary_vertex_sets(), st.data())
+def test_vertex_set_word_boundaries(case, data):
+    t, members = case
+    ref = sorted(members)
+    s = VertexSet(t, ref)
+    assert s.members() == tuple(ref)
+    assert list(s) == ref
+    k = data.draw(st.integers(min_value=0, max_value=len(ref)))
+    assert s.split_lowest(k) == (VertexSet(t, ref[:k]), VertexSet(t, ref[k:]))
+    with pytest.raises(ValueError):
+        s.split_lowest(len(ref) + 1)
+
+
+def test_vertex_set_members_full_large():
+    t = 2**18
+    assert VertexSet.full(t).members() == tuple(range(1, t + 1))
+
+
 def test_vertex_set_split_bounds():
     s = VertexSet(5, [2, 4])
     with pytest.raises(ValueError):
         s.split_lowest(3)
+    with pytest.raises(ValueError):
+        s.split_lowest(-1)
     low, high = s.split_lowest(0)
     assert low.members() == () and high == s
 
