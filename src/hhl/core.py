@@ -55,7 +55,8 @@ class VertexSet:
     cost O(t/w) for machine word size w. split_lowest costs O(t/w) too: it
     bisects over halving bit windows. members() and iteration cost
     O(t/64 + |S|): one numpy scan over 64-bit words, unpacking only the
-    nonzero ones. Building a set from n members costs O(n * t/w).
+    nonzero ones. Building a set from n members costs O(t/8 + n): one
+    byte buffer, converted to an int once.
     """
 
     __slots__ = ("t", "mask")
@@ -63,13 +64,13 @@ class VertexSet:
     def __init__(self, t: int, members: Iterable[int] = ()) -> None:
         if t < 1:
             raise ValueError("universe size must be positive")
-        mask = 0
+        buf = bytearray((t + 7) >> 3)
         for v in members:
             if not 1 <= v <= t:
                 raise ValueError(f"vertex {v} outside universe of size {t}")
-            mask |= 1 << (v - 1)
+            buf[(v - 1) >> 3] |= 1 << ((v - 1) & 7)
         self.t = t
-        self.mask = mask
+        self.mask = int.from_bytes(buf, "little")
 
     @classmethod
     def _from_mask(cls, t: int, mask: int) -> "VertexSet":
@@ -91,7 +92,11 @@ class VertexSet:
 
     @classmethod
     def singleton(cls, t: int, v: int) -> "VertexSet":
-        return cls(t, (v,))
+        if t < 1:
+            raise ValueError("universe size must be positive")
+        if not 1 <= v <= t:
+            raise ValueError(f"vertex {v} outside universe of size {t}")
+        return cls._from_mask(t, 1 << (v - 1))
 
     def __len__(self) -> int:
         return self.mask.bit_count()

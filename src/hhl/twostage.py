@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -183,36 +183,68 @@ def required_layers(epsilon: float, s: int, l: int) -> int:
 
 
 def _candidate_indices(n_cols: int, max_size: int) -> list[np.ndarray]:
-    """0-based column index arrays, one (count, size) array per size."""
-    out = []
-    for size in range(1, min(max_size, n_cols) + 1):
-        idx = np.fromiter(
-            (j for tup in combinations(range(n_cols), size) for j in tup),
-            dtype=np.int64,
-            count=comb(n_cols, size) * size,
-        ).reshape(-1, size)
+    """0-based column index arrays, one (count, size) array per size, each
+    listing the size-subsets of range(n_cols) in lexicographic order."""
+    idx = np.arange(n_cols).reshape(-1, 1)
+    out = [idx]
+    for _ in range(1, min(max_size, n_cols)):
+        # Extend each subset by every column above its last one.
+        last = idx[:, -1]
+        counts = n_cols - 1 - last
+        offset = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        idx = np.column_stack(
+            [np.repeat(idx, counts, axis=0), np.arange(counts.sum()) - offset]
+        )
         out.append(idx)
     return out
 
 
+def _bools_from_masks(rows: Sequence[int], n_cols: int) -> np.ndarray:
+    """(len(rows), n_cols) bool array of int row masks (bit j = column j)."""
+    width = (n_cols + 7) >> 3
+    data = b"".join(r.to_bytes(width, "little") for r in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n_cols, bitorder="little").view(bool)
+
+
 def _distinct_signatures(support: np.ndarray, cand: list[np.ndarray]) -> bool:
     # support: (n_rows, n_cols) bool. A design separates the candidates iff
-    # the per-candidate answer columns are pairwise distinct.
-    sigs = [support[:, idx].all(axis=2) for idx in cand]
-    allsig = np.concatenate(sigs, axis=1)
-    packed = np.packbits(allsig, axis=0)
-    n_cand = allsig.shape[1]
-    return len(np.unique(packed.T, axis=0)) == n_cand
+    # the per-candidate answer columns are pairwise distinct. A row contains
+    # a candidate iff it contains each of its columns, so a candidate's
+    # answer column is the AND of its columns' packed row signatures.
+    n_rows, n_cols = support.shape
+    n_cand = sum(len(idx) for idx in cand)
+    if (1 << n_rows) < n_cand:
+        return False  # fewer answer patterns than candidates
+    words = (n_rows + 63) >> 6
+    colsig = np.zeros((n_cols, 8 * words), dtype=np.uint8)
+    colsig[:, : (n_rows + 7) >> 3] = np.packbits(support, axis=0).T
+    colsig = colsig.view(np.uint64)
+    parts = []
+    for idx in cand:
+        sig = colsig[idx[:, 0]]
+        for j in range(1, idx.shape[1]):
+            sig &= colsig[idx[:, j]]
+        parts.append(sig)
+    sigs = np.concatenate(parts)
+    first = np.sort(sigs[:, 0])
+    tied = first[1:][first[1:] == first[:-1]]
+    if words == 1 or len(tied) == 0:
+        return len(tied) == 0
+    # Only candidates that share their first word with another can collide.
+    rest = sigs[np.isin(sigs[:, 0], tied)]
+    keys = rest.view(np.dtype((np.void, 8 * words))).ravel()
+    return len(np.unique(keys)) == len(rest)
 
 
 def is_separating_design(code: BinaryCode, max_edge_size: int) -> bool:
     """True iff distinct candidate edges (nonempty, size <= max_edge_size)
     always produce distinct answer patterns under the code's rows."""
-    support = np.array(
-        [[(r >> j) & 1 for j in range(code.n_cols)] for r in code.rows],
-        dtype=bool,
-    )
-    return _distinct_signatures(support, _candidate_indices(code.n_cols, max_edge_size))
+    if max_edge_size < 1:
+        raise ValueError("max_edge_size must be positive")
+    support = _bools_from_masks(code.rows, code.n_cols)
+    cand = _candidate_indices(code.n_cols, max_edge_size)
+    return _distinct_signatures(support, cand)
 
 
 def build_block_design(
@@ -327,9 +359,10 @@ def two_stage_trial(
     """Run both stages against an oracle hiding s disjoint l-edges.
 
     Stage one always issues the full fixed batch of s*N block queries and
-    then picks the first good layer; no good layer (or an exhausted design
-    search in stage two) is a declared failure, never a fallback. Transcript
-    entries are tagged "stage1" / "stage2".
+    then picks the first good layer. No good layer, an exhausted design
+    search or a block whose answers do not decode to exactly one candidate
+    is a declared failure, never a fallback. Transcript entries are tagged
+    "stage1" / "stage2".
     """
     t, s, l = params.t, params.s, params.l
     if not 0 < epsilon < 1:
@@ -366,18 +399,24 @@ def two_stage_trial(
         mid = oracle.count
         block_answers: list[list[bool]] = []
         for verts, design in blocks:
-            answers = []
-            for row in design.rows:
-                local = VertexSet._from_mask(design.n_cols, row)
-                gmask = edge_mask(verts[j - 1] for j in local)
-                answers.append(oracle.query(VertexSet._from_mask(t, gmask)))
-            block_answers.append(answers)
+            support = _bools_from_masks(design.rows, design.n_cols)
+            rows = np.zeros((design.n_rows, t), dtype=bool)
+            rows[:, np.array(verts) - 1] = support
+            block_answers.append(
+                [
+                    oracle.query(VertexSet._from_mask(t, _mask_from_bools(row)))
+                    for row in rows
+                ]
+            )
         stage2 = oracle.count - mid
 
         edges: list[Edge] = []
-        for (verts, design), answers in zip(blocks, block_answers):
-            local = decode_block(design, answers, l)
-            edges.append(tuple(verts[j - 1] for j in local))
+        try:
+            for (verts, design), answers in zip(blocks, block_answers):
+                local = decode_block(design, answers, l)
+                edges.append(tuple(verts[j - 1] for j in local))
+        except DecodeError:
+            return TrialReport(t, s, l, epsilon, layers, stage1, stage2, False, None)
         return TrialReport(
             t, s, l, epsilon, layers, stage1, stage2, True, Hypergraph(t, edges)
         )

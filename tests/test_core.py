@@ -44,6 +44,10 @@ def test_vertex_set_basics():
     assert len(VertexSet.empty(4)) == 0
     with pytest.raises(ValueError):
         VertexSet(4, [5])
+    vs = (1, 64, 65, 129)
+    assert [VertexSet.singleton(129, v).members() for v in vs] == [(v,) for v in vs]
+    with pytest.raises(ValueError):
+        VertexSet.singleton(4, 5)
 
 
 def test_vertex_set_operations():
@@ -109,6 +113,7 @@ def test_vertex_set_word_boundaries(case, data):
 def test_vertex_set_members_full_large():
     t = 2**18
     assert VertexSet.full(t).members() == tuple(range(1, t + 1))
+    assert VertexSet(t, range(1, t + 1)) == VertexSet.full(t)
 
 
 def test_vertex_set_split_bounds():

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import all_candidate_edges
 
 from hhl import (
     DecodeError,
@@ -25,8 +26,14 @@ from hhl import (
     two_stage_learn,
     two_stage_trial,
 )
+from hhl.core import edge_mask
 from hhl.coverfree import BinaryCode
-from hhl.twostage import LayerMatrix
+from hhl.twostage import (
+    LayerMatrix,
+    _candidate_indices,
+    _derive_seed,
+    _distinct_signatures,
+)
 
 
 def complement_of_identity(t: int) -> BinaryCode:
@@ -164,6 +171,44 @@ def test_complement_of_identity_separates_singletons():
 def test_identity_rows_do_not_separate_pairs():
     identity = BinaryCode(3, 3, (1, 2, 4))
     assert not is_separating_design(identity, 2)
+    with pytest.raises(ValueError):
+        is_separating_design(identity, 0)
+
+
+def separates_by_brute_force(rows: list[int], n_cols: int, l: int) -> bool:
+    patterns = set()
+    cands = all_candidate_edges(n_cols, l)
+    for cand in cands:
+        cmask = sum(1 << (c - 1) for c in cand)
+        patterns.add(tuple(r & cmask == cmask for r in rows))
+    return len(patterns) == len(cands)
+
+
+# n_rows covers the pigeonhole cut (at l = 3, 13 rows hold fewer patterns
+# than the 10700 candidates on 40 columns, 14 rows do not), one and two
+# 64-bit words either side of the boundary, and two full words.
+@pytest.mark.parametrize("n_rows", [1, 13, 14, 63, 64, 65, 128])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_distinct_signatures_match_brute_force(n_rows, l):
+    n_cols = {1: 9, 2: 12, 3: 40}[l]
+    rng = np.random.default_rng(1000 * n_rows + l)
+    random_support = rng.random((n_rows, n_cols)) < l / (l + 1)
+    # Columns 0 and 1 are equal on the first 64 rows only, so candidates
+    # that tell them apart differ in a later word, if there is one.
+    first_word_tie = random_support.copy()
+    first_word_tie[:64, 1] = first_word_tie[:64, 0]
+    duplicated = random_support.copy()
+    duplicated[:, 1] = duplicated[:, 0]
+    outcomes = []
+    for support in (random_support, first_word_tie, duplicated):
+        rows = [sum(1 << int(j) for j in np.flatnonzero(r)) for r in support]
+        want = separates_by_brute_force(rows, n_cols, l)
+        assert _distinct_signatures(support, _candidate_indices(n_cols, l)) == want
+        assert is_separating_design(BinaryCode(n_rows, n_cols, tuple(rows)), l) == want
+        outcomes.append(want)
+    assert not outcomes[2]
+    if n_rows == 128:
+        assert outcomes[1]  # separated by the second word alone
 
 
 @pytest.mark.parametrize("l", [1, 2])
@@ -225,6 +270,48 @@ def test_two_stage_trial_declared_failure():
     assert report.stage1_queries == 2
     assert report.stage2_queries == 0
     assert two_stage_learn(Oracle(hidden), params, 0.5, seed=0, n_layers=1) is None
+
+
+def test_two_stage_trial_ambiguous_decode_is_declared_failure():
+    # A hidden edge of size 3 matches no candidate of size <= 2.
+    params = FamilyParams(16, 1, 2)
+    oracle = Oracle(Hypergraph(16, [(2, 7, 11)]))
+    report = two_stage_trial(oracle, params, 0.05, seed=0)
+    design = build_block_design(16, 2, _derive_seed(0, 1))
+    answers = [r.answer for r in oracle.transcript if r.tag == "stage2"]
+    with pytest.raises(DecodeError):
+        decode_block(design, answers, 2)
+    assert not report.success
+    assert report.hypergraph is None
+    assert report.stage1_queries == report.layers
+    assert report.stage2_queries == design.n_rows
+    assert oracle.count == report.stage1_queries + report.stage2_queries
+    assert oracle.tag is None
+
+
+@pytest.mark.parametrize("t", [250, 257])
+def test_two_stage_queries_remap_design_rows(t):
+    params = FamilyParams(t, 2, 2)
+    successes = 0
+    for seed in range(4):
+        hidden = random_disjoint_instance(params, seed=seed)
+        oracle = Oracle(hidden)
+        report = two_stage_trial(oracle, params, 0.05, seed=seed)
+        if not report.success:
+            continue
+        successes += 1
+        matrix = sample_layer_matrix(report.layers, t, 2, _derive_seed(seed, 0))
+        _, part = find_good_layer(matrix, Oracle(hidden), full_batch=True)
+        want = []
+        for bi, block in enumerate(part.blocks, start=1):
+            verts = block.members()
+            design = build_block_design(len(block), 2, _derive_seed(seed, bi))
+            for row in design.rows:
+                local = VertexSet._from_mask(design.n_cols, row)
+                want.append(edge_mask(verts[j - 1] for j in local))
+        got = [r.query.mask for r in oracle.transcript if r.tag == "stage2"]
+        assert got == want
+    assert successes >= 2
 
 
 def test_two_stage_singleton_family_always_succeeds():
