@@ -3,9 +3,14 @@ sweeps, bound tables, cover-free verification, and two-stage trials.
 
 Every flag can also be supplied through the environment with the HHL_
 prefix (--max-n becomes HHL_MAX_N); explicit flags win over the
-environment, which wins over built-in defaults. Machine-readable output
-goes to stdout (or --out), diagnostics to stderr. JSON is the canonical
-format; CSV is a flat projection of the same rows.
+environment, which wins over built-in defaults. An environment value is
+checked only by the subcommand that runs, so a bad HHL_KIND cannot break
+hhl bounds. --seed exists on gen, bench, twostage and cf-search only.
+--jobs is capped at the CPU count and at the number of tasks.
+
+Each command returns its JSON payload and its CSV rows; main encodes them
+once and writes them to stdout (or --out), diagnostics to stderr. JSON is
+the canonical format; CSV is a flat projection of the same rows.
 """
 
 from __future__ import annotations
@@ -70,39 +75,21 @@ def _env_name(flag: str) -> str:
 
 
 def _opt(sub: argparse.ArgumentParser, flag: str, *, type=str, default=None,
-         choices=None, help: str = "") -> None:
+         choices=None, required: bool = False, help: str = "") -> None:
     env = _env_name(flag)
-    raw = os.environ.get(env)
-    if raw is not None:
-        try:
-            default = type(raw)
-        except ValueError:
-            print(f"error: bad value for {env}: {raw!r}", file=sys.stderr)
-            raise SystemExit(2)
-        if choices is not None and default not in choices:
-            print(f"error: bad value for {env}: {raw!r}", file=sys.stderr)
-            raise SystemExit(2)
+    # A string default goes through `type` only when the flag is absent, and
+    # only in the subcommand that runs; argparse never checks it against
+    # `choices`, so `type` does that.
+    default = os.environ.get(env, default)
+    if choices is not None:
+        def type(text: str) -> str:
+            if text not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {text!r} (choose from {', '.join(choices)})")
+            return text
     sub.add_argument(flag, type=type, default=default, choices=choices,
+                     required=required and default is None,
                      help=f"{help} [env {env}]")
-
-
-def _require(parser: argparse.ArgumentParser, args: argparse.Namespace,
-             *names: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        parser.error("missing required " + ", ".join("--" + n for n in missing))
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _csv_text(rows: list[dict], columns) -> str:
@@ -134,6 +121,7 @@ def _parse_sweep(text: str) -> list[int]:
 
 
 def _map_ordered(fn, items, jobs: int) -> list:
+    jobs = min(jobs, os.cpu_count() or 1, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -171,8 +159,7 @@ def _twostage_one(cfg: tuple[int, int, int, int, float, int | None]) -> dict:
     return row
 
 
-def _cmd_gen(args, parser) -> int:
-    _require(parser, args, "t", "s", "l", "seed")
+def _cmd_gen(args, parser) -> tuple[object, list[dict]] | None:
     params = FamilyParams(args.t, args.s, args.l)
     if args.kind == "disjoint":
         hidden = random_disjoint_instance(params, seed=args.seed)
@@ -181,14 +168,13 @@ def _cmd_gen(args, parser) -> int:
             params, sperner_only=(args.kind == "sperner"), seed=args.seed
         )
     if args.out:
-        save_hypergraph(args.out, hidden)
-    else:
-        _emit(_json_text(hypergraph_to_dict(hidden)), None)
-    return 0
+        save_hypergraph(args.out, hidden)  # compact JSON, unlike stdout
+        return None
+    payload = hypergraph_to_dict(hidden)
+    return payload, [payload]
 
 
-def _cmd_learn(args, parser) -> int:
-    _require(parser, args, "in", "s", "l")
+def _cmd_learn(args, parser) -> tuple[object, list[dict]]:
     hidden = load_hypergraph(getattr(args, "in"))
     params = FamilyParams(hidden.t, args.s, args.l)
     budget = worst_case_query_budget(params) if args.budget_enforce == "on" else None
@@ -197,16 +183,10 @@ def _cmd_learn(args, parser) -> int:
     if args.transcript:
         oracle.write_transcript(args.transcript)
     payload = report.to_dict()
-    if args.format == "csv":
-        row = {k: v for k, v in payload.items()}
-        _emit(_csv_text([row], payload.keys()), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return 0
+    return payload, [payload]
 
 
-def _cmd_bounds(args, parser) -> int:
-    _require(parser, args, "t", "s", "l")
+def _cmd_bounds(args, parser) -> tuple[object, list[dict]]:
     params = FamilyParams(args.t, args.s, args.l)
     payload = {
         "t": args.t,
@@ -215,15 +195,10 @@ def _cmd_bounds(args, parser) -> int:
         "family_size": family_size_exact(params),
         "lower_bound_queries": info_lower_bound(params),
     }
-    if args.format == "csv":
-        _emit(_csv_text([payload], payload.keys()), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return 0
+    return payload, [payload]
 
 
-def _cmd_bench(args, parser) -> int:
-    _require(parser, args, "s", "l", "seed")
+def _cmd_bench(args, parser) -> tuple[object, list[dict]]:
     if args.sweep is None and args.t is None:
         parser.error("bench needs --sweep or --t")
     if args.trials < 1:
@@ -236,15 +211,10 @@ def _cmd_bench(args, parser) -> int:
         for i in range(args.trials)
     ]
     rows = _map_ordered(_bench_trial, configs, args.jobs)
-    if args.format == "csv":
-        _emit(_csv_text(rows, BENCH_COLUMNS), args.out)
-    else:
-        _emit(_json_text(rows), args.out)
-    return 0
+    return rows, rows
 
 
-def _cmd_twostage(args, parser) -> int:
-    _require(parser, args, "t", "s", "l", "seed")
+def _cmd_twostage(args, parser) -> tuple[object, list[dict]]:
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     if not 0 < args.epsilon < 1:
@@ -265,15 +235,10 @@ def _cmd_twostage(args, parser) -> int:
             else 0.0
         ),
     }
-    if args.format == "csv":
-        _emit(_csv_text(rows, TRIAL_COLUMNS), args.out)
-    else:
-        _emit(_json_text({"trials": rows, "aggregate": aggregate}), args.out)
-    return 0
+    return {"trials": rows, "aggregate": aggregate}, rows
 
 
-def _cmd_cf_verify(args, parser) -> int:
-    _require(parser, args, "in", "s", "l")
+def _cmd_cf_verify(args, parser) -> tuple[object, list[dict]]:
     code = load_code(getattr(args, "in"))
     violation = find_violation(code, args.s, args.l, work_limit=args.work_limit)
     payload = {
@@ -288,15 +253,10 @@ def _cmd_cf_verify(args, parser) -> int:
             else {"zero_cols": list(violation[0]), "one_cols": list(violation[1])}
         ),
     }
-    if args.format == "csv":
-        _emit(_csv_text([payload], payload.keys()), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return 0
+    return payload, [payload]
 
 
-def _cmd_cf_search(args, parser) -> int:
-    _require(parser, args, "t", "s", "l", "seed")
+def _cmd_cf_search(args, parser) -> tuple[object, list[dict]]:
     code = search_random_cf_code(args.t, args.s, args.l, args.max_n, seed=args.seed)
     payload = {
         "t": args.t,
@@ -305,25 +265,16 @@ def _cmd_cf_search(args, parser) -> int:
         "found": code is not None,
         "n_rows": None if code is None else code.n_rows,
     }
-    # --out stores the code file; the summary always goes to stdout
     if code is not None and args.out:
         save_code(args.out, code)
-    if args.format == "csv":
-        _emit(_csv_text([payload], payload.keys()), None)
-    else:
-        _emit(_json_text(payload), None)
-    return 0
+    args.out = None  # --out took the code file; the summary always goes to stdout
+    return payload, [payload]
 
 
-def _cmd_cf_bounds(args, parser) -> int:
-    _require(parser, args, "s", "l")
+def _cmd_cf_bounds(args, parser) -> tuple[object, list[dict]]:
     lower, upper = cf_rate_bounds(args.s, args.l)
     payload = {"s": args.s, "l": args.l, "rate_lower": lower, "rate_upper": upper}
-    if args.format == "csv":
-        _emit(_csv_text([payload], payload.keys()), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return 0
+    return payload, [payload]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, fmt=True):
-        _opt(p, "--seed", type=int, help="RNG seed")
         _opt(p, "--out", help="write output to this path instead of stdout")
         if fmt:
             _opt(p, "--format", default="json", choices=("json", "csv"),
                  help="output encoding")
 
     p = sub.add_parser("gen", help="generate a hidden hypergraph instance")
-    _opt(p, "--t", type=int, help="number of vertices")
-    _opt(p, "--s", type=int, help="maximum number of edges")
-    _opt(p, "--l", type=int, help="maximum edge size")
+    _opt(p, "--t", type=int, required=True, help="number of vertices")
+    _opt(p, "--s", type=int, required=True, help="maximum number of edges")
+    _opt(p, "--l", type=int, required=True, help="maximum edge size")
+    _opt(p, "--seed", type=int, required=True, help="RNG seed")
     _opt(p, "--kind", default="sperner", choices=("sperner", "family", "disjoint"),
          help="sperner: antichain member; family: any member; "
               "disjoint: s disjoint edges of size exactly l")
@@ -355,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("learn", help="run the adaptive learner on an instance file")
-    _opt(p, "--in", help="hidden hypergraph JSON file")
-    _opt(p, "--s", type=int, help="maximum number of edges")
-    _opt(p, "--l", type=int, help="maximum edge size")
+    _opt(p, "--in", required=True, help="hidden hypergraph JSON file")
+    _opt(p, "--s", type=int, required=True, help="maximum number of edges")
+    _opt(p, "--l", type=int, required=True, help="maximum edge size")
     _opt(p, "--budget-enforce", default="off", choices=("on", "off"),
          help="make the oracle fail the run past the worst-case budget")
     _opt(p, "--transcript", help="write the query transcript (JSON lines) here")
@@ -365,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("bounds", help="family size and query lower bound")
-    _opt(p, "--t", type=int, help="number of vertices")
-    _opt(p, "--s", type=int, help="maximum number of edges")
-    _opt(p, "--l", type=int, help="maximum edge size")
+    _opt(p, "--t", type=int, required=True, help="number of vertices")
+    _opt(p, "--s", type=int, required=True, help="maximum number of edges")
+    _opt(p, "--l", type=int, required=True, help="maximum edge size")
     common(p)
     p.set_defaults(func=_cmd_bounds)
 
@@ -376,35 +327,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="learner query-count sweep; CSV columns: " + ",".join(BENCH_COLUMNS),
     )
     _opt(p, "--t", type=int, help="single vertex count (alternative to --sweep)")
-    _opt(p, "--s", type=int, help="maximum number of edges")
-    _opt(p, "--l", type=int, help="maximum edge size")
+    _opt(p, "--s", type=int, required=True, help="maximum number of edges")
+    _opt(p, "--l", type=int, required=True, help="maximum edge size")
+    _opt(p, "--seed", type=int, required=True, help="RNG seed of the first trial")
     _opt(p, "--sweep", help="t_min:t_max:factor geometric sweep of t")
     _opt(p, "--trials", type=int, default=10, help="instances per t")
     _opt(p, "--jobs", type=int, default=1, help="parallel worker processes")
     _opt(p, "--budget-enforce", default="off", choices=("on", "off"),
          help="make the oracle fail runs past the worst-case budget")
     common(p)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, columns=BENCH_COLUMNS)
 
     p = sub.add_parser(
         "twostage",
         help="two-stage trials; CSV columns: " + ",".join(TRIAL_COLUMNS),
     )
-    _opt(p, "--t", type=int, help="number of vertices")
-    _opt(p, "--s", type=int, help="number of disjoint edges")
-    _opt(p, "--l", type=int, help="edge size")
+    _opt(p, "--t", type=int, required=True, help="number of vertices")
+    _opt(p, "--s", type=int, required=True, help="number of disjoint edges")
+    _opt(p, "--l", type=int, required=True, help="edge size")
+    _opt(p, "--seed", type=int, required=True, help="RNG seed of the first trial")
     _opt(p, "--epsilon", type=float, default=0.05,
          help="stage-one failure probability target")
     _opt(p, "--trials", type=int, default=10, help="number of trials")
     _opt(p, "--layers", type=int, help="override the computed layer count")
     _opt(p, "--jobs", type=int, default=1, help="parallel worker processes")
     common(p)
-    p.set_defaults(func=_cmd_twostage)
+    p.set_defaults(func=_cmd_twostage, columns=TRIAL_COLUMNS)
 
     p = sub.add_parser("cf-verify", help="verify a code file is cover-free")
-    _opt(p, "--in", help="code file: first line 'N t', then N rows of 0/1")
-    _opt(p, "--s", type=int, help="all-zero column set size")
-    _opt(p, "--l", type=int, help="all-one column set size")
+    _opt(p, "--in", required=True,
+         help="code file: first line 'N t', then N rows of 0/1")
+    _opt(p, "--s", type=int, required=True, help="all-zero column set size")
+    _opt(p, "--l", type=int, required=True, help="all-one column set size")
     _opt(p, "--work-limit", type=int, default=100_000_000,
          help="refuse verifications above this many pair-row checks")
     common(p)
@@ -416,16 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="--out stores the found code file; the JSON/CSV summary "
                     "always goes to stdout.",
     )
-    _opt(p, "--t", type=int, help="code size (columns)")
-    _opt(p, "--s", type=int, help="all-zero column set size")
-    _opt(p, "--l", type=int, help="all-one column set size")
+    _opt(p, "--t", type=int, required=True, help="code size (columns)")
+    _opt(p, "--s", type=int, required=True, help="all-zero column set size")
+    _opt(p, "--l", type=int, required=True, help="all-one column set size")
+    _opt(p, "--seed", type=int, required=True, help="RNG seed")
     _opt(p, "--max-n", type=int, default=64, help="largest code length to try")
     common(p)
     p.set_defaults(func=_cmd_cf_search)
 
     p = sub.add_parser("cf-bounds", help="numeric cover-free rate bound guides")
-    _opt(p, "--s", type=int, help="all-zero column set size")
-    _opt(p, "--l", type=int, help="all-one column set size")
+    _opt(p, "--s", type=int, required=True, help="all-zero column set size")
+    _opt(p, "--l", type=int, required=True, help="all-one column set size")
     common(p)
     p.set_defaults(func=_cmd_cf_bounds)
 
@@ -436,10 +391,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        result = args.func(args, parser)
+        if result is None:
+            return 0
+        payload, rows = result
+        if getattr(args, "format", "json") == "csv":
+            text = _csv_text(rows, getattr(args, "columns", None) or rows[0].keys())
+        else:
+            text = json.dumps(payload, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

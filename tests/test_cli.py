@@ -1,18 +1,26 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from hhl import cf_rate_bounds, load_hypergraph
+from hhl import cf_rate_bounds, cli, load_hypergraph
 from hhl.cli import main
 
 
 def run_json(capsys, argv):
     assert main(argv) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def exit_status(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_bounds_example(capsys):
@@ -34,10 +42,29 @@ def test_bounds_csv(capsys):
     assert lines[1] == "4,1,2,11,4"
 
 
-def test_bounds_missing_required():
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--t", "8", "--s", "1", "--l", "1"], id="gen"),
+    pytest.param(["learn", "--s", "1", "--l", "1"], id="learn"),
+    pytest.param(["bounds", "--s", "1", "--l", "2"], id="bounds"),
+    pytest.param(["bench", "--t", "16", "--s", "2", "--seed", "1"], id="bench"),
+    pytest.param(["twostage", "--s", "2", "--l", "2", "--seed", "1"], id="twostage"),
+    pytest.param(["cf-verify", "--in", "code.txt", "--l", "1"], id="cf-verify"),
+    pytest.param(["cf-search", "--t", "8", "--s", "1", "--l", "1"], id="cf-search"),
+    pytest.param(["cf-bounds", "--s", "1"], id="cf-bounds"),
+])
+def test_bounds_missing_required(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--s", "1", "--l", "2"])
+        main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["gen", "learn", "bounds", "bench", "twostage",
+                                     "cf-verify", "cf-search", "cf-bounds"])
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "HHL_OUT" in capsys.readouterr().out
 
 
 def test_unknown_flag_rejected():
@@ -52,13 +79,29 @@ def test_env_fallback_and_flag_override(capsys, monkeypatch):
     assert out["family_size"] == 11
     out = run_json(capsys, ["bounds", "--t", "5", "--s", "1", "--l", "2"])
     assert out["t"] == 5
+    monkeypatch.setenv("HHL_SEED", "9")
+    rows = run_json(capsys, ["bench", "--t", "8", "--s", "1", "--l", "1",
+                             "--trials", "1"])
+    assert rows[0]["seed"] == 9
 
 
-def test_env_bad_value(monkeypatch):
-    monkeypatch.setenv("HHL_T", "four")
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--s", "1", "--l", "2"])
-    assert exc.value.code == 2
+# A bad HHL_ value fails only the subcommand that has the flag, and only when
+# the flag itself is absent.
+@pytest.mark.parametrize("env, value, argv, status", [
+    pytest.param("HHL_T", "four", ["bounds", "--s", "1", "--l", "2"], 2,
+                 id="bounds-t"),
+    pytest.param("HHL_FORMAT", "xml", ["bounds", "--t", "4", "--s", "1", "--l", "2"], 2,
+                 id="bounds-format-choice"),
+    pytest.param("HHL_T", "four", ["bounds", "--t", "4", "--s", "1", "--l", "2"], 0,
+                 id="bounds-flag-wins"),
+    pytest.param("HHL_KIND", "bogus", ["bounds", "--t", "4", "--s", "1", "--l", "2"], 0,
+                 id="bounds-other-kind"),
+    pytest.param("HHL_T", "four", ["cf-bounds", "--s", "4", "--l", "1"], 0,
+                 id="cf-bounds-other-t"),
+])
+def test_env_bad_value(monkeypatch, capsys, env, value, argv, status):
+    monkeypatch.setenv(env, value)
+    assert exit_status(argv) == status
 
 
 def test_gen_learn_round_trip(tmp_path, capsys):
@@ -142,6 +185,39 @@ def test_bench_bad_sweep_is_usage_failure(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cpus, trials, pool_sizes", [
+    pytest.param(3, 8, [3], id="capped-at-cpus"),
+    pytest.param(64, 2, [2], id="capped-at-tasks"),
+    pytest.param(1, 8, [], id="one-cpu-serial"),
+    pytest.param(None, 8, [], id="unknown-cpus-serial"),
+])
+def test_jobs_capped_at_cpus_and_tasks(monkeypatch, capsys, cpus, trials, pool_sizes):
+    sizes = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["bench", "--t", "16", "--s", "1", "--l", "2", "--seed", "5",
+            "--trials", str(trials)]
+    serial = run_json(capsys, argv)
+    assert run_json(capsys, argv + ["--jobs", "1000000"]) == serial
+    assert sizes == pool_sizes
+
+
 def test_bench_jobs_parallel_matches_serial(capsys):
     argv = ["bench", "--t", "32", "--s", "1", "--l", "2", "--seed", "5",
             "--trials", "4"]
@@ -204,3 +280,328 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["family_size"] == 11
+
+
+# The CLI's output contract at fixed seeds: stdout and every file a run
+# writes, byte for byte, for each subcommand in each of its formats. "{d}" is
+# the run's directory, which holds CODE as code.txt and INST as inst.json.
+CODE = "3 4\n0011\n0101\n1001\n"
+INST = '{"t": 6, "edges": [[2, 5]]}\n'
+PINNED = [
+    pytest.param(
+        ["gen", "--t", "12", "--s", "2", "--l", "2", "--seed", "0"],
+        (
+            '{\n'
+            '  "t": 12,\n'
+            '  "edges": [\n'
+            '    [\n'
+            '      1,\n'
+            '      7\n'
+            '    ]\n'
+            '  ]\n'
+            '}\n'
+        ),
+        {},
+        id="gen-json",
+    ),
+    pytest.param(
+        ["gen", "--t", "12", "--s", "2", "--l", "2", "--seed", "3", "--kind",
+         "disjoint", "--out", "{d}/gen.json"],
+        '',
+        {
+            'gen.json': '{"t": 12, "edges": [[3, 9], [4, 10]]}\n',
+        },
+        id="gen-out",
+    ),
+    pytest.param(
+        ["learn", "--in", "{d}/inst.json", "--s", "2", "--l", "2", "--transcript",
+         "{d}/q.jsonl"],
+        (
+            '{\n'
+            '  "t": 6,\n'
+            '  "s": 2,\n'
+            '  "l": 2,\n'
+            '  "queries_total": 15,\n'
+            '  "queries_vertex_search": 6,\n'
+            '  "queries_edge_search": 4,\n'
+            '  "queries_query_search": 5,\n'
+            '  "result_edges": [\n'
+            '    [\n'
+            '      2,\n'
+            '      5\n'
+            '    ]\n'
+            '  ]\n'
+            '}\n'
+        ),
+        {
+            'q.jsonl': (
+                '{"i": 1, "q": [1, 2, 3, 4, 5, 6], "a": 1}\n'
+                '{"i": 2, "q": [1, 2, 3], "a": 0}\n'
+                '{"i": 3, "q": [1, 2, 3, 4, 5], "a": 1}\n'
+                '{"i": 4, "q": [1, 2, 3, 4], "a": 0}\n'
+                '{"i": 5, "q": [5], "a": 0}\n'
+                '{"i": 6, "q": [1, 2, 3, 4, 5, 6], "a": 1}\n'
+                '{"i": 7, "q": [1, 2, 3, 5], "a": 1}\n'
+                '{"i": 8, "q": [1, 2, 5], "a": 1}\n'
+                '{"i": 9, "q": [1, 5], "a": 0}\n'
+                '{"i": 10, "q": [2], "a": 0}\n'
+                '{"i": 11, "q": [5], "a": 0}\n'
+                '{"i": 12, "q": [2, 5], "a": 1}\n'
+                '{"i": 13, "q": [1, 3, 4, 6], "a": 0}\n'
+                '{"i": 14, "q": [1, 2, 3, 4, 6], "a": 0}\n'
+                '{"i": 15, "q": [1, 3, 4, 5, 6], "a": 0}\n'
+            ),
+        },
+        id="learn-json",
+    ),
+    pytest.param(
+        ["learn", "--in", "{d}/inst.json", "--s", "2", "--l", "2", "--format", "csv",
+         "--out", "{d}/r.csv"],
+        '',
+        {
+            'r.csv': (
+                't,s,l,queries_total,queries_vertex_search,queries_edge_search,queries_query_search,result_edges\n'
+                '6,2,2,15,6,4,5,"[[2, 5]]"\n'
+            ),
+        },
+        id="learn-csv",
+    ),
+    pytest.param(
+        ["bounds", "--t", "6", "--s", "2", "--l", "2"],
+        (
+            '{\n'
+            '  "t": 6,\n'
+            '  "s": 2,\n'
+            '  "l": 2,\n'
+            '  "family_size": 232,\n'
+            '  "lower_bound_queries": 8\n'
+            '}\n'
+        ),
+        {},
+        id="bounds-json",
+    ),
+    pytest.param(
+        ["bounds", "--t", "6", "--s", "2", "--l", "2", "--format", "csv"],
+        (
+            't,s,l,family_size,lower_bound_queries\n'
+            '6,2,2,232,8\n'
+        ),
+        {},
+        id="bounds-csv",
+    ),
+    pytest.param(
+        ["bench", "--t", "16", "--s", "1", "--l", "2", "--seed", "5", "--trials", "2"],
+        (
+            '[\n'
+            '  {\n'
+            '    "t": 16,\n'
+            '    "s": 1,\n'
+            '    "l": 2,\n'
+            '    "seed": 5,\n'
+            '    "queries": 17,\n'
+            '    "lower_bound": 8,\n'
+            '    "rate": 0.23529411764705882,\n'
+            '    "budget": 24,\n'
+            '    "within_budget": true\n'
+            '  },\n'
+            '  {\n'
+            '    "t": 16,\n'
+            '    "s": 1,\n'
+            '    "l": 2,\n'
+            '    "seed": 6,\n'
+            '    "queries": 1,\n'
+            '    "lower_bound": 8,\n'
+            '    "rate": 4.0,\n'
+            '    "budget": 24,\n'
+            '    "within_budget": true\n'
+            '  }\n'
+            ']\n'
+        ),
+        {},
+        id="bench-json",
+    ),
+    pytest.param(
+        ["bench", "--sweep", "8:16:2", "--s", "2", "--l", "1", "--seed", "5",
+         "--trials", "1", "--format", "csv", "--out", "{d}/b.csv"],
+        '',
+        {
+            'b.csv': (
+                't,s,l,seed,queries,lower_bound,rate,budget,within_budget\n'
+                '8,2,1,5,12,6,0.25,20,true\n'
+                '16,2,1,5,14,8,0.2857142857142857,22,true\n'
+            ),
+        },
+        id="bench-csv",
+    ),
+    pytest.param(
+        ["twostage", "--t", "16", "--s", "2", "--l", "2", "--seed", "4", "--trials",
+         "2", "--layers", "1"],
+        (
+            '{\n'
+            '  "trials": [\n'
+            '    {\n'
+            '      "t": 16,\n'
+            '      "s": 2,\n'
+            '      "l": 2,\n'
+            '      "epsilon": 0.05,\n'
+            '      "layers": 1,\n'
+            '      "stage1_queries": 2,\n'
+            '      "stage2_queries": 48,\n'
+            '      "success": true,\n'
+            '      "recovered_edges": [\n'
+            '        [\n'
+            '          2,\n'
+            '          12\n'
+            '        ],\n'
+            '        [\n'
+            '          5,\n'
+            '          8\n'
+            '        ]\n'
+            '      ],\n'
+            '      "seed": 4\n'
+            '    },\n'
+            '    {\n'
+            '      "t": 16,\n'
+            '      "s": 2,\n'
+            '      "l": 2,\n'
+            '      "epsilon": 0.05,\n'
+            '      "layers": 1,\n'
+            '      "stage1_queries": 2,\n'
+            '      "stage2_queries": 0,\n'
+            '      "success": false,\n'
+            '      "recovered_edges": null,\n'
+            '      "seed": 5\n'
+            '    }\n'
+            '  ],\n'
+            '  "aggregate": {\n'
+            '    "trials": 2,\n'
+            '    "success_rate": 0.5,\n'
+            '    "mean_stage1": 2.0,\n'
+            '    "mean_stage2": 48.0\n'
+            '  }\n'
+            '}\n'
+        ),
+        {},
+        id="twostage-json",
+    ),
+    pytest.param(
+        ["twostage", "--t", "16", "--s", "2", "--l", "2", "--seed", "4", "--trials",
+         "2", "--layers", "1", "--format", "csv"],
+        (
+            't,s,l,seed,epsilon,layers,stage1_queries,stage2_queries,success,recovered_edges\n'
+            '16,2,2,4,0.05,1,2,48,true,"[[2, 12], [5, 8]]"\n'
+            '16,2,2,5,0.05,1,2,0,false,null\n'
+        ),
+        {},
+        id="twostage-csv",
+    ),
+    pytest.param(
+        ["cf-verify", "--in", "{d}/code.txt", "--s", "1", "--l", "1"],
+        (
+            '{\n'
+            '  "n_rows": 3,\n'
+            '  "n_cols": 4,\n'
+            '  "s": 1,\n'
+            '  "l": 1,\n'
+            '  "cover_free": false,\n'
+            '  "violation": {\n'
+            '    "zero_cols": [\n'
+            '      4\n'
+            '    ],\n'
+            '    "one_cols": [\n'
+            '      1\n'
+            '    ]\n'
+            '  }\n'
+            '}\n'
+        ),
+        {},
+        id="cf-verify-json",
+    ),
+    pytest.param(
+        ["cf-verify", "--in", "{d}/code.txt", "--s", "2", "--l", "1", "--format", "csv"],
+        (
+            'n_rows,n_cols,s,l,cover_free,violation\n'
+            '3,4,2,1,false,"{""zero_cols"": [1, 4], ""one_cols"": [2]}"\n'
+        ),
+        {},
+        id="cf-verify-csv",
+    ),
+    pytest.param(
+        ["cf-search", "--t", "4", "--s", "1", "--l", "1", "--max-n", "16", "--seed",
+         "0", "--out", "{d}/found.txt"],
+        (
+            '{\n'
+            '  "t": 4,\n'
+            '  "s": 1,\n'
+            '  "l": 1,\n'
+            '  "found": true,\n'
+            '  "n_rows": 16\n'
+            '}\n'
+        ),
+        {
+            'found.txt': (
+                '16 4\n'
+                '0000\n'
+                '0101\n'
+                '0111\n'
+                '0011\n'
+                '0000\n'
+                '0001\n'
+                '0100\n'
+                '0000\n'
+                '1000\n'
+                '0101\n'
+                '0010\n'
+                '1101\n'
+                '0110\n'
+                '1000\n'
+                '0100\n'
+                '0110\n'
+            ),
+        },
+        id="cf-search-found",
+    ),
+    pytest.param(
+        ["cf-search", "--t", "8", "--s", "2", "--l", "2", "--max-n", "4", "--seed",
+         "0", "--format", "csv", "--out", "{d}/none.txt"],
+        (
+            't,s,l,found,n_rows\n'
+            '8,2,2,false,null\n'
+        ),
+        {},
+        id="cf-search-none-csv",
+    ),
+    pytest.param(
+        ["cf-bounds", "--s", "2", "--l", "1"],
+        (
+            '{\n'
+            '  "s": 2,\n'
+            '  "l": 1,\n'
+            '  "rate_lower": 0.13268446135576076,\n'
+            '  "rate_upper": 0.5\n'
+            '}\n'
+        ),
+        {},
+        id="cf-bounds-json",
+    ),
+    pytest.param(
+        ["cf-bounds", "--s", "2", "--l", "1", "--format", "csv"],
+        (
+            's,l,rate_lower,rate_upper\n'
+            '2,1,0.13268446135576076,0.5\n'
+        ),
+        {},
+        id="cf-bounds-csv",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout, files", PINNED)
+def test_cli_bytes_pinned(tmp_path, capsys, argv, stdout, files):
+    (tmp_path / "code.txt").write_text(CODE)
+    (tmp_path / "inst.json").write_text(INST)
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 0
+    assert capsys.readouterr().out == stdout
+    written = {p.name: p.read_bytes().decode() for p in tmp_path.iterdir()
+               if p.name not in ("code.txt", "inst.json")}
+    assert written == files
