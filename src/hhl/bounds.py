@@ -4,19 +4,9 @@ main term, and rate computation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
 
 from .core import FamilyParams
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    """A finite-t sample of the rate log2(t) / queries."""
-
-    t: int
-    queries: int
-    rate: float
 
 
 def family_size_exact(params: FamilyParams) -> int:
@@ -48,9 +38,10 @@ def info_lower_bound(params: FamilyParams) -> int:
     return (size - 1).bit_length()
 
 
-def rate_point(t: int, queries: int) -> RatePoint:
+def rate_point(t: int, queries: int) -> float:
+    """The rate log2(t) / queries of one finite-t run."""
     if queries < 1:
         raise ValueError("queries must be at least 1")
     if t < 2:
         raise ValueError("t must be at least 2")
-    return RatePoint(t=t, queries=queries, rate=math.log2(t) / queries)
+    return math.log2(t) / queries

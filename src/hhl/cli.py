@@ -142,7 +142,7 @@ def _bench_trial(cfg: tuple[int, int, int, int, bool]) -> dict:
         "seed": seed,
         "queries": report.queries_total,
         "lower_bound": info_lower_bound(params),
-        "rate": rate_point(t, report.queries_total).rate,
+        "rate": rate_point(t, report.queries_total),
         "budget": budget,
         "within_budget": report.queries_total <= budget,
     }

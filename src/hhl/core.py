@@ -17,6 +17,9 @@ import numpy as np
 
 Edge = tuple[int, ...]
 
+# Rejection-sampling rounds random_family_instance tries before giving up.
+MAX_RETRIES = 10_000
+
 
 class GenerationError(RuntimeError):
     """Rejection sampling exhausted its retry budget."""
@@ -194,11 +197,6 @@ class Hypergraph:
         self.t = t
         self.edges: frozenset[Edge] = frozenset(canonical_edge(e, t) for e in edges)
 
-    @property
-    def dim(self) -> int:
-        """Cardinality of the largest edge (0 if there are no edges)."""
-        return max((len(e) for e in self.edges), default=0)
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
@@ -262,24 +260,20 @@ def _random_edge(rng: random.Random, t: int, max_size: int) -> Edge:
 
 
 def random_family_instance(
-    params: FamilyParams,
-    sperner_only: bool = True,
-    seed: int = 0,
-    max_retries: int = 10_000,
+    params: FamilyParams, sperner_only: bool = True, seed: int = 0
 ) -> Hypergraph:
     """Sample a family member: edge count uniform in {0..s}, then that many
     distinct edges uniform over nonempty subsets of size <= l.
 
     Not uniform over the family. With ``sperner_only`` non-antichain draws
-    are rejected and redrawn; exhausting ``max_retries`` raises
-    GenerationError.
+    are rejected and redrawn; exhausting MAX_RETRIES raises GenerationError.
     """
     rng = random.Random(seed)
     k = rng.randint(0, params.s)
     n_choices = sum(comb(params.t, j) for j in range(1, min(params.l, params.t) + 1))
     if k > n_choices:
         raise GenerationError(f"cannot draw {k} distinct edges from {n_choices}")
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         edges: set[Edge] = set()
         draws = 0
         while len(edges) < k and draws < 100 + 20 * k:
@@ -290,7 +284,7 @@ def random_family_instance(
         h = Hypergraph(params.t, edges)
         if not sperner_only or is_sperner(h):
             return h
-    raise GenerationError(f"no instance after {max_retries} retries")
+    raise GenerationError(f"no instance after {MAX_RETRIES} retries")
 
 
 def random_disjoint_instance(params: FamilyParams, seed: int = 0) -> Hypergraph:

@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Sequence
+
+from .core import edge_mask
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -40,38 +41,11 @@ class BinaryCode:
         if any(not 0 <= r < limit for r in self.rows):
             raise ValueError("row mask outside column range")
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[Sequence[int]]) -> "BinaryCode":
-        n_rows = len(bits)
-        if n_rows == 0:
-            raise ValueError("code needs at least one row")
-        n_cols = len(bits[0])
-        rows = []
-        for row in bits:
-            if len(row) != n_cols:
-                raise ValueError("ragged rows")
-            m = 0
-            for j, b in enumerate(row):
-                if b not in (0, 1):
-                    raise ValueError(f"entries must be 0 or 1, got {b!r}")
-                m |= b << j
-            rows.append(m)
-        return cls(n_rows, n_cols, tuple(rows))
-
-    def bit(self, i: int, j: int) -> int:
-        """Entry in row i, column j (both 1-based)."""
-        return (self.rows[i - 1] >> (j - 1)) & 1
-
     def row_lines(self) -> list[str]:
         return [
             "".join("1" if (r >> j) & 1 else "0" for j in range(self.n_cols))
             for r in self.rows
         ]
-
-
-def complement(code: BinaryCode) -> BinaryCode:
-    full = (1 << code.n_cols) - 1
-    return BinaryCode(code.n_rows, code.n_cols, tuple(full ^ r for r in code.rows))
 
 
 def _check_params(code: BinaryCode, s: int, l: int) -> None:
@@ -102,14 +76,10 @@ def find_violation(
             )
     cols = range(1, t + 1)
     for zero_cols in combinations(cols, s):
-        zero_mask = 0
-        for c in zero_cols:
-            zero_mask |= 1 << (c - 1)
+        zero_mask = edge_mask(zero_cols)
         rest = [c for c in cols if c not in zero_cols]
         for one_cols in combinations(rest, l):
-            one_mask = 0
-            for c in one_cols:
-                one_mask |= 1 << (c - 1)
+            one_mask = edge_mask(one_cols)
             if not any(
                 r & zero_mask == 0 and r & one_mask == one_mask for r in code.rows
             ):
@@ -122,15 +92,6 @@ def is_cover_free(
 ) -> bool:
     """True iff every disjoint (s-set, l-set) of columns has a separating row."""
     return find_violation(code, s, l, work_limit) is None
-
-
-def symmetry_check(code: BinaryCode, s: int, l: int) -> bool:
-    """Cover-freeness of the bit-complement with the roles of s and l swapped.
-
-    Flipping every bit swaps which column set must read all-zero and which
-    all-one, so this equals is_cover_free(code, s, l) for every code.
-    """
-    return is_cover_free(complement(code), l, s)
 
 
 def cf_rate_bounds(s: int, l: int) -> tuple[float, float]:
@@ -166,14 +127,12 @@ def search_random_cf_code(
     p = l / (s + l)
     n = 1
     while n <= max_n:
-        rows = []
-        for _ in range(n):
-            m = 0
-            for j in range(t):
-                if rng.random() < p:
-                    m |= 1 << j
-            rows.append(m)
-        code = BinaryCode(n, t, tuple(rows))
+        # One draw per column, row by row: fixed seeds must give the same codes.
+        rows = tuple(
+            edge_mask(v for v in range(1, t + 1) if rng.random() < p)
+            for _ in range(n)
+        )
+        code = BinaryCode(n, t, rows)
         if is_cover_free(code, s, l):
             return code
         if n == max_n:

@@ -62,9 +62,6 @@ class Oracle:
         self.transcript.append(QueryRecord(self.count + 1, s, answer, self.tag))
         return answer
 
-    def reset(self) -> None:
-        self.transcript.clear()
-
     def transcript_jsonl(self) -> str:
         """One JSON object per query: {"i": index, "q": [v,...], "a": 0|1}."""
         lines = [

@@ -28,6 +28,10 @@ from .coverfree import BinaryCode
 from .oracle import Oracle
 
 
+# Largest layer matrix sample_layer_matrix builds: 2**25 int64 symbols, 256 MiB.
+MAX_LAYER_ENTRIES = 1 << 25
+
+
 class DesignSearchError(RuntimeError):
     """No separating block design was found within the row budget."""
 
@@ -80,18 +84,6 @@ class Partition:
         if union != (1 << t) - 1 or total != t:
             raise ValueError("blocks must partition the vertex set")
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-
-@dataclass
-class LayerExpansion:
-    """Binary expansion of a layer matrix: s rows per layer, one per symbol."""
-
-    source: LayerMatrix
-    code: BinaryCode
-
 
 def _mask_from_bools(flags: np.ndarray) -> int:
     return int.from_bytes(
@@ -103,6 +95,10 @@ def sample_layer_matrix(n_layers: int, t: int, s: int, seed: int) -> LayerMatrix
     """Sample every entry i.i.d. uniform on {1..s}; deterministic in seed."""
     if n_layers < 1 or t < 1 or s < 1:
         raise ValueError("n_layers, t and s must be positive")
+    if n_layers * t > MAX_LAYER_ENTRIES:
+        raise ValueError(
+            f"{n_layers} layers of {t} symbols exceed {MAX_LAYER_ENTRIES} entries"
+        )
     rng = np.random.default_rng(seed)
     symbols = rng.integers(1, s + 1, size=(n_layers, t), dtype=np.int64)
     return LayerMatrix(s, symbols)
@@ -118,62 +114,51 @@ def layer_partition(matrix: LayerMatrix, layer: int) -> Partition:
     return Partition(blocks)
 
 
-def expand_layers(matrix: LayerMatrix) -> LayerExpansion:
-    """Binary (s*N x t) code whose consecutive s-row groups are the layers."""
-    rows: list[int] = []
-    for i in range(matrix.n_layers):
-        rows.extend(b.mask for b in layer_partition(matrix, i).blocks)
-    code = BinaryCode(matrix.s * matrix.n_layers, matrix.t, tuple(rows))
-    return LayerExpansion(source=matrix, code=code)
-
-
 def find_good_layer(
-    matrix: LayerMatrix, oracle: Oracle, *, full_batch: bool = False
+    matrix: LayerMatrix, oracle: Oracle
 ) -> tuple[int, Partition] | None:
-    """Scan layers in order for one whose s block queries all answer 1.
+    """Stage one: query every block of every layer, then return the first
+    layer whose s block queries all answered 1, or None if no layer did.
 
-    By default the scan is lazy: it stops at the first good layer and skips
-    a layer's remaining blocks after its first 0. With ``full_batch`` every
-    block query of every layer is issued before any answer is used, which
-    is the two-stage (non-adaptive within a stage) regime; the query count
-    is then exactly s * n_layers.
+    Every query is issued whatever the earlier answers were, so the batch
+    is fixed in advance and costs exactly s * n_layers queries.
     """
     if matrix.t != oracle.hidden.t:
         raise ValueError(f"universe mismatch: {matrix.t} != {oracle.hidden.t}")
     good: tuple[int, Partition] | None = None
     for i in range(matrix.n_layers):
         part = layer_partition(matrix, i)
-        answers = []
-        for block in part.blocks:
-            answers.append(oracle.query(block))
-            if not full_batch and not answers[-1]:
-                break
-        if len(answers) == matrix.s and all(answers):
-            if not full_batch:
-                return i, part
-            if good is None:
-                good = (i, part)
+        answers = [oracle.query(block) for block in part.blocks]
+        if good is None and all(answers):
+            good = (i, part)
     return good
 
 
 def layer_success_probability(s: int, l: int) -> float:
-    """Probability that one random layer is good: s! / s**(s*l)."""
+    """Probability that one random layer is good: s! / s**(s*l).
+
+    The int quotient is at most 1 and underflows to 0.0 rather than raising.
+    """
     if s < 1 or l < 1:
         raise ValueError("s and l must be positive")
-    try:
-        return factorial(s) / s ** (s * l)
-    except OverflowError:
-        return math.exp(math.lgamma(s + 1) - s * l * math.log(s))
+    return factorial(s) / s ** (s * l)
 
 
 def required_layers(epsilon: float, s: int, l: int) -> int:
-    """Smallest N with (1 - s!/s**(s*l))**N <= epsilon."""
+    """Smallest N with (1 - s!/s**(s*l))**N <= epsilon.
+
+    Raises ValueError when 1 - p rounds to 1.0, so no float N exists.
+    """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     p = layer_success_probability(s, l)
     if p >= 1.0:
         return 1
     q = 1.0 - p
+    if q == 1.0:
+        raise ValueError(
+            f"a layer is good with probability {p:.3g}, below float resolution"
+        )
     n = max(1, math.ceil(math.log(epsilon) / math.log(q)))
     while q**n > epsilon:
         n += 1
@@ -354,7 +339,6 @@ def two_stage_trial(
     seed: int,
     *,
     n_layers: int | None = None,
-    design_max_rows: int = 4096,
 ) -> TrialReport:
     """Run both stages against an oracle hiding s disjoint l-edges.
 
@@ -373,7 +357,7 @@ def two_stage_trial(
     old_tag = oracle.tag
     try:
         oracle.tag = "stage1"
-        good = find_good_layer(matrix, oracle, full_batch=True)
+        good = find_good_layer(matrix, oracle)
         stage1 = oracle.count - start
         if good is None:
             return TrialReport(t, s, l, epsilon, layers, stage1, 0, False, None)
@@ -386,9 +370,7 @@ def two_stage_trial(
             blocks = [
                 (
                     block.members(),
-                    build_block_design(
-                        len(block), l, _derive_seed(seed, bi), max_rows=design_max_rows
-                    ),
+                    build_block_design(len(block), l, _derive_seed(seed, bi)),
                 )
                 for bi, block in enumerate(part.blocks, start=1)
             ]
@@ -422,17 +404,3 @@ def two_stage_trial(
         )
     finally:
         oracle.tag = old_tag
-
-
-def two_stage_learn(
-    oracle: Oracle,
-    params: FamilyParams,
-    epsilon: float,
-    seed: int,
-    *,
-    n_layers: int | None = None,
-) -> Hypergraph | None:
-    """Recover the hidden hypergraph, or None when the trial declares failure."""
-    return two_stage_trial(
-        oracle, params, epsilon, seed, n_layers=n_layers
-    ).hypergraph

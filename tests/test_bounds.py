@@ -77,8 +77,8 @@ def test_info_lower_bound_bracketing():
 
 
 def test_rate_point():
-    assert rate_point(1024, 100).rate == pytest.approx(0.1)
-    assert rate_point(2, 1).rate == pytest.approx(1.0)
+    assert rate_point(1024, 100) == pytest.approx(0.1)
+    assert rate_point(2, 1) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         rate_point(1024, 0)
     with pytest.raises(ValueError):

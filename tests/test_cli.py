@@ -242,6 +242,21 @@ def test_twostage_csv(capsys):
     assert len(lines) == 3
 
 
+# (8, 3): 1 - s!/s**(s*l) rounds to 1.0. (6, 3): N is about 4 * 10**11 layers.
+@pytest.mark.parametrize("s, l", [(8, 3), (6, 3)])
+def test_twostage_hopeless_layer_count_is_an_error(s, l):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhl.cli", "twostage", "--t", "64",
+         "--s", str(s), "--l", str(l), "--seed", "0", "--trials", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cf_search_and_verify(tmp_path, capsys):
     code_file = tmp_path / "code.txt"
     out = run_json(capsys, ["cf-search", "--t", "8", "--s", "1", "--l", "1",

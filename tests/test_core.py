@@ -129,8 +129,6 @@ def test_vertex_set_split_bounds():
 def test_hypergraph_canonicalization():
     h = Hypergraph(5, [(2, 1), (3,), (1, 2)])
     assert h.sorted_edges() == [(1, 2), (3,)]
-    assert h.dim == 2
-    assert Hypergraph(5).dim == 0
     assert h == Hypergraph(5, [(1, 2), (3,)])
     assert h != Hypergraph(6, [(1, 2), (3,)])
 

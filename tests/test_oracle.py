@@ -33,14 +33,12 @@ def test_query_answers():
     assert o.count == 3
 
 
-def test_query_count_and_reset():
+def test_query_count():
     o = Oracle(Hypergraph(4, [(1,)]))
     assert o.count == 0
     for _ in range(3):
         o.query(VertexSet(4, [1]))
     assert o.count == 3
-    o.reset()
-    assert o.count == 0
 
 
 def test_repeated_queries_counted_separately():

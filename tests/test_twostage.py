@@ -15,7 +15,6 @@ from hhl import (
     VertexSet,
     build_block_design,
     decode_block,
-    expand_layers,
     find_good_layer,
     is_separating_design,
     layer_partition,
@@ -23,12 +22,12 @@ from hhl import (
     random_disjoint_instance,
     required_layers,
     sample_layer_matrix,
-    two_stage_learn,
     two_stage_trial,
 )
 from hhl.core import edge_mask
 from hhl.coverfree import BinaryCode
 from hhl.twostage import (
+    MAX_LAYER_ENTRIES,
     LayerMatrix,
     _candidate_indices,
     _derive_seed,
@@ -69,20 +68,6 @@ def test_layer_partition_blocks():
     part = layer_partition(m, 0)
     assert part.blocks[0] == VertexSet(4, [1, 2])
     assert part.blocks[1] == VertexSet(4, [3, 4])
-    assert part.sizes == (2, 2)
-
-
-def test_expand_layers_each_column_once_per_layer():
-    m = sample_layer_matrix(6, 11, 3, seed=2)
-    expansion = expand_layers(m)
-    assert expansion.code.n_rows == 18
-    for i in range(m.n_layers):
-        layer_rows = expansion.code.rows[i * 3 : (i + 1) * 3]
-        combined = 0
-        for r in layer_rows:
-            assert combined & r == 0
-            combined |= r
-        assert combined == (1 << 11) - 1
 
 
 def test_find_good_layer_examples():
@@ -106,16 +91,17 @@ def test_find_good_layer_singleton_alphabet():
     assert res[1].blocks == (VertexSet.full(6),)
 
 
-def test_find_good_layer_early_exit_vs_full_batch():
+def test_find_good_layer_full_batch():
     hidden = Hypergraph(4, [(1, 2), (3, 4)])
-    m = LayerMatrix(2, np.array([[1, 2, 1, 2], [1, 1, 2, 2]]))
-    lazy = Oracle(hidden)
-    assert find_good_layer(m, lazy)[0] == 1
-    assert lazy.count == 3  # first block of layer 0 answers 0, layer skipped
-
-    batch = Oracle(hidden)
-    assert find_good_layer(m, batch, full_batch=True)[0] == 1
-    assert batch.count == 4  # every designed query is issued
+    # Layer 0 fails on its first block; layers 1 and 2 are both good.
+    m = LayerMatrix(2, np.array([[1, 2, 1, 2], [1, 1, 2, 2], [2, 2, 1, 1]]))
+    oracle = Oracle(hidden)
+    assert find_good_layer(m, oracle)[0] == 1
+    # Neither the 0 in layer 0 nor the good layer 1 ends the scan early.
+    assert oracle.count == m.s * m.n_layers
+    assert [r.query for r in oracle.transcript] == [
+        b for i in range(m.n_layers) for b in layer_partition(m, i).blocks
+    ]
 
 
 def test_layer_success_probability():
@@ -158,6 +144,25 @@ def test_required_layers_bracketing():
                 q = 1 - layer_success_probability(s, l)
                 assert q**n <= eps
                 assert n == 1 or q ** (n - 1) > eps
+
+
+@pytest.mark.parametrize("s, l", [(8, 3), (20, 20)])
+def test_required_layers_below_float_resolution(s, l):
+    # 1 - s!/s**(s*l) rounds to 1.0 (at (20, 20) p itself underflows to 0.0).
+    with pytest.raises(ValueError, match="float resolution"):
+        required_layers(0.05, s, l)
+
+
+def test_oversized_layer_matrix_refused_before_sampling():
+    with pytest.raises(ValueError, match="entries"):
+        sample_layer_matrix(MAX_LAYER_ENTRIES // 64 + 1, 64, 2, seed=0)
+    # At (6, 3) a layer is good with probability about 7e-12.
+    params = FamilyParams(64, 6, 3)
+    assert required_layers(0.05, 6, 3) * 64 > MAX_LAYER_ENTRIES
+    oracle = Oracle(random_disjoint_instance(params, seed=0))
+    with pytest.raises(ValueError, match="entries"):
+        two_stage_trial(oracle, params, 0.05, seed=0)
+    assert oracle.count == 0
 
 
 def test_complement_of_identity_separates_singletons():
@@ -269,7 +274,6 @@ def test_two_stage_trial_declared_failure():
     assert report.hypergraph is None
     assert report.stage1_queries == 2
     assert report.stage2_queries == 0
-    assert two_stage_learn(Oracle(hidden), params, 0.5, seed=0, n_layers=1) is None
 
 
 def test_two_stage_trial_ambiguous_decode_is_declared_failure():
@@ -301,7 +305,7 @@ def test_two_stage_queries_remap_design_rows(t):
             continue
         successes += 1
         matrix = sample_layer_matrix(report.layers, t, 2, _derive_seed(seed, 0))
-        _, part = find_good_layer(matrix, Oracle(hidden), full_batch=True)
+        _, part = find_good_layer(matrix, Oracle(hidden))
         want = []
         for bi, block in enumerate(part.blocks, start=1):
             verts = block.members()
@@ -318,8 +322,8 @@ def test_two_stage_singleton_family_always_succeeds():
     params = FamilyParams(12, 1, 2)
     for seed in range(10):
         hidden = random_disjoint_instance(params, seed=seed)
-        got = two_stage_learn(Oracle(hidden), params, 0.2, seed=seed)
-        assert got == hidden
+        report = two_stage_trial(Oracle(hidden), params, 0.2, seed=seed)
+        assert report.hypergraph == hidden
 
 
 def test_two_stage_end_to_end():
