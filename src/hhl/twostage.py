@@ -31,6 +31,10 @@ from .oracle import Oracle
 # Largest layer matrix sample_layer_matrix builds: 2**25 int64 symbols, 256 MiB.
 MAX_LAYER_ENTRIES = 1 << 25
 
+# Most candidate edges the exhaustive stage-two check enumerates for one
+# block: 2**24 candidates of size <= 2 take 256 MiB of index arrays alone.
+MAX_DESIGN_CANDIDATES = 1 << 24
+
 
 class DesignSearchError(RuntimeError):
     """No separating block design was found within the row budget."""
@@ -169,7 +173,14 @@ def required_layers(epsilon: float, s: int, l: int) -> int:
 
 def _candidate_indices(n_cols: int, max_size: int) -> list[np.ndarray]:
     """0-based column index arrays, one (count, size) array per size, each
-    listing the size-subsets of range(n_cols) in lexicographic order."""
+    listing the size-subsets of range(n_cols) in lexicographic order.
+    Raises ValueError, before allocating, above MAX_DESIGN_CANDIDATES."""
+    n_cand = sum(math.comb(n_cols, j) for j in range(1, max_size + 1))
+    if n_cand > MAX_DESIGN_CANDIDATES:
+        raise ValueError(
+            f"{n_cand} candidate edges in a block of {n_cols} exceed "
+            f"{MAX_DESIGN_CANDIDATES}"
+        )
     idx = np.arange(n_cols).reshape(-1, 1)
     out = [idx]
     for _ in range(1, min(max_size, n_cols)):

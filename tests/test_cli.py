@@ -257,6 +257,22 @@ def test_twostage_hopeless_layer_count_is_an_error(s, l):
     assert proc.stdout == ""
 
 
+def test_twostage_oversized_block_design_is_an_error():
+    # Stage-two blocks of about 32768 vertices have about 5.4e8 candidate
+    # pairs, above twostage.MAX_DESIGN_CANDIDATES.
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhl.cli", "twostage", "--t", "65536",
+         "--s", "2", "--l", "2", "--seed", "0", "--trials", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "candidate edges" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cf_search_and_verify(tmp_path, capsys):
     code_file = tmp_path / "code.txt"
     out = run_json(capsys, ["cf-search", "--t", "8", "--s", "1", "--l", "1",

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhl import (
     BudgetExceededError,
+    FamilyParams,
     Hypergraph,
     Oracle,
     VertexSet,
     is_independent,
+    learn_detailed,
+    random_disjoint_instance,
+    two_stage_trial,
 )
 
 
@@ -104,6 +109,81 @@ def test_transcript_jsonl():
         {"i": 1, "q": [2, 3], "a": 1},
         {"i": 2, "q": [1], "a": 0},
     ]
+
+
+def reference_jsonl(o: Oracle) -> str:
+    lines = [
+        json.dumps({"i": r.index, "q": list(r.query), "a": int(r.answer)})
+        for r in o.transcript
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def assert_reference_bytes(o: Oracle) -> None:
+    got, want = o.transcript_jsonl(), reference_jsonl(o)
+    if got != want:
+        # Show the bytes around the first difference, not a diff of two
+        # texts that can be megabytes long.
+        i = len(os.path.commonprefix([got, want]))
+        j = max(i - 60, 0)
+        assert (got[j : i + 60], len(got)) == (want[j : i + 60], len(want))
+
+
+def test_transcript_jsonl_no_queries():
+    assert Oracle(Hypergraph(5, [(1,)])).transcript_jsonl() == ""
+
+
+@pytest.mark.parametrize(
+    "t", [1, 9, 10, 11, 64, 99, 100, 101, 128, 1000, 4097, 2**16 + 3]
+)
+def test_transcript_jsonl_bytes_match_json_dumps(t):
+    o = Oracle(Hypergraph(t, [(t,)]))
+    o.query(VertexSet.empty(t))
+    o.query(VertexSet.full(t))
+    o.query(VertexSet.singleton(t, 1))
+    o.query(VertexSet.singleton(t, t))
+    # Runs that start or end at word boundaries, at t, and where the
+    # digit count changes.
+    ends = sorted({v for v in (1, 9, 10, 63, 64, 65, 99, 100, 128, 1000, t) if v <= t})
+    for a in ends:
+        for b in ends:
+            if a <= b:
+                o.query(VertexSet(t, range(a, b + 1)))
+    o.query(VertexSet(t, [v for v in ends if v % 2]))
+    rng = random.Random(t)
+    for p in (0.1, 0.5, 0.9):
+        o.query(VertexSet(t, [v for v in range(1, t + 1) if rng.random() < p]))
+    assert_reference_bytes(o)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 9, 10, 63, 64, 65, 100, 129, 1000]),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_transcript_jsonl_dense_sets(t, densities, rng):
+    o = Oracle(Hypergraph(t, [(1,)]))
+    for p in densities:
+        o.query(VertexSet(t, [v for v in range(1, t + 1) if rng.random() < p]))
+    assert_reference_bytes(o)
+
+
+def test_transcript_jsonl_learner_and_two_stage_transcripts():
+    params = FamilyParams(4096, 3, 2)
+    for seed in range(3):
+        o = Oracle(random_disjoint_instance(params, seed=seed))
+        learn_detailed(o, params)
+        assert_reference_bytes(o)
+    params = FamilyParams(256, 2, 2)
+    for seed in range(3):
+        o = Oracle(random_disjoint_instance(params, seed=seed))
+        two_stage_trial(o, params, 0.05, seed=seed)
+        # Stage-one blocks are random, so their queries have many runs.
+        runs = max(bin(r.query.mask ^ (r.query.mask << 1)).count("1") // 2
+                   for r in o.transcript)
+        assert runs > 20
+        assert_reference_bytes(o)
 
 
 def test_transcript_write(tmp_path):

@@ -23,6 +23,7 @@ from hhl import (
     required_layers,
     sample_layer_matrix,
     two_stage_trial,
+    twostage,
 )
 from hhl.core import edge_mask
 from hhl.coverfree import BinaryCode
@@ -163,6 +164,22 @@ def test_oversized_layer_matrix_refused_before_sampling():
     with pytest.raises(ValueError, match="entries"):
         two_stage_trial(oracle, params, 0.05, seed=0)
     assert oracle.count == 0
+
+
+def test_oversized_block_design_refused_before_allocating(monkeypatch):
+    # A block of 2**16 columns has about 2**31 candidate pairs; the cap
+    # refuses it up front with ValueError, not DesignSearchError, which
+    # would be a declared failure and retried.
+    with pytest.raises(ValueError, match="candidate edges") as exc:
+        build_block_design(2**16, 2, seed=0)
+    assert not isinstance(exc.value, DesignSearchError)
+    # The cap is inclusive: 4 + C(4, 2) == 10 candidates pass, 15 do not.
+    monkeypatch.setattr(twostage, "MAX_DESIGN_CANDIDATES", 10)
+    assert sum(len(idx) for idx in _candidate_indices(4, 2)) == 10
+    with pytest.raises(ValueError, match="candidate edges"):
+        _candidate_indices(5, 2)
+    with pytest.raises(ValueError, match="candidate edges"):
+        is_separating_design(complement_of_identity(5), 2)
 
 
 def test_complement_of_identity_separates_singletons():
