@@ -404,8 +404,8 @@ def main(argv: list[str] | None = None) -> int:
                 f.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

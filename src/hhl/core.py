@@ -11,7 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +49,32 @@ def edge_mask(edge: Iterable[int]) -> int:
     for v in edge:
         m |= 1 << (v - 1)
     return m
+
+
+def _bit_positions(masks: Iterable[int], width: int) -> np.ndarray:
+    """0-based positions of the set bits of int masks laid end to end at a
+    stride of width bits (a multiple of 64), in increasing order: bit j of
+    masks[i] is position i*width + j."""
+    data = b"".join(m.to_bytes(width >> 3, "little") for m in masks)
+    words = np.frombuffer(data, dtype="<u8")
+    nonzero = np.flatnonzero(words)
+    bits = np.flatnonzero(
+        np.unpackbits(words[nonzero].view(np.uint8), bitorder="little")
+    )
+    return nonzero[bits >> 6] * 64 + (bits & 63)
+
+
+def _mask_from_bools(flags: np.ndarray) -> int:
+    """Int mask of a 1-d bool array: bit j set iff flags[j]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _bools_from_masks(masks: Sequence[int], width: int) -> np.ndarray:
+    """(len(masks), width) bool array of int masks: [i, j] is bit j of masks[i]."""
+    n_bytes = (width + 7) >> 3
+    data = b"".join(m.to_bytes(n_bytes, "little") for m in masks)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), n_bytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
 class VertexSet:
@@ -109,14 +135,8 @@ class VertexSet:
 
     def __iter__(self) -> Iterator[int]:
         """Members in increasing order."""
-        mask = self.mask
-        data = mask.to_bytes(8 * ((mask.bit_length() + 63) >> 6), "little")
-        words = np.frombuffer(data, dtype="<u8")
-        nonzero = np.flatnonzero(words)
-        bits = np.flatnonzero(
-            np.unpackbits(words[nonzero].view(np.uint8), bitorder="little")
-        )
-        return iter((nonzero[bits >> 6] * 64 + (bits & 63) + 1).tolist())
+        width = 64 * ((self.mask.bit_length() + 63) >> 6)
+        return iter((_bit_positions([self.mask], width) + 1).tolist())
 
     def members(self) -> tuple[int, ...]:
         return tuple(self)

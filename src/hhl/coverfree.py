@@ -3,9 +3,9 @@ rate-bound guides.
 
 A binary N x t code is cover-free for parameters (s, l) when for every pair
 of disjoint column sets of sizes s and l some row is all-zero on the first
-set and all-one on the second. Verification is an exhaustive scan over all
-such pairs, so it is meant for desk-scale parameters; a work limit can
-refuse oversized inputs up front.
+set and all-one on the second. Verification scans all such pairs on packed
+column signatures, so it is meant for desk-scale parameters; a work limit
+and a column-set cap refuse oversized inputs up front.
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import edge_mask
+import numpy as np
+
+from .core import _bools_from_masks, edge_mask
+
+# Most column sets of size <= l that cover-free checks and stage-two designs
+# enumerate: 2**24 sets of size <= 2 take 256 MiB of index arrays alone.
+MAX_DESIGN_CANDIDATES = 1 << 24
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -48,6 +54,48 @@ class BinaryCode:
         ]
 
 
+def _candidate_indices(n_cols: int, max_size: int) -> list[np.ndarray]:
+    """0-based column index arrays, one (count, size) array per size, each
+    listing the size-subsets of range(n_cols) in lexicographic order.
+    Raises ValueError, before allocating, above MAX_DESIGN_CANDIDATES."""
+    n_cand = sum(comb(n_cols, j) for j in range(1, max_size + 1))
+    if n_cand > MAX_DESIGN_CANDIDATES:
+        raise ValueError(
+            f"{n_cand} candidate edges on {n_cols} columns exceed "
+            f"{MAX_DESIGN_CANDIDATES}"
+        )
+    idx = np.arange(n_cols).reshape(-1, 1)
+    out = [idx]
+    for _ in range(1, min(max_size, n_cols)):
+        # Extend each subset by every column above its last one.
+        last = idx[:, -1]
+        counts = n_cols - 1 - last
+        offset = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        idx = np.column_stack(
+            [np.repeat(idx, counts, axis=0), np.arange(counts.sum()) - offset]
+        )
+        out.append(idx)
+    return out
+
+
+def _signatures(support: np.ndarray, cand: list[np.ndarray]) -> list[np.ndarray]:
+    """One (count, words) uint64 array per index array of cand: the AND of
+    the sets' packed column signatures of an (n_rows, n_cols) bool matrix,
+    one zero-padded bit per row, set iff the row holds the whole set."""
+    n_rows, n_cols = support.shape
+    words = (n_rows + 63) >> 6
+    colsig = np.zeros((n_cols, 8 * words), dtype=np.uint8)
+    colsig[:, : (n_rows + 7) >> 3] = np.packbits(support, axis=0).T
+    colsig = colsig.view(np.uint64)
+    ands = []
+    for idx in cand:
+        sig = colsig[idx[:, 0]]
+        for j in range(1, idx.shape[1]):
+            sig &= colsig[idx[:, j]]
+        ands.append(sig)
+    return ands
+
+
 def _check_params(code: BinaryCode, s: int, l: int) -> None:
     if s < 1 or l < 1:
         raise ValueError("s and l must be positive")
@@ -64,7 +112,8 @@ def find_violation(
     code is not cover-free, or None if it is.
 
     The witness means: no row is all-zero on zero_cols and all-one on
-    one_cols.
+    one_cols; it is the lexicographically first such pair. Raises ValueError,
+    before allocating, above MAX_DESIGN_CANDIDATES column sets of size <= l.
     """
     _check_params(code, s, l)
     t = code.n_cols
@@ -74,16 +123,17 @@ def find_violation(
             raise WorkLimitExceeded(
                 f"{work} pair-row checks exceed the limit {work_limit}"
             )
-    cols = range(1, t + 1)
-    for zero_cols in combinations(cols, s):
-        zero_mask = edge_mask(zero_cols)
-        rest = [c for c in cols if c not in zero_cols]
-        for one_cols in combinations(rest, l):
-            one_mask = edge_mask(one_cols)
-            if not any(
-                r & zero_mask == 0 and r & one_mask == one_mask for r in code.rows
-            ):
-                return zero_cols, one_cols
+    cand = _candidate_indices(t, l)
+    ands = _signatures(_bools_from_masks(code.rows, t), cand)
+    colsig, ones, ones_and = ands[0], cand[-1], ands[-1]
+    # A row separates (zero_cols, ones[k]) iff its bit is set in ones_and[k] and
+    # clear in zero_or; l-sets that meet zero_cols never are, so they are dropped.
+    for zero_cols in combinations(range(t), s):
+        zero_or = np.bitwise_or.reduce(colsig[list(zero_cols)])
+        hits = np.flatnonzero(~(ones_and & ~zero_or).any(axis=1))
+        hits = hits[~(ones[hits, :, None] == zero_cols).any(axis=(1, 2))]
+        if len(hits):
+            return tuple(c + 1 for c in zero_cols), tuple((ones[hits[0]] + 1).tolist())
     return None
 
 

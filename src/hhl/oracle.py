@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, VertexSet
+from .core import Hypergraph, VertexSet, _bit_positions
 
 
 class BudgetExceededError(RuntimeError):
@@ -23,17 +23,6 @@ def is_independent(h: Hypergraph, s: VertexSet) -> bool:
     if s.t != h.t:
         raise ValueError(f"universe mismatch: {s.t} != {h.t}")
     return not any(m & s.mask == m for m in h.edge_masks())
-
-
-def _bit_positions(data: bytes) -> np.ndarray:
-    """0-based positions of the set bits of a little-endian buffer whose
-    length is a multiple of 8, in increasing order."""
-    words = np.frombuffer(data, dtype="<u8")
-    nonzero = np.flatnonzero(words)
-    bits = np.flatnonzero(
-        np.unpackbits(words[nonzero].view(np.uint8), bitorder="little")
-    )
-    return nonzero[bits >> 6] * 64 + (bits & 63)
 
 
 def _decimal_offset(v: np.ndarray, t: int) -> np.ndarray:
@@ -105,10 +94,7 @@ class Oracle:
         # of whole 64-bit words, so one scan finds every boundary.
         stride = 64 * ((t >> 6) + 1)
         pos = _bit_positions(
-            b"".join(
-                (r.query.mask ^ (r.query.mask << 1)).to_bytes(stride >> 3, "little")
-                for r in records
-            )
+            (r.query.mask ^ (r.query.mask << 1) for r in records), stride
         )
         # ends[i] counts the runs of records 0..i; boundaries come in pairs.
         ends = np.searchsorted(pos, stride * np.arange(1, len(records) + 1)) // 2

@@ -24,16 +24,16 @@ from typing import Sequence
 import numpy as np
 
 from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_mask
-from .coverfree import BinaryCode
+from .core import _bools_from_masks, _mask_from_bools
+from .coverfree import BinaryCode, _candidate_indices, _signatures
 from .oracle import Oracle
 
 
 # Largest layer matrix sample_layer_matrix builds: 2**25 int64 symbols, 256 MiB.
 MAX_LAYER_ENTRIES = 1 << 25
 
-# Most candidate edges the exhaustive stage-two check enumerates for one
-# block: 2**24 candidates of size <= 2 take 256 MiB of index arrays alone.
-MAX_DESIGN_CANDIDATES = 1 << 24
+# Longest design build_block_design tries before a declared failure.
+MAX_DESIGN_ROWS = 4096
 
 
 class DesignSearchError(RuntimeError):
@@ -87,12 +87,6 @@ class Partition:
             total += len(b)
         if union != (1 << t) - 1 or total != t:
             raise ValueError("blocks must partition the vertex set")
-
-
-def _mask_from_bools(flags: np.ndarray) -> int:
-    return int.from_bytes(
-        np.packbits(flags, bitorder="little").tobytes(), "little"
-    )
 
 
 def sample_layer_matrix(n_layers: int, t: int, s: int, seed: int) -> LayerMatrix:
@@ -171,65 +165,22 @@ def required_layers(epsilon: float, s: int, l: int) -> int:
     return n
 
 
-def _candidate_indices(n_cols: int, max_size: int) -> list[np.ndarray]:
-    """0-based column index arrays, one (count, size) array per size, each
-    listing the size-subsets of range(n_cols) in lexicographic order.
-    Raises ValueError, before allocating, above MAX_DESIGN_CANDIDATES."""
-    n_cand = sum(math.comb(n_cols, j) for j in range(1, max_size + 1))
-    if n_cand > MAX_DESIGN_CANDIDATES:
-        raise ValueError(
-            f"{n_cand} candidate edges in a block of {n_cols} exceed "
-            f"{MAX_DESIGN_CANDIDATES}"
-        )
-    idx = np.arange(n_cols).reshape(-1, 1)
-    out = [idx]
-    for _ in range(1, min(max_size, n_cols)):
-        # Extend each subset by every column above its last one.
-        last = idx[:, -1]
-        counts = n_cols - 1 - last
-        offset = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
-        idx = np.column_stack(
-            [np.repeat(idx, counts, axis=0), np.arange(counts.sum()) - offset]
-        )
-        out.append(idx)
-    return out
-
-
-def _bools_from_masks(rows: Sequence[int], n_cols: int) -> np.ndarray:
-    """(len(rows), n_cols) bool array of int row masks (bit j = column j)."""
-    width = (n_cols + 7) >> 3
-    data = b"".join(r.to_bytes(width, "little") for r in rows)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=n_cols, bitorder="little").view(bool)
-
-
 def _distinct_signatures(support: np.ndarray, cand: list[np.ndarray]) -> bool:
     # support: (n_rows, n_cols) bool. A design separates the candidates iff
     # the per-candidate answer columns are pairwise distinct. A row contains
     # a candidate iff it contains each of its columns, so a candidate's
     # answer column is the AND of its columns' packed row signatures.
-    n_rows, n_cols = support.shape
     n_cand = sum(len(idx) for idx in cand)
-    if (1 << n_rows) < n_cand:
+    if (1 << support.shape[0]) < n_cand:
         return False  # fewer answer patterns than candidates
-    words = (n_rows + 63) >> 6
-    colsig = np.zeros((n_cols, 8 * words), dtype=np.uint8)
-    colsig[:, : (n_rows + 7) >> 3] = np.packbits(support, axis=0).T
-    colsig = colsig.view(np.uint64)
-    parts = []
-    for idx in cand:
-        sig = colsig[idx[:, 0]]
-        for j in range(1, idx.shape[1]):
-            sig &= colsig[idx[:, j]]
-        parts.append(sig)
-    sigs = np.concatenate(parts)
+    sigs = np.concatenate(_signatures(support, cand))
     first = np.sort(sigs[:, 0])
     tied = first[1:][first[1:] == first[:-1]]
-    if words == 1 or len(tied) == 0:
+    if sigs.shape[1] == 1 or len(tied) == 0:
         return len(tied) == 0
     # Only candidates that share their first word with another can collide.
     rest = sigs[np.isin(sigs[:, 0], tied)]
-    keys = rest.view(np.dtype((np.void, 8 * words))).ravel()
+    keys = rest.view(np.dtype((np.void, 8 * sigs.shape[1]))).ravel()
     return len(np.unique(keys)) == len(rest)
 
 
@@ -243,15 +194,13 @@ def is_separating_design(code: BinaryCode, max_edge_size: int) -> bool:
     return _distinct_signatures(support, cand)
 
 
-def build_block_design(
-    n_cols: int, max_edge_size: int, seed: int, *, max_rows: int = 4096
-) -> BinaryCode:
+def build_block_design(n_cols: int, max_edge_size: int, seed: int) -> BinaryCode:
     """Random search for a verified single-edge identification design.
 
     Samples the bit-complement of i.i.d. Bernoulli(1/(max_edge_size+1))
     codes at doubling lengths and returns the first one that passes the
-    exhaustive separation check. Raises DesignSearchError when the row
-    budget is exhausted.
+    exhaustive separation check. Raises DesignSearchError when no design
+    of at most MAX_DESIGN_ROWS rows passes.
     """
     if max_edge_size < 1:
         raise ValueError("max_edge_size must be positive")
@@ -260,17 +209,17 @@ def build_block_design(
     rng = np.random.default_rng(seed)
     cand = _candidate_indices(n_cols, max_edge_size)
     n = 1
-    while n <= max_rows:
+    while n <= MAX_DESIGN_ROWS:
         cf_style = rng.random((n, n_cols)) < 1.0 / (max_edge_size + 1)
         support = ~cf_style
         if _distinct_signatures(support, cand):
             rows = tuple(_mask_from_bools(row) for row in support)
             return BinaryCode(n, n_cols, rows)
-        if n == max_rows:
+        if n == MAX_DESIGN_ROWS:
             break
-        n = min(2 * n, max_rows)
+        n = min(2 * n, MAX_DESIGN_ROWS)
     raise DesignSearchError(
-        f"no separating design for {n_cols} columns within {max_rows} rows"
+        f"no separating design for {n_cols} columns within {MAX_DESIGN_ROWS} rows"
     )
 
 

@@ -66,6 +66,29 @@ def brute_force_cover_free(bits: list[list[int]], s: int, l: int) -> bool:
     return True
 
 
+def brute_force_first_violation(
+    bits: list[list[int]], s: int, l: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """First (zero_cols, one_cols) pair, 1-based and in lexicographic order
+    with zero_cols first, that no row of a plain list-of-lists matrix
+    separates; None if the matrix is cover-free."""
+    t = len(bits[0])
+    cols = list(range(1, t + 1))
+    for zero_set in combinations(cols, s):
+        others = [c for c in cols if c not in zero_set]
+        for one_set in combinations(others, l):
+            found = False
+            for row in bits:
+                if all(row[c - 1] == 0 for c in zero_set) and all(
+                    row[c - 1] == 1 for c in one_set
+                ):
+                    found = True
+                    break
+            if not found:
+                return zero_set, one_set
+    return None
+
+
 def minimal_positive_subsets(
     hidden: Hypergraph, pool: Iterable[int], max_size: int
 ) -> frozenset[tuple[int, ...]]:

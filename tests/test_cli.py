@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -242,35 +243,78 @@ def test_twostage_csv(capsys):
     assert len(lines) == 3
 
 
-# (8, 3): 1 - s!/s**(s*l) rounds to 1.0. (6, 3): N is about 4 * 10**11 layers.
-@pytest.mark.parametrize("s, l", [(8, 3), (6, 3)])
-def test_twostage_hopeless_layer_count_is_an_error(s, l):
+def cli_error(argv, preexec_fn=None) -> str:
+    """Run the CLI in a child process, check that it failed cleanly, and
+    return its stderr."""
     proc = subprocess.run(
-        [sys.executable, "-m", "hhl.cli", "twostage", "--t", "64",
-         "--s", str(s), "--l", str(l), "--seed", "0", "--trials", "1"],
+        [sys.executable, "-m", "hhl.cli", *argv],
         capture_output=True,
         text=True,
+        preexec_fn=preexec_fn,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    return proc.stderr
+
+
+# (8, 3): 1 - s!/s**(s*l) rounds to 1.0. (6, 3): N is about 4 * 10**11 layers.
+@pytest.mark.parametrize("s, l", [(8, 3), (6, 3)])
+def test_twostage_hopeless_layer_count_is_an_error(s, l):
+    cli_error(["twostage", "--t", "64", "--s", str(s), "--l", str(l),
+               "--seed", "0", "--trials", "1"])
 
 
 def test_twostage_oversized_block_design_is_an_error():
     # Stage-two blocks of about 32768 vertices have about 5.4e8 candidate
-    # pairs, above twostage.MAX_DESIGN_CANDIDATES.
-    proc = subprocess.run(
-        [sys.executable, "-m", "hhl.cli", "twostage", "--t", "65536",
-         "--s", "2", "--l", "2", "--seed", "0", "--trials", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "candidate edges" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    # pairs, above coverfree.MAX_DESIGN_CANDIDATES.
+    stderr = cli_error(["twostage", "--t", "65536", "--s", "2", "--l", "2",
+                        "--seed", "0", "--trials", "1"])
+    assert "candidate edges" in stderr
+
+
+def test_cf_verify_over_the_column_set_cap_is_an_error(tmp_path):
+    # 6000 + C(6000, 2) column sets of size <= 2 exceed the cap; the work
+    # limit admits the 1.1e11 pair-row checks, so the cap is what refuses.
+    code = tmp_path / "code.txt"
+    code.write_text("1 6000\n" + "0" * 6000 + "\n")
+    stderr = cli_error(["cf-verify", "--in", str(code), "--s", "1", "--l", "2",
+                        "--work-limit", str(10**18)])
+    assert "candidate edges" in stderr
+
+
+HUGE_T = str(10**30)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--t", HUGE_T, "--s", "1", "--l", "1", "--seed", "0",
+     "--kind", "disjoint"],
+    ["bench", "--t", HUGE_T, "--s", "1", "--l", "1", "--seed", "0",
+     "--trials", "1"],
+])
+def test_huge_t_is_an_error(argv):
+    cli_error(argv)
+
+
+def test_learn_huge_t_is_an_error(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(f'{{"t": {HUGE_T}, "edges": []}}\n')
+    cli_error(["learn", "--in", str(inst), "--s", "1", "--l", "1"])
+
+
+def test_learn_out_of_memory_is_an_error(tmp_path):
+    # A mask of 2**50 bits takes 128 TiB. The address-space limit makes the
+    # allocation fail the same way whatever the overcommit policy is.
+    inst = tmp_path / "inst.json"
+    inst.write_text(f'{{"t": {2**50}, "edges": []}}\n')
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    stderr = cli_error(["learn", "--in", str(inst), "--s", "1", "--l", "1"],
+                       preexec_fn=limit_address_space)
+    assert stderr == "error: MemoryError\n"
 
 
 def test_cf_search_and_verify(tmp_path, capsys):

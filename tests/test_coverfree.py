@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from conftest import brute_force_cover_free
+from conftest import brute_force_cover_free, brute_force_first_violation
 from hhl import (
     BinaryCode,
+    coverfree,
     WorkLimitExceeded,
     cf_rate_bounds,
     find_violation,
@@ -77,6 +78,28 @@ def test_find_violation_witness():
     assert not set(zero_cols) & set(one_cols)
 
     assert find_violation(identity_code(4), 1, 1) is None
+
+
+def test_first_witness_matches_reference():
+    # Eight random codes for every t in 2..12 and every (s, l) with
+    # s + l <= t: 2288 codes of 1..130 rows (one to three signature words)
+    # at densities 0.1..0.9, plus the all-zero, all-one and identity codes.
+    rng = random.Random(2024)
+    checked = 0
+    for t in range(2, 13):
+        fixed = [BinaryCode(3, t, (0,) * 3), flip(BinaryCode(3, t, (0,) * 3)),
+                 identity_code(t)]
+        for s in range(1, t):
+            for l in range(1, t - s + 1):
+                codes = fixed + [
+                    random_code(rng, rng.randint(1, 130), t, rng.uniform(0.1, 0.9))
+                    for _ in range(8)
+                ]
+                for code in codes:
+                    want = brute_force_first_violation(code_bits(code), s, l)
+                    assert find_violation(code, s, l) == want, (code, s, l)
+                checked += len(codes) - len(fixed)
+    assert checked >= 2000
 
 
 def test_violation_self_validates():
@@ -176,6 +199,22 @@ def test_work_limit():
     code = random_code(random.Random(0), 10, 12)
     with pytest.raises(WorkLimitExceeded):
         is_cover_free(code, 3, 2, work_limit=100)
+
+
+def test_column_set_cap(monkeypatch):
+    # The cap counts the column sets of size <= l and is inclusive:
+    # 4 + C(4, 2) == 10 pass, 5 + C(5, 2) == 15 do not. It is checked
+    # before any signature is built, and a work limit does not lift it.
+    monkeypatch.setattr(coverfree, "MAX_DESIGN_CANDIDATES", 10)
+    assert find_violation(identity_code(4), 1, 2) is not None
+    with pytest.raises(ValueError, match="candidate edges"):
+        find_violation(identity_code(5), 1, 2, work_limit=10**18)
+    with pytest.raises(ValueError, match="candidate edges"):
+        is_cover_free(identity_code(5), 2, 2)
+    # The s-sets are walked lazily and do not count: C(10, 9) zero sets
+    # with 10 one-sets verify under the same cap.
+    assert is_cover_free(identity_code(10), 9, 1)
+    assert find_violation(identity_code(10), 8, 1) is None
 
 
 def test_code_file_round_trip(tmp_path):

@@ -14,6 +14,7 @@ from hhl import (
     Oracle,
     VertexSet,
     build_block_design,
+    coverfree,
     decode_block,
     find_good_layer,
     is_separating_design,
@@ -174,7 +175,7 @@ def test_oversized_block_design_refused_before_allocating(monkeypatch):
         build_block_design(2**16, 2, seed=0)
     assert not isinstance(exc.value, DesignSearchError)
     # The cap is inclusive: 4 + C(4, 2) == 10 candidates pass, 15 do not.
-    monkeypatch.setattr(twostage, "MAX_DESIGN_CANDIDATES", 10)
+    monkeypatch.setattr(coverfree, "MAX_DESIGN_CANDIDATES", 10)
     assert sum(len(idx) for idx in _candidate_indices(4, 2)) == 10
     with pytest.raises(ValueError, match="candidate edges"):
         _candidate_indices(5, 2)
@@ -250,9 +251,10 @@ def test_block_design_deterministic():
     assert a == b
 
 
-def test_block_design_budget_exhaustion():
+def test_block_design_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(twostage, "MAX_DESIGN_ROWS", 0)
     with pytest.raises(DesignSearchError):
-        build_block_design(6, 2, seed=0, max_rows=0)
+        build_block_design(6, 2, seed=0)
     with pytest.raises(ValueError):
         build_block_design(1, 2, seed=0)
 
