@@ -118,26 +118,32 @@ def find_edges_on(
     skipping any set that already contains a found edge. For a Sperner hidden
     hypergraph the result is exactly the set of hidden edges inside f.
     """
-    members = f.members()
+    t = f.t
+    bits = [1 << (v - 1) for v in f.members()]
     found: list[Edge] = []
     found_masks: list[int] = []
-    for size in range(1, min(max_edge_size, len(members)) + 1):
-        for cand in combinations(members, size):
-            cmask = edge_mask(cand)
-            if any(fm & cmask == fm for fm in found_masks):
-                continue
-            if oracle.query(VertexSet._from_mask(f.t, cmask)):
-                # Strict supersets of a fresh positive cannot be present when
-                # enumerating smallest-first; the branch stays for fidelity.
-                for i in range(len(found) - 1, -1, -1):
-                    fm = found_masks[i]
-                    if cmask != fm and cmask & fm == cmask:
-                        del found[i]
-                        del found_masks[i]
-                        if stats is not None:
-                            stats.edge_deletions += 1
-                found.append(cand)
-                found_masks.append(cmask)
+    for size in range(1, min(max_edge_size, len(bits)) + 1):
+        for cand in combinations(bits, size):
+            cmask = 0
+            for b in cand:
+                cmask |= b
+            for fm in found_masks:
+                if fm & cmask == fm:
+                    break
+            else:
+                if oracle.query(VertexSet._from_mask(t, cmask)):
+                    # Strict supersets of a fresh positive cannot be present
+                    # when enumerating smallest-first; the branch stays for
+                    # fidelity.
+                    for i in range(len(found) - 1, -1, -1):
+                        fm = found_masks[i]
+                        if cmask != fm and cmask & fm == cmask:
+                            del found[i]
+                            del found_masks[i]
+                            if stats is not None:
+                                stats.edge_deletions += 1
+                    found.append(tuple(b.bit_length() for b in cand))
+                    found_masks.append(cmask)
     return frozenset(found)
 
 
@@ -156,18 +162,22 @@ def find_next_query(
     covered_mask = 0
     for em in e_masks:
         covered_mask |= em
-    outside = VertexSet._from_mask(t, covered_mask).complement()
+    outside = VertexSet._from_mask(t, covered_mask).complement().mask
     # At most s*l vertices: cheaper from the edge tuples than from a t-bit scan.
-    members = sorted({v for e in edges for v in e})
-    for size in range(len(members) + 1):
-        for d in combinations(members, size):
-            dmask = edge_mask(d) if d else 0
+    bits = [1 << (v - 1) for v in sorted({v for e in edges for v in e})]
+    for size in range(len(bits) + 1):
+        for d in combinations(bits, size):
+            dmask = 0
+            for b in d:
+                dmask |= b
             # Known edges live inside the covered set, so e <= B|D iff e <= D.
-            if any(em & dmask == em for em in e_masks):
-                continue
-            cand = VertexSet._from_mask(t, outside.mask | dmask)
-            if oracle.query(cand):
-                return cand
+            for em in e_masks:
+                if em & dmask == em:
+                    break
+            else:
+                cand = VertexSet._from_mask(t, outside | dmask)
+                if oracle.query(cand):
+                    return cand
     return None
 
 

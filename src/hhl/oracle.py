@@ -8,6 +8,7 @@ never memoizes, so repeated queries are counted separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -18,11 +19,19 @@ class BudgetExceededError(RuntimeError):
     """A query was attempted past the oracle's query budget."""
 
 
+def _contains_edge(edge_masks: Iterable[int], mask: int) -> bool:
+    """True iff some edge mask is a subset of mask; stops at the first."""
+    for m in edge_masks:
+        if m & mask == m:
+            return True
+    return False
+
+
 def is_independent(h: Hypergraph, s: VertexSet) -> bool:
     """True iff no edge of h is entirely contained in s."""
     if s.t != h.t:
         raise ValueError(f"universe mismatch: {s.t} != {h.t}")
-    return not any(m & s.mask == m for m in h.edge_masks())
+    return not _contains_edge(h.edge_masks(), s.mask)
 
 
 def _decimal_offset(v: np.ndarray, t: int) -> np.ndarray:
@@ -48,9 +57,10 @@ class QueryRecord:
 class Oracle:
     """Answers edge-detecting queries over a hidden hypergraph.
 
-    Queries are answered strictly sequentially; the transcript is
-    append-only. An optional budget caps the number of answered queries
-    so worst-case bounds can be enforced by the oracle itself.
+    Queries are answered strictly sequentially into an append-only log of
+    (query, answer, tag) tuples, one per answered query. An optional budget
+    caps the number of answered queries so worst-case bounds can be
+    enforced by the oracle itself.
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -58,21 +68,29 @@ class Oracle:
             raise ValueError("budget must be non-negative")
         self.hidden = hidden
         self.budget = budget
-        self.transcript: list[QueryRecord] = []
         self.tag: str | None = None
         self._edge_masks = hidden.edge_masks()
+        self._log: list[tuple[VertexSet, bool, str | None]] = []
 
     @property
     def count(self) -> int:
-        return len(self.transcript)
+        return len(self._log)
+
+    @property
+    def transcript(self) -> tuple[QueryRecord, ...]:
+        """Every answered query in order, built from the log on each read."""
+        return tuple(
+            QueryRecord(i, q, a, tag) for i, (q, a, tag) in enumerate(self._log, 1)
+        )
 
     def query(self, s: VertexSet) -> bool:
         if s.t != self.hidden.t:
             raise ValueError(f"universe mismatch: {s.t} != {self.hidden.t}")
-        if self.budget is not None and self.count >= self.budget:
+        log = self._log
+        if self.budget is not None and len(log) >= self.budget:
             raise BudgetExceededError(f"query budget {self.budget} exhausted")
-        answer = any(m & s.mask == m for m in self._edge_masks)
-        self.transcript.append(QueryRecord(self.count + 1, s, answer, self.tag))
+        answer = _contains_edge(self._edge_masks, s.mask)
+        log.append((s, answer, self.tag))
         return answer
 
     def transcript_jsonl(self) -> str:
@@ -83,8 +101,8 @@ class Oracle:
         consecutive vertices, so the cost is O(t) once, O(t/64) per query
         and O(output bytes).
         """
-        records = self.transcript
-        if not records:
+        log = self._log
+        if not log:
             return ""
         t = self.hidden.t
         text = ", ".join(map(str, range(1, t + 1)))
@@ -94,10 +112,10 @@ class Oracle:
         # of whole 64-bit words, so one scan finds every boundary.
         stride = 64 * ((t >> 6) + 1)
         pos = _bit_positions(
-            (r.query.mask ^ (r.query.mask << 1) for r in records), stride
+            (q.mask ^ (q.mask << 1) for q, _, _ in log), stride
         )
         # ends[i] counts the runs of records 0..i; boundaries come in pairs.
-        ends = np.searchsorted(pos, stride * np.arange(1, len(records) + 1)) // 2
+        ends = np.searchsorted(pos, stride * np.arange(1, len(log) + 1)) // 2
         offset = _decimal_offset(pos % stride + 1, t)
         # Run a..b is the slice from a's offset to b+1's, which carries the
         # ", " after b along; the last run of each record drops it.
@@ -106,12 +124,12 @@ class Oracle:
         hi[ends[np.diff(ends, prepend=0) > 0] - 1] -= 2
         lines = []
         start = 0
-        for r, end in zip(records, ends.tolist()):
+        for i, ((_, answer, _), end) in enumerate(zip(log, ends.tolist()), 1):
             runs = map(slice, lo[start:end].tolist(), hi[start:end].tolist())
             lines.append("".join([
-                f'{{"i": {r.index}, "q": [',
+                f'{{"i": {i}, "q": [',
                 *map(text.__getitem__, runs),
-                f'], "a": {int(r.answer)}}}\n',
+                f'], "a": {int(answer)}}}\n',
             ]))
             start = end
         return "".join(lines)

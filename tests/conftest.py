@@ -2,7 +2,9 @@
 
 These are deliberately written with explicit loops over plain Python sets
 and lists, independent of the library's bitmask code paths, so they can
-serve as ground-truth oracles.
+serve as ground-truth oracles. The two learner searches at the end are the
+exception: they are an earlier version of the library's own code, kept to
+pin the order of the queries the searches issue.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from hhl import Hypergraph
+from hhl import Edge, Hypergraph, Oracle, SearchStats, VertexSet
+from hhl.core import edge_mask
 
 
 def all_candidate_edges(t: int, max_size: int) -> list[tuple[int, ...]]:
@@ -102,3 +105,76 @@ def minimal_positive_subsets(
     return frozenset(
         p for p in positives if not any(set(q) < set(p) for q in positives)
     )
+
+
+# The learner's edge search and next-query search as they were written
+# before their candidates were built from precomputed member bits: each
+# candidate's mask comes from its vertex tuple through edge_mask. The
+# tests check that the library's searches issue the same queries in the
+# same order and return the same results.
+
+
+def reference_find_edges_on(
+    oracle: Oracle,
+    f: VertexSet,
+    max_edge_size: int,
+    *,
+    stats: SearchStats | None = None,
+) -> frozenset[Edge]:
+    """Find all inclusion-minimal positive subsets of f with size <= max_edge_size.
+
+    Enumerates subsets by increasing cardinality (lexicographic within each),
+    skipping any set that already contains a found edge. For a Sperner hidden
+    hypergraph the result is exactly the set of hidden edges inside f.
+    """
+    members = f.members()
+    found: list[Edge] = []
+    found_masks: list[int] = []
+    for size in range(1, min(max_edge_size, len(members)) + 1):
+        for cand in combinations(members, size):
+            cmask = edge_mask(cand)
+            if any(fm & cmask == fm for fm in found_masks):
+                continue
+            if oracle.query(VertexSet._from_mask(f.t, cmask)):
+                # Strict supersets of a fresh positive cannot be present when
+                # enumerating smallest-first; the branch stays for fidelity.
+                for i in range(len(found) - 1, -1, -1):
+                    fm = found_masks[i]
+                    if cmask != fm and cmask & fm == cmask:
+                        del found[i]
+                        del found_masks[i]
+                        if stats is not None:
+                            stats.edge_deletions += 1
+                found.append(cand)
+                found_masks.append(cmask)
+    return frozenset(found)
+
+
+def reference_find_next_query(
+    oracle: Oracle, found_edges: Iterable[Edge], t: int
+) -> VertexSet | None:
+    """Search for a positive query containing no known edge.
+
+    Candidates are B union D where B is everything outside the known edges'
+    vertices and D runs over subsets of those vertices, smallest first.
+    Returns the first positive candidate, or None when all answer 0, which
+    for a Sperner hidden hypergraph certifies that every edge is known.
+    """
+    edges = list(found_edges)
+    e_masks = [edge_mask(e) for e in edges]
+    covered_mask = 0
+    for em in e_masks:
+        covered_mask |= em
+    outside = VertexSet._from_mask(t, covered_mask).complement()
+    # At most s*l vertices: cheaper from the edge tuples than from a t-bit scan.
+    members = sorted({v for e in edges for v in e})
+    for size in range(len(members) + 1):
+        for d in combinations(members, size):
+            dmask = edge_mask(d) if d else 0
+            # Known edges live inside the covered set, so e <= B|D iff e <= D.
+            if any(em & dmask == em for em in e_masks):
+                continue
+            cand = VertexSet._from_mask(t, outside.mask | dmask)
+            if oracle.query(cand):
+                return cand
+    return None

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from conftest import enumerate_family, minimal_positive_subsets
+import hhl.learner
+from conftest import (
+    enumerate_family,
+    minimal_positive_subsets,
+    reference_find_edges_on,
+    reference_find_next_query,
+)
 from hhl import (
     FamilyParams,
     Hypergraph,
@@ -19,6 +26,7 @@ from hhl import (
     learn,
     learn_detailed,
     query_search_query_cap,
+    random_family_instance,
     worst_case_query_budget,
 )
 
@@ -104,8 +112,6 @@ def test_find_edges_on_matches_bruteforce():
     for _ in range(60):
         t = rng.randint(3, 10)
         p = FamilyParams(t, rng.randint(1, 3), rng.randint(1, 3))
-        from hhl import random_family_instance
-
         h = random_family_instance(p, sperner_only=False, seed=rng.randint(0, 9999))
         pool = sorted(rng.sample(range(1, t + 1), rng.randint(1, t)))
         o = Oracle(h)
@@ -198,8 +204,6 @@ def test_learn_brute_force_equivalence_suite():
 
 
 def test_learn_random_large_instances():
-    from hhl import random_family_instance
-
     p = FamilyParams(4096, 2, 2)
     budget = worst_case_query_budget(p)
     for seed in range(25):
@@ -214,3 +218,150 @@ def test_learn_random_large_instances():
 def test_learn_rejects_mismatched_universe():
     with pytest.raises(ValueError):
         learn(Oracle(Hypergraph(5)), FamilyParams(6, 1, 1))
+
+
+def queries(o: Oracle) -> list[tuple[int, bool]]:
+    return [(r.query.mask, r.answer) for r in o.transcript]
+
+
+def structured_edge_sets(t: int) -> list[list[tuple[int, ...]]]:
+    """Sunflowers, mixed edge sizes, disjoint edges and non-Sperner inputs
+    on vertices 1, t, the 64-bit word boundary 63/64/65 and t/2."""
+    v = sorted({x for x in (1, 63, 64, 65, t // 2, t - 1, t) if 1 <= x <= t})
+    sets = [
+        [],
+        [(v[0],)],
+        [(v[-1],)],
+        [tuple(v[:3])],
+        [tuple(v[i : i + 2]) for i in range(0, len(v) - 1, 2)],  # disjoint
+        [(v[0],), tuple(v[1:3]), tuple(v[3:6])],  # mixed sizes
+        # sunflower with core v[2], for t >= 65
+        [(v[2], *v[i : i + 2]) for i in (0, 3, 5) if len(v) >= max(i + 2, 5)],
+        [(v[-1],), (v[0], v[-1]), tuple(v[:3])],  # non-Sperner
+        [(v[0],), tuple(v[:2]), tuple(v[1:4])],  # non-Sperner
+    ]
+    out = []
+    for edges in sets:
+        edges = sorted({tuple(sorted(set(e))) for e in edges if e})
+        if edges not in out:
+            out.append(edges)
+    return out
+
+
+def structured_cases(t: int):
+    """(hidden, params) for every structured edge set at t: s is the number of
+    edges, so every case has exactly s edges, and l the largest edge size."""
+    for edges in structured_edge_sets(t):
+        hidden = Hypergraph(t, edges)
+        params = FamilyParams(t, max(len(edges), 1), max(map(len, edges), default=1))
+        yield hidden, params
+
+
+def assert_searches_match_reference(hidden: Hypergraph, l: int) -> None:
+    t = hidden.t
+    edges = hidden.sorted_edges()
+    covered = sorted({v for e in edges for v in e})
+    for pool in (covered, sorted({1, t, *covered})):
+        for size in range(1, l + 2):
+            got, want = Oracle(hidden), Oracle(hidden)
+            got_stats, want_stats = SearchStats(), SearchStats()
+            f = VertexSet(t, pool)
+            got_edges = find_edges_on(got, f, size, stats=got_stats)
+            assert got_edges == reference_find_edges_on(want, f, size, stats=want_stats)
+            assert queries(got) == queries(want)
+            assert got_stats == want_stats
+    minimal = [e for e in edges if not any(set(d) < set(e) for d in edges)]
+    for known in [edges[:k] for k in range(len(edges) + 1)] + [minimal]:
+        got, want = Oracle(hidden), Oracle(hidden)
+        assert find_next_query(got, known, t) == reference_find_next_query(want, known, t)
+        assert queries(got) == queries(want)
+
+
+def learn_with_reference_searches(
+    hidden: Hypergraph, params: FamilyParams, monkeypatch
+) -> tuple:
+    o = Oracle(hidden)
+    with monkeypatch.context() as m:
+        m.setattr(hhl.learner, "find_edges_on", reference_find_edges_on)
+        m.setattr(hhl.learner, "find_next_query", reference_find_next_query)
+        report = learn_detailed(o, params)
+    return report, queries(o)
+
+
+@pytest.mark.parametrize("t", [1, 2, 64, 65, 4097, 2**16 + 3])
+def test_searches_issue_reference_queries_on_structured_instances(t, monkeypatch):
+    for hidden, params in structured_cases(t):
+        assert_searches_match_reference(hidden, params.l)
+        o = Oracle(hidden)
+        report = learn_detailed(o, params)
+        want_report, want_queries = learn_with_reference_searches(hidden, params, monkeypatch)
+        assert queries(o) == want_queries
+        assert report.to_dict() == want_report.to_dict()
+        assert report.iterations == want_report.iterations
+
+
+def test_searches_issue_reference_queries_on_random_instances(monkeypatch):
+    rng = random.Random(8)
+    for _ in range(40):
+        t = rng.choice([3, 7, 63, 64, 65, 130])
+        p = FamilyParams(t, rng.randint(1, 3), rng.randint(1, 3))
+        h = random_family_instance(p, sperner_only=False, seed=rng.randint(0, 9999))
+        assert_searches_match_reference(h, p.l)
+        o = Oracle(h)
+        report = learn_detailed(o, p)
+        want_report, want_queries = learn_with_reference_searches(h, p, monkeypatch)
+        assert queries(o) == want_queries
+        assert report.to_dict() == want_report.to_dict()
+
+
+# One instance of each shape the benchmark's learner workloads cycle through
+# (perfbench/workloads.py, pool seed 1, at (t, s, l) = (4096, 4, 3)); the
+# sparse one is the pool's three-edge instance. Each transcript digest is
+# sha256 over one "<mask in hex> <answer 0|1>" line per query, as computed
+# by the learner whose searches tests/conftest.py keeps as references.
+PINNED_LEARN_TRANSCRIPTS = {
+    "disjoint": (
+        [(69, 2279, 2631), (633, 715, 1155), (1426, 3064, 3803), (1960, 3267, 3521)],
+        (144, 1079, 2413),
+        "9573b737fa6dbe2ab95f136cd5f31043646939784ecee354244698bef9d131a8",
+    ),
+    "sunflower": (
+        [(163, 2553, 3637), (471, 2153, 3637), (922, 3637, 3836), (1379, 2735, 3637)],
+        (108, 375, 376),
+        "1e122ed1c8129adbbe5f3d44b5fa058ff7410a3d8cdd54498841ead1f152e235",
+    ),
+    "mixed": (
+        [(567,), (824, 3396), (1524,), (1992, 2565, 3807)],
+        (84, 57, 28),
+        "3a1edd5512ddef46518ae698f1ead4a89c5a98f34a57f2cb68cba4d2ee975f78",
+    ),
+    "sparse": (
+        [(129,), (1032, 3332), (1483, 2678, 3801)],
+        (72, 50, 27),
+        "52141d6ac9553f23ed183f5b2c0d7a3c1a3f6e6467c82daf6d19889b97e5a712",
+    ),
+    "boundary": (
+        [(1, 2625, 3584), (65, 769, 1024), (1600, 1985, 3776), (2305, 3136, 4096)],
+        (143, 1079, 2413),
+        "ad0c535bbb8d3b46eb14009f1c1c3ca16011ac64bd97cafeabb5b62fa88a4f8f",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_LEARN_TRANSCRIPTS))
+def test_learn_transcripts_pinned_on_benchmark_shapes(shape):
+    edges, phases, digest = PINNED_LEARN_TRANSCRIPTS[shape]
+    params = FamilyParams(4096, 4, 3)
+    hidden = Hypergraph(4096, edges)
+    o = Oracle(hidden)
+    report = learn_detailed(o, params)
+    assert report.hypergraph == hidden
+    assert (
+        report.queries_vertex_search,
+        report.queries_edge_search,
+        report.queries_query_search,
+    ) == phases
+    h = hashlib.sha256()
+    for mask, answer in queries(o):
+        h.update(f"{mask:x} {int(answer)}\n".encode())
+    assert h.hexdigest() == digest

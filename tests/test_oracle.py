@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from hhl import (
     FamilyParams,
     Hypergraph,
     Oracle,
+    QueryRecord,
     VertexSet,
     is_independent,
     learn_detailed,
@@ -202,6 +204,54 @@ def test_tags_recorded():
     o.tag = None
     o.query(VertexSet(3, [3]))
     assert [r.tag for r in o.transcript] == [None, "stage1", None]
+
+
+def test_transcript_is_tuple_of_frozen_records_built_from_the_log():
+    h = Hypergraph(6, [(1, 2), (5,)])
+    o = Oracle(h)
+    sets = [VertexSet(6, m) for m in ([1, 2], [3], [4, 5], [], [1, 2, 3, 4, 5, 6])]
+    tags = [None, "stage1", "stage1", "stage2", None]
+    for s, tag in zip(sets, tags):
+        o.tag = tag
+        o.query(s)
+        assert o.count == len(o.transcript)
+    tr = o.transcript
+    assert type(tr) is tuple
+    assert all(type(r) is QueryRecord for r in tr)
+    assert [r.index for r in tr] == list(range(1, o.count + 1))
+    assert [r.query for r in tr] == sets
+    assert [r.answer for r in tr] == [not is_independent(h, s) for s in sets]
+    assert [r.tag for r in tr] == tags
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr[0].answer = False
+
+
+def test_transcript_cannot_change_the_oracle():
+    o = Oracle(Hypergraph(4, [(1,)]))
+    o.query(VertexSet(4, [1]))
+    o.query(VertexSet(4, [2]))
+    before = o.transcript
+    with pytest.raises(AttributeError):
+        o.transcript = []
+    with pytest.raises(TypeError):
+        o.transcript[0] = None
+    assert o.transcript == before
+    assert o.transcript is not before  # built afresh on every read
+    assert o.count == 2
+
+
+def test_query_past_budget_records_nothing():
+    o = Oracle(Hypergraph(4, [(1,)]), budget=1)
+    o.tag = "stage1"
+    o.query(VertexSet(4, [1]))
+    jsonl = o.transcript_jsonl()
+    with pytest.raises(BudgetExceededError):
+        o.query(VertexSet(4, [2]))
+    assert o.count == len(o.transcript) == 1
+    assert o.transcript == (QueryRecord(1, VertexSet(4, [1]), True, "stage1"),)
+    assert o.transcript_jsonl() == jsonl
+    with pytest.raises(BudgetExceededError):
+        Oracle(Hypergraph(4, [(1,)]), budget=0).query(VertexSet.empty(4))
 
 
 def test_monotonicity_bulk_random():
