@@ -77,12 +77,61 @@ def _bools_from_masks(masks: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
+def _select(mask: int, rank: int) -> int:
+    """0-based position of the rank-th lowest set bit of mask (rank from 1).
+
+    Bisects over halving bit windows, keeping the window's offset and the
+    rank still wanted inside it: O(b/w) word work for a b-bit mask. Raises
+    ValueError when mask has fewer than rank set bits or rank < 1.
+    """
+    window, pos = mask, 0
+    while window > 1:
+        half = window.bit_length() >> 1
+        low = window & ((1 << half) - 1)
+        below = low.bit_count()
+        if below >= rank:
+            window = low
+        else:
+            window >>= half
+            pos += half
+            rank -= below
+    if window != 1 or rank != 1:
+        raise ValueError("mask has fewer set bits than the rank")
+    return pos
+
+
+class _RankTable:
+    """Select over a fixed mask: the position of its r-th lowest member.
+
+    Built once in O(t/64): the mask as 64-bit words and their cumulative
+    popcounts. Each select is one searchsorted for the word that holds the
+    member plus a _select inside that word, whatever the width of the mask.
+    """
+
+    __slots__ = ("words", "ranks")
+
+    def __init__(self, mask: int) -> None:
+        n_bytes = 8 * ((mask.bit_length() + 63) >> 6)
+        self.words = np.frombuffer(mask.to_bytes(n_bytes, "little"), dtype="<u8")
+        self.ranks = np.cumsum(np.bitwise_count(self.words), dtype=np.int64)
+
+    def select(self, rank: int) -> int:
+        """0-based position of member rank (from 1); rank must be in 1..popcount."""
+        i = int(self.ranks.searchsorted(rank))
+        below = self.ranks.item(i - 1) if i else 0
+        return 64 * i + _select(self.words.item(i), rank - below)
+
+
 class VertexSet:
-    """Immutable subset of {1..t} backed by an int bitmask (bit v-1 = vertex v).
+    """Subset of {1..t} backed by an int bitmask (bit v-1 = vertex v).
+
+    Operations return new sets and leave their operands alone, but t and
+    mask are plain attributes that a caller can reassign; code that must
+    keep a set's value (the oracle's log) keeps the int mask instead.
 
     Union, intersection, difference, complement, subset tests and len()
     cost O(t/w) for machine word size w. split_lowest costs O(t/w) too: it
-    bisects over halving bit windows. members() and iteration cost
+    bisects over halving bit windows (_select). members() and iteration cost
     O(t/64 + |S|): one numpy scan over 64-bit words, unpacking only the
     nonzero ones. Building a set from n members costs O(t/8 + n): one
     byte buffer, converted to an int once.
@@ -170,21 +219,10 @@ class VertexSet:
         """Split into (k lowest-numbered members, the rest)."""
         if k == 0:
             return VertexSet.empty(self.t), self
-        # Rank-select the k-th lowest member: bisect over halving bit windows,
-        # keeping the window's offset and the rank still wanted inside it.
-        window, pos, rank = self.mask, 0, k
-        while window > 1:
-            half = window.bit_length() >> 1
-            low = window & ((1 << half) - 1)
-            below = low.bit_count()
-            if below >= rank:
-                window = low
-            else:
-                window >>= half
-                pos += half
-                rank -= below
-        if window != 1 or rank != 1:
-            raise ValueError(f"cannot take {k} of {len(self)} members")
+        try:
+            pos = _select(self.mask, k)
+        except ValueError:
+            raise ValueError(f"cannot take {k} of {len(self)} members") from None
         low_mask = self.mask & ((2 << pos) - 1)
         return (
             VertexSet._from_mask(self.t, low_mask),
@@ -219,9 +257,6 @@ class Hypergraph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
-
-    def edge_masks(self) -> tuple[int, ...]:
-        return tuple(edge_mask(e) for e in self.sorted_edges())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_mask
+from .core import Edge, FamilyParams, Hypergraph, VertexSet, _RankTable
 from .oracle import Oracle, is_independent
 
 
@@ -57,13 +57,13 @@ def worst_case_query_budget(params: FamilyParams) -> int:
 
 
 def _assert_bisection_invariant(
-    oracle: Oracle, pool: VertexSet, fixed: VertexSet
+    oracle: Oracle, t: int, pool: int, kept: int
 ) -> None:
     # Ground-truth check against the simulated hidden hypergraph; issues no
     # counted queries.
-    if not is_independent(oracle.hidden, fixed):
+    if not is_independent(oracle.hidden, VertexSet._from_mask(t, kept)):
         raise SearchContractError("bisection invariant broken: kept set is positive")
-    if is_independent(oracle.hidden, pool | fixed):
+    if is_independent(oracle.hidden, VertexSet._from_mask(t, pool | kept)):
         raise SearchContractError("bisection invariant broken: pool query is negative")
 
 
@@ -80,29 +80,45 @@ def find_active_vertex(
     Requires that s contains an edge not already confined to f, which the
     main loop guarantees by only passing positive queries that avoid all
     known edges. Uses at most ceil(log2 |s - f|) queries.
+
+    The search runs on ranks in the pool s - f: the pool left is its members
+    lo+1..lo+size, and the kept set is s & f plus members 1..lo. A rank
+    table built once per search finds the position p of member lo+k, and
+    the query is the kept set plus the pool's members between the last cut
+    and p. So no step popcounts or re-splits the pool: a query costs O(t/w)
+    big-int work for machine word size w.
     """
     s._check(f)
-    pool = s - f
-    n = size = len(pool)
+    t = s.t
+    pool_mask = s.mask & ~f.mask
+    n = size = pool_mask.bit_count()
     if n == 0:
         raise SearchContractError("no candidate vertices: S - F is empty")
-    fixed = s & f
+    table = _RankTable(pool_mask)
+    # cut is the position of pool member lo, -1 while lo is 0.
+    lo, kept, cut = 0, s.mask & f.mask, -1
     before = oracle.count
-    while size > 1:
+    while True:
         if debug_checks:
-            _assert_bisection_invariant(oracle, pool, fixed)
+            left = pool_mask & ~kept & ((2 << table.select(lo + size)) - 1)
+            _assert_bisection_invariant(oracle, t, left, kept)
+        if size == 1:
+            break
         k = (size + 1) // 2
-        half, rest = pool.split_lowest(k)
-        if oracle.query(half | fixed):
-            pool, size = half, k
+        p = table.select(lo + k)
+        query = kept | (pool_mask & (((1 << (p - cut)) - 1) << (cut + 1)))
+        if oracle.query(VertexSet._from_mask(t, query)):
+            size = k
         else:
-            pool, size = rest, size - k
-            fixed = fixed | half
-    if debug_checks:
-        _assert_bisection_invariant(oracle, pool, fixed)
+            lo, size, kept, cut = lo + k, size - k, query, p
     if stats is not None:
         stats.vertex_search_log.append((n, oracle.count - before))
-    return pool.mask.bit_length()
+    return table.select(lo + 1) + 1
+
+
+def _index_bits(vertices: Iterable[int]) -> dict[int, int]:
+    """Index bit 1 << i -> vertex bit 1 << (v-1) of the i-th vertex, in index order."""
+    return {1 << i: 1 << (v - 1) for i, v in enumerate(vertices)}
 
 
 def find_edges_on(
@@ -117,34 +133,41 @@ def find_edges_on(
     Enumerates subsets by increasing cardinality (lexicographic within each),
     skipping any set that already contains a found edge. For a Sperner hidden
     hypergraph the result is exactly the set of hidden edges inside f.
+
+    Candidates and found edges are also masks over the indices of f's
+    members, which the main loop keeps to at most s*l, so the skip test
+    costs O(1) word work. A candidate's t-bit mask is ORed in the same pass
+    as its index mask: only supersets of found edges are skipped, and one
+    pass measured faster than a second one for the issued candidates.
     """
     t = f.t
-    bits = [1 << (v - 1) for v in f.members()]
-    found: list[Edge] = []
-    found_masks: list[int] = []
-    for size in range(1, min(max_edge_size, len(bits)) + 1):
+    members = f.members()
+    bits = list(_index_bits(members).items())
+    found: list[int] = []
+    for size in range(1, min(max_edge_size, len(members)) + 1):
         for cand in combinations(bits, size):
-            cmask = 0
-            for b in cand:
-                cmask |= b
-            for fm in found_masks:
+            cmask = qmask = 0
+            for ib, vb in cand:
+                cmask |= ib
+                qmask |= vb
+            for fm in found:
                 if fm & cmask == fm:
                     break
             else:
-                if oracle.query(VertexSet._from_mask(t, cmask)):
+                if oracle.query(VertexSet._from_mask(t, qmask)):
                     # Strict supersets of a fresh positive cannot be present
                     # when enumerating smallest-first; the branch stays for
                     # fidelity.
                     for i in range(len(found) - 1, -1, -1):
-                        fm = found_masks[i]
+                        fm = found[i]
                         if cmask != fm and cmask & fm == cmask:
                             del found[i]
-                            del found_masks[i]
                             if stats is not None:
                                 stats.edge_deletions += 1
-                    found.append(tuple(b.bit_length() for b in cand))
-                    found_masks.append(cmask)
-    return frozenset(found)
+                    found.append(cmask)
+    return frozenset(
+        tuple(v for i, v in enumerate(members) if fm >> i & 1) for fm in found
+    )
 
 
 def find_next_query(
@@ -156,26 +179,32 @@ def find_next_query(
     vertices and D runs over subsets of those vertices, smallest first.
     Returns the first positive candidate, or None when all answer 0, which
     for a Sperner hidden hypergraph certifies that every edge is known.
+
+    D and the known edges are masks over the indices of the at most s*l
+    covered vertices, so enumeration and the skip test cost O(1) word work;
+    only an issued query gets a t-bit mask, B plus D's vertex bits.
     """
     edges = list(found_edges)
-    e_masks = [edge_mask(e) for e in edges]
+    covered = sorted({v for e in edges for v in e})
+    index_bit = {v: 1 << i for i, v in enumerate(covered)}
+    e_masks = [sum(index_bit[v] for v in e) for e in edges]
+    vertex_bit = _index_bits(covered)
     covered_mask = 0
-    for em in e_masks:
-        covered_mask |= em
+    for b in vertex_bit.values():
+        covered_mask |= b
     outside = VertexSet._from_mask(t, covered_mask).complement().mask
-    # At most s*l vertices: cheaper from the edge tuples than from a t-bit scan.
-    bits = [1 << (v - 1) for v in sorted({v for e in edges for v in e})]
-    for size in range(len(bits) + 1):
-        for d in combinations(bits, size):
-            dmask = 0
-            for b in d:
-                dmask |= b
+    for size in range(len(covered) + 1):
+        for d in combinations(vertex_bit, size):
+            dmask = sum(d)
             # Known edges live inside the covered set, so e <= B|D iff e <= D.
             for em in e_masks:
                 if em & dmask == em:
                     break
             else:
-                cand = VertexSet._from_mask(t, outside | dmask)
+                qmask = outside
+                for b in d:
+                    qmask |= vertex_bit[b]
+                cand = VertexSet._from_mask(t, qmask)
                 if oracle.query(cand):
                     return cand
     return None

@@ -19,10 +19,42 @@ class BudgetExceededError(RuntimeError):
     """A query was attempted past the oracle's query budget."""
 
 
-def _contains_edge(edge_masks: Iterable[int], mask: int) -> bool:
-    """True iff some edge mask is a subset of mask; stops at the first."""
-    for m in edge_masks:
-        if m & mask == m:
+# One member's bit test (low, x), and one edge's tests (low, x, rest).
+_MemberTest = tuple[bool, int]
+_EdgeTest = tuple[bool, int, tuple[_MemberTest, ...]]
+
+
+def _member_bits(h: Hypergraph) -> tuple[_EdgeTest, ...]:
+    """Per edge of h, its members' bit tests, lowest member first, as
+    (low, x, rest): the lowest member's test and a tuple of the others'.
+    A test (low, x) has x = 1 << (v-1) if v-1 is in the low half of 0..t-1
+    (low is True), else x = v-1."""
+    half = h.t >> 1
+
+    def test(v: int) -> _MemberTest:
+        return (True, 1 << (v - 1)) if v - 1 < half else (False, v - 1)
+
+    return tuple((*test(e[0]), tuple(map(test, e[1:]))) for e in h.sorted_edges())
+
+
+def _contains_edge(edge_bits: Iterable[_EdgeTest], mask: int) -> bool:
+    """True iff every member bit of some edge is set in mask; stops at the first.
+
+    Each edge costs at most l bit tests, lowest member first, and its test
+    ends at the first bit that mask lacks. Python ints have no O(1) bit
+    test: ANDing with a bit costs the words up to it, shifting it down the
+    words above it. So a bit in the low half of the universe is ANDed and
+    one in the high half shifted down, and each test costs at most t/2 bits
+    of word work, never a compare of whole masks. Most edges fail on their
+    lowest member, so its test stands outside the loop over the others.
+    """
+    for low, x, rest in edge_bits:
+        if not (mask & x if low else mask >> x & 1):
+            continue
+        for low, x in rest:
+            if not (mask & x if low else mask >> x & 1):
+                break
+        else:
             return True
     return False
 
@@ -31,7 +63,7 @@ def is_independent(h: Hypergraph, s: VertexSet) -> bool:
     """True iff no edge of h is entirely contained in s."""
     if s.t != h.t:
         raise ValueError(f"universe mismatch: {s.t} != {h.t}")
-    return not _contains_edge(h.edge_masks(), s.mask)
+    return not _contains_edge(_member_bits(h), s.mask)
 
 
 def _decimal_offset(v: np.ndarray, t: int) -> np.ndarray:
@@ -58,9 +90,10 @@ class Oracle:
     """Answers edge-detecting queries over a hidden hypergraph.
 
     Queries are answered strictly sequentially into an append-only log of
-    (query, answer, tag) tuples, one per answered query. An optional budget
-    caps the number of answered queries so worst-case bounds can be
-    enforced by the oracle itself.
+    (query mask, answer, tag) tuples, one per answered query. The log keeps
+    the int mask, not the caller's VertexSet, whose mask the caller could
+    still reassign. An optional budget caps the number of answered queries
+    so worst-case bounds can be enforced by the oracle itself.
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -69,8 +102,8 @@ class Oracle:
         self.hidden = hidden
         self.budget = budget
         self.tag: str | None = None
-        self._edge_masks = hidden.edge_masks()
-        self._log: list[tuple[VertexSet, bool, str | None]] = []
+        self._edge_bits = _member_bits(hidden)
+        self._log: list[tuple[int, bool, str | None]] = []
 
     @property
     def count(self) -> int:
@@ -79,8 +112,10 @@ class Oracle:
     @property
     def transcript(self) -> tuple[QueryRecord, ...]:
         """Every answered query in order, built from the log on each read."""
+        t = self.hidden.t
         return tuple(
-            QueryRecord(i, q, a, tag) for i, (q, a, tag) in enumerate(self._log, 1)
+            QueryRecord(i, VertexSet._from_mask(t, m), a, tag)
+            for i, (m, a, tag) in enumerate(self._log, 1)
         )
 
     def query(self, s: VertexSet) -> bool:
@@ -89,8 +124,9 @@ class Oracle:
         log = self._log
         if self.budget is not None and len(log) >= self.budget:
             raise BudgetExceededError(f"query budget {self.budget} exhausted")
-        answer = _contains_edge(self._edge_masks, s.mask)
-        log.append((s, answer, self.tag))
+        mask = s.mask
+        answer = _contains_edge(self._edge_bits, mask)
+        log.append((mask, answer, self.tag))
         return answer
 
     def transcript_jsonl(self) -> str:
@@ -112,7 +148,7 @@ class Oracle:
         # of whole 64-bit words, so one scan finds every boundary.
         stride = 64 * ((t >> 6) + 1)
         pos = _bit_positions(
-            (q.mask ^ (q.mask << 1) for q, _, _ in log), stride
+            (m ^ (m << 1) for m, _, _ in log), stride
         )
         # ends[i] counts the runs of records 0..i; boundaries come in pairs.
         ends = np.searchsorted(pos, stride * np.arange(1, len(log) + 1)) // 2

@@ -2,9 +2,9 @@
 
 These are deliberately written with explicit loops over plain Python sets
 and lists, independent of the library's bitmask code paths, so they can
-serve as ground-truth oracles. The two learner searches at the end are the
-exception: they are an earlier version of the library's own code, kept to
-pin the order of the queries the searches issue.
+serve as ground-truth oracles. The three learner searches at the end are
+the exception: they are an earlier version of the library's own code, kept
+to pin the order of the queries the searches issue.
 """
 
 from __future__ import annotations
@@ -12,7 +12,15 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from hhl import Edge, Hypergraph, Oracle, SearchStats, VertexSet
+from hhl import (
+    Edge,
+    Hypergraph,
+    Oracle,
+    SearchContractError,
+    SearchStats,
+    VertexSet,
+    is_independent,
+)
 from hhl.core import edge_mask
 
 
@@ -178,3 +186,59 @@ def reference_find_next_query(
             if oracle.query(cand):
                 return cand
     return None
+
+
+# The learner's vertex search as it was written before it ran on ranks:
+# it re-splits the pool VertexSet at every step. The tests check that the
+# library's search issues the same queries, returns the same vertex and
+# logs the same (pool size, queries) pair, and that its debug checks fail
+# with the same messages.
+
+
+def _reference_assert_bisection_invariant(
+    oracle: Oracle, pool: VertexSet, fixed: VertexSet
+) -> None:
+    # Ground-truth check against the simulated hidden hypergraph; issues no
+    # counted queries.
+    if not is_independent(oracle.hidden, fixed):
+        raise SearchContractError("bisection invariant broken: kept set is positive")
+    if is_independent(oracle.hidden, pool | fixed):
+        raise SearchContractError("bisection invariant broken: pool query is negative")
+
+
+def reference_find_active_vertex(
+    oracle: Oracle,
+    s: VertexSet,
+    f: VertexSet,
+    *,
+    debug_checks: bool = False,
+    stats: SearchStats | None = None,
+) -> int:
+    """Binary-search a positive query s for one active vertex outside f.
+
+    Requires that s contains an edge not already confined to f, which the
+    main loop guarantees by only passing positive queries that avoid all
+    known edges. Uses at most ceil(log2 |s - f|) queries.
+    """
+    s._check(f)
+    pool = s - f
+    n = size = len(pool)
+    if n == 0:
+        raise SearchContractError("no candidate vertices: S - F is empty")
+    fixed = s & f
+    before = oracle.count
+    while size > 1:
+        if debug_checks:
+            _reference_assert_bisection_invariant(oracle, pool, fixed)
+        k = (size + 1) // 2
+        half, rest = pool.split_lowest(k)
+        if oracle.query(half | fixed):
+            pool, size = half, k
+        else:
+            pool, size = rest, size - k
+            fixed = fixed | half
+    if debug_checks:
+        _reference_assert_bisection_invariant(oracle, pool, fixed)
+    if stats is not None:
+        stats.vertex_search_log.append((n, oracle.count - before))
+    return pool.mask.bit_length()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from hhl import (
     random_family_instance,
     save_hypergraph,
 )
+from hhl.core import _RankTable, _select
 
 
 def test_canonical_edge_sorts_and_validates():
@@ -124,6 +126,33 @@ def test_vertex_set_split_bounds():
         s.split_lowest(-1)
     low, high = s.split_lowest(0)
     assert low.members() == () and high == s
+
+
+def select_cases() -> list[list[int]]:
+    """Sorted member lists: random ones of several widths and ones that sit
+    on or straddle 64-bit word boundaries."""
+    rng = random.Random(17)
+    cases = [
+        [1], [64], [65], [63, 64, 65], [64, 128, 129], list(range(60, 70)),
+        list(range(1, 65)), list(range(1, 130)), [1, 4097], [4096, 4097],
+    ]
+    for width in (1, 2, 63, 64, 65, 200, 4097):
+        for density in (0.02, 0.5, 0.98):
+            members = [v for v in range(1, width + 1) if rng.random() < density]
+            cases.append(members or [width])
+    return cases
+
+
+@pytest.mark.parametrize("members", select_cases())
+def test_select_kernels_match_sorted_members(members):
+    mask = VertexSet(members[-1], members).mask
+    table = _RankTable(mask)
+    for rank, v in enumerate(sorted(members), 1):
+        assert _select(mask, rank) == v - 1
+        assert table.select(rank) == v - 1
+    for rank in (0, len(members) + 1):
+        with pytest.raises(ValueError):
+            _select(mask, rank)
 
 
 def test_hypergraph_canonicalization():

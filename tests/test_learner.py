@@ -9,6 +9,7 @@ import hhl.learner
 from conftest import (
     enumerate_family,
     minimal_positive_subsets,
+    reference_find_active_vertex,
     reference_find_edges_on,
     reference_find_next_query,
 )
@@ -81,6 +82,121 @@ def test_find_active_vertex_query_bound():
         (n, used) = stats.vertex_search_log[0]
         assert n == t
         assert used <= (n - 1).bit_length()
+
+
+def test_find_active_vertex_debug_checks_report_broken_contracts():
+    # An edge already inside s & f: the kept set is positive before any query.
+    o = Oracle(Hypergraph(8, [(1, 2)]))
+    with pytest.raises(SearchContractError, match="kept set is positive"):
+        find_active_vertex(
+            o, VertexSet.full(8), VertexSet(8, [1, 2]), debug_checks=True
+        )
+    assert o.count == 0
+    # The same with a one-member pool, where no query is issued at all.
+    o = Oracle(Hypergraph(8, [(1,)]))
+    with pytest.raises(SearchContractError, match="kept set is positive"):
+        find_active_vertex(o, VertexSet(8, [1, 5]), VertexSet(8, [1]), debug_checks=True)
+    # s holds no edge: the pool query is negative.
+    o = Oracle(Hypergraph(8, [(7, 8)]))
+    with pytest.raises(SearchContractError, match="pool query is negative"):
+        find_active_vertex(
+            o, VertexSet(8, [1, 2, 3, 4]), VertexSet.empty(8), debug_checks=True
+        )
+
+
+class FlippingOracle(Oracle):
+    """Returns the wrong answer to its flip-th query (and logs the true one)."""
+
+    def __init__(self, hidden: Hypergraph, flip: int) -> None:
+        super().__init__(hidden)
+        self.flip = flip
+
+    def query(self, s: VertexSet) -> bool:
+        answer = super().query(s)
+        return not answer if self.count == self.flip else answer
+
+
+@pytest.mark.parametrize("t", [64, 130])
+def test_find_active_vertex_debug_checks_catch_a_wrong_answer(t):
+    # A wrong negative keeps a positive half (the kept set turns positive);
+    # a wrong positive keeps a negative half (the pool query turns negative).
+    # Both searches must fail at the same step with the same message.
+    messages = set()
+    s, f = VertexSet.full(t), VertexSet.empty(t)
+    for v in (1, 40, 64, t):
+        hidden = Hypergraph(t, [(v,)])
+        for flip in range(1, (t - 1).bit_length() + 1):
+            got, want = (
+                vertex_search_outcome(search, FlippingOracle(hidden, flip), s, f, True)
+                for search in (find_active_vertex, reference_find_active_vertex)
+            )
+            assert got == want
+            if isinstance(got[0], str):
+                messages.add(got[0])
+    assert messages == {
+        "bisection invariant broken: kept set is positive",
+        "bisection invariant broken: pool query is negative",
+    }
+
+
+def vertex_search_cases(t: int, rng: random.Random):
+    """(hidden, s, f) at t over pools s - f that are full, sparse, near-full
+    and single, that touch vertices 1, t and 63/64/65, with f overlapping s.
+    Most keep the search's contract; the last two per pool break it, one
+    with an edge inside s & f and one with no edge inside s."""
+    universe = range(1, t + 1)
+    marks = sorted({v for v in (1, 2, 63, 64, 65, t // 2, t - 1, t) if 1 <= v <= t})
+    pools = [
+        set(universe),
+        set(marks),
+        set(rng.sample(universe, min(t, 5))),
+        set(universe) - set(rng.sample(universe, min(t - 1, 3))),
+        {marks[-1]},
+        {marks[len(marks) // 2]},
+    ]
+    seen = []
+    for pool in pools:
+        if pool in seen:
+            continue
+        seen.append(pool)
+        rest = [v for v in universe if v not in pool]
+        picks = rng.sample(rest, min(len(rest), 4))
+        inside, outside = picks[: len(picks) // 2], picks[len(picks) // 2 :]
+        s, f = VertexSet(t, pool | set(inside)), VertexSet(t, inside + outside)
+        members = sorted(pool)
+        for a in sorted({members[0], members[-1], rng.choice(members)}):
+            edges = [(a, *inside[:2])]
+            if outside:
+                edges.append((members[len(members) // 2], outside[0]))
+            yield Hypergraph(t, edges), s, f
+        if inside:
+            yield Hypergraph(t, [tuple(inside), (members[0],)]), s, f
+        if outside:
+            yield Hypergraph(t, [(outside[0],)]), s, f
+
+
+def vertex_search_outcome(search, o, s, f, debug_checks):
+    stats = SearchStats()
+    try:
+        out = search(o, s, f, debug_checks=debug_checks, stats=stats)
+    except SearchContractError as e:
+        out = str(e)
+    return out, queries(o), stats.vertex_search_log
+
+
+@pytest.mark.parametrize("t", [1, 2, 63, 64, 65, 4097, 2**16 + 3])
+def test_find_active_vertex_matches_reference(t):
+    rng = random.Random(t)
+    n_cases = 0
+    for hidden, s, f in vertex_search_cases(t, rng):
+        for debug_checks in (False, True):
+            got, want = (
+                vertex_search_outcome(search, Oracle(hidden), s, f, debug_checks)
+                for search in (find_active_vertex, reference_find_active_vertex)
+            )
+            assert got == want, (hidden, s, f, debug_checks)
+        n_cases += 1
+    assert n_cases >= min(t, 10)
 
 
 def test_find_edges_on_trace():

@@ -240,6 +240,40 @@ def test_transcript_cannot_change_the_oracle():
     assert o.count == 2
 
 
+def test_log_keeps_the_mask_that_was_answered():
+    o = Oracle(Hypergraph(4, [(1,)]))
+    s = VertexSet(4, [1])
+    assert o.query(s)
+    record = (QueryRecord(1, VertexSet(4, [1]), True, None),)
+    jsonl = '{"i": 1, "q": [1], "a": 1}\n'
+    assert o.transcript == record and o.transcript_jsonl() == jsonl
+    # Neither the caller's set nor a set read from the transcript is the log.
+    s.mask = 0b1110
+    o.transcript[0].query.mask = 0b1110
+    assert o.transcript == record
+    assert o.transcript_jsonl() == jsonl
+
+
+def test_query_answers_match_plain_set_containment():
+    # Member bits are tested by AND in the low half of 1..t and by shift in
+    # the high half; vertices 1, t, t//2, t//2 + 1 and 63/64/65 sit on those
+    # seams and on 64-bit word boundaries.
+    rng = random.Random(9)
+    for t in (1, 2, 3, 5, 63, 64, 65, 130, 4097):
+        marks = [v for v in (1, 2, 63, 64, 65, t // 2, t // 2 + 1, t - 1, t) if 1 <= v <= t]
+        for _ in range(40):
+            edges = {
+                tuple(sorted(set(rng.sample(marks, rng.randint(1, min(3, len(marks)))))))
+                for _ in range(rng.randint(0, 3))
+            }
+            h = Hypergraph(t, edges)
+            members = {v for v in marks if rng.random() < 0.7}
+            members |= {v for v in range(1, t + 1) if rng.random() < 0.3}
+            want = any(set(e) <= members for e in edges)
+            assert Oracle(h).query(VertexSet(t, members)) == want
+            assert is_independent(h, VertexSet(t, members)) == (not want)
+
+
 def test_query_past_budget_records_nothing():
     o = Oracle(Hypergraph(4, [(1,)]), budget=1)
     o.tag = "stage1"
