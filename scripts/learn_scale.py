@@ -22,8 +22,9 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# s*l = 6 vertices need t >= 8. The oracle keeps every t-bit query mask,
-# about 250 of them at 2**26 (1.6 GB peak), so larger t is refused.
+# s*l = 6 vertices need t >= 8. Learner queries are run-coded, so neither
+# time nor memory grows with t; k above 26 is refused only because the
+# README's table stops there.
 MIN_K, MAX_K = 3, 26
 
 

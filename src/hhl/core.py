@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -100,44 +102,48 @@ def _select(mask: int, rank: int) -> int:
     return pos
 
 
-class _RankTable:
-    """Select over a fixed mask: the position of its r-th lowest member.
-
-    Built once in O(t/64): the mask as 64-bit words and their cumulative
-    popcounts. Each select is one searchsorted for the word that holds the
-    member plus a _select inside that word, whatever the width of the mask.
-    """
-
-    __slots__ = ("words", "ranks")
-
-    def __init__(self, mask: int) -> None:
-        n_bytes = 8 * ((mask.bit_length() + 63) >> 6)
-        self.words = np.frombuffer(mask.to_bytes(n_bytes, "little"), dtype="<u8")
-        self.ranks = np.cumsum(np.bitwise_count(self.words), dtype=np.int64)
-
-    def select(self, rank: int) -> int:
-        """0-based position of member rank (from 1); rank must be in 1..popcount."""
-        i = int(self.ranks.searchsorted(rank))
-        below = self.ranks.item(i - 1) if i else 0
-        return 64 * i + _select(self.words.item(i), rank - below)
+def _canonical(toggles: Sequence[int]) -> list[int]:
+    """Strictly increasing form of a sorted toggle sequence: equal toggles
+    cancel in pairs (an empty run, or two runs that touch)."""
+    out: list[int] = []
+    for x in toggles:
+        if out and out[-1] == x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
 
 
 class VertexSet:
-    """Subset of {1..t} backed by an int bitmask (bit v-1 = vertex v).
+    """Subset of {1..t} in one of two codes.
 
-    Operations return new sets and leave their operands alone, but t and
-    mask are plain attributes that a caller can reassign; code that must
-    keep a set's value (the oracle's log) keeps the int mask instead.
+    Mask-coded: an int bitmask, bit v-1 for vertex v. Run-coded: a tuple of
+    sorted toggle positions in 0..t at which membership flips, so bit j is
+    in the set iff an odd number of toggles is <= j, and the run of
+    vertices a..b is the pair (a-1, b). Equal toggles (an empty run, or two
+    runs that touch) cancel; producers may leave them, readers that need
+    the strictly increasing form (==, transcripts) canonicalise. The
+    learner's queries are run-coded, with O(s*l) toggles whatever t is;
+    sets with many runs, such as two-stage blocks, are mask-coded.
 
-    Union, intersection, difference, complement, subset tests and len()
-    cost O(t/w) for machine word size w. split_lowest costs O(t/w) too: it
-    bisects over halving bit windows (_select). members() and iteration cost
-    O(t/64 + |S|): one numpy scan over 64-bit words, unpacking only the
-    nonzero ones. Building a set from n members costs O(t/8 + n): one
-    byte buffer, converted to an int once.
+    Operations return new sets and leave their operands alone. t and mask
+    are plain attributes that a caller can reassign; assigning mask makes
+    the set mask-coded. A run-coded set builds its mask on the first read,
+    in O(runs * t/w) for machine word size w, and keeps it. Code that must
+    keep a set's value (the oracle's log) keeps its int mask or its toggle
+    tuple instead of the set.
+
+    On a run-coded set len(), `in` and members() cost O(runs), O(log runs)
+    and O(runs + |S|); union, intersection, difference, complement, subset
+    tests, split_lowest and hash go through the mask, and so does == unless
+    both sets are run-coded. On a mask-coded set those cost O(t/w);
+    split_lowest bisects over halving bit windows (_select), and members()
+    and iteration cost O(t/64 + |S|): one numpy scan over 64-bit words,
+    unpacking only the nonzero ones. Building a set from n members costs
+    O(t/8 + n): one byte buffer, converted to an int once.
     """
 
-    __slots__ = ("t", "mask")
+    __slots__ = ("t", "_mask", "_runs")
 
     def __init__(self, t: int, members: Iterable[int] = ()) -> None:
         if t < 1:
@@ -148,15 +154,51 @@ class VertexSet:
                 raise ValueError(f"vertex {v} outside universe of size {t}")
             buf[(v - 1) >> 3] |= 1 << ((v - 1) & 7)
         self.t = t
-        self.mask = int.from_bytes(buf, "little")
+        self._mask = int.from_bytes(buf, "little")
+        self._runs = None
 
     @classmethod
     def _from_mask(cls, t: int, mask: int) -> "VertexSet":
         # Internal fast path: trusts 0 <= mask < 2**t.
         vs = object.__new__(cls)
         vs.t = t
-        vs.mask = mask
+        vs._mask = mask
+        vs._runs = None
         return vs
+
+    @classmethod
+    def _from_runs(cls, t: int, runs: tuple[int, ...]) -> "VertexSet":
+        # Internal fast path: trusts runs to be a tuple of even length,
+        # sorted, with every toggle in 0..t.
+        vs = object.__new__(cls)
+        vs.t = t
+        vs._mask = None
+        vs._runs = runs
+        return vs
+
+    @property
+    def mask(self) -> int:
+        m = self._mask
+        if m is None:
+            r = self._runs
+            m = 0
+            for lo, hi in zip(r[0::2], r[1::2]):
+                m |= (1 << hi) - (1 << lo)
+            self._mask = m
+        return m
+
+    @mask.setter
+    def mask(self, mask: int) -> None:
+        self._mask = mask
+        self._runs = None
+
+    def _toggles(self) -> tuple[int, ...]:
+        """The run code: the set's own for a run-coded set, else found by one
+        numpy scan of mask ^ (mask << 1) in O(t/64)."""
+        if self._runs is not None:
+            return self._runs
+        x = self._mask ^ (self._mask << 1)
+        return tuple(_bit_positions([x], 64 * ((x.bit_length() + 63) >> 6)).tolist())
 
     @classmethod
     def empty(cls, t: int) -> "VertexSet":
@@ -177,15 +219,28 @@ class VertexSet:
         return cls._from_mask(t, 1 << (v - 1))
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        r = self._runs
+        if r is None:
+            return self._mask.bit_count()
+        return sum(r[1::2]) - sum(r[0::2])
 
     def __contains__(self, v: int) -> bool:
-        return 1 <= v <= self.t and (self.mask >> (v - 1)) & 1 == 1
+        if not 1 <= v <= self.t:
+            return False
+        r = self._runs
+        if r is None:
+            return (self._mask >> (v - 1)) & 1 == 1
+        return bisect_right(r, v - 1) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         """Members in increasing order."""
-        width = 64 * ((self.mask.bit_length() + 63) >> 6)
-        return iter((_bit_positions([self.mask], width) + 1).tolist())
+        r = self._runs
+        if r is not None:
+            return chain.from_iterable(
+                range(lo + 1, hi + 1) for lo, hi in zip(r[0::2], r[1::2])
+            )
+        width = 64 * ((self._mask.bit_length() + 63) >> 6)
+        return iter((_bit_positions([self._mask], width) + 1).tolist())
 
     def members(self) -> tuple[int, ...]:
         return tuple(self)
@@ -232,7 +287,11 @@ class VertexSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexSet):
             return NotImplemented
-        return self.t == other.t and self.mask == other.mask
+        if self.t != other.t:
+            return False
+        if self._runs is not None and other._runs is not None:
+            return _canonical(self._runs) == _canonical(other._runs)
+        return self.mask == other.mask
 
     def __hash__(self) -> int:
         return hash((self.t, self.mask))

@@ -12,12 +12,13 @@ model can distinguish.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .core import Edge, FamilyParams, Hypergraph, VertexSet, _RankTable
+from .core import Edge, FamilyParams, Hypergraph, VertexSet
 from .oracle import Oracle, is_independent
 
 
@@ -67,6 +68,11 @@ def _assert_bisection_invariant(
         raise SearchContractError("bisection invariant broken: pool query is negative")
 
 
+def _points(t: int, vertices: Iterable[int]) -> VertexSet:
+    """Run-coded set of vertices given in increasing order: one run each."""
+    return VertexSet._from_runs(t, tuple(x for v in vertices for x in (v - 1, v)))
+
+
 def find_active_vertex(
     oracle: Oracle,
     s: VertexSet,
@@ -82,43 +88,71 @@ def find_active_vertex(
     known edges. Uses at most ceil(log2 |s - f|) queries.
 
     The search runs on ranks in the pool s - f: the pool left is its members
-    lo+1..lo+size, and the kept set is s & f plus members 1..lo. A rank
-    table built once per search finds the position p of member lo+k, and
-    the query is the kept set plus the pool's members between the last cut
-    and p. So no step popcounts or re-splits the pool: a query costs O(t/w)
-    big-int work for machine word size w.
+    lo+1..lo+size, and the kept set is s & f plus members 1..lo. The pool
+    is s's runs with f's members cut out, kept as run starts and cumulative
+    sizes, so the position p of member lo+k is one bisect. The query is s
+    through p plus the members of s & f above p: s's toggles up to p, a
+    toggle closing the run at p, and a toggle pair per member of s & f
+    above p. With run-coded s and f, as the main loop passes them, a step
+    costs O(s*l) whatever t is.
     """
     s._check(f)
     t = s.t
-    pool_mask = s.mask & ~f.mask
-    n = size = pool_mask.bit_count()
+    toggles = s._toggles()
+    members = f.members()
+    starts: list[int] = []  # position of each pool run's first member
+    ranks: list[int] = []  # pool members in runs 0..i
+    inside: list[int] = []  # members of s & f
+    n = j = 0
+    for a, end in zip(toggles[0::2], toggles[1::2]):
+        # Cut s's run at positions a..end-1 at each member of f in it; the
+        # members of f below it lie outside s.
+        while j < len(members) and members[j] <= end:
+            x = members[j] - 1
+            if x >= a:
+                inside.append(members[j])
+                if x > a:
+                    starts.append(a)
+                    n += x - a
+                    ranks.append(n)
+                a = x + 1
+            j += 1
+        if end > a:
+            starts.append(a)
+            n += end - a
+            ranks.append(n)
     if n == 0:
         raise SearchContractError("no candidate vertices: S - F is empty")
-    table = _RankTable(pool_mask)
-    # cut is the position of pool member lo, -1 while lo is 0.
-    lo, kept, cut = 0, s.mask & f.mask, -1
+    pairs = tuple(x for v in inside for x in (v - 1, v))
+
+    def select(rank: int) -> int:
+        # 0-based position of pool member rank (from 1).
+        i = bisect_left(ranks, rank)
+        return starts[i] + rank - (ranks[i - 1] if i else 0) - 1
+
+    size, lo, kept = n, 0, pairs
     before = oracle.count
     while True:
         if debug_checks:
-            left = pool_mask & ~kept & ((2 << table.select(lo + size)) - 1)
-            _assert_bisection_invariant(oracle, t, left, kept)
+            kept_mask = VertexSet._from_runs(t, kept).mask
+            left = s.mask & ~f.mask & ~kept_mask & ((2 << select(lo + size)) - 1)
+            _assert_bisection_invariant(oracle, t, left, kept_mask)
         if size == 1:
             break
         k = (size + 1) // 2
-        p = table.select(lo + k)
-        query = kept | (pool_mask & (((1 << (p - cut)) - 1) << (cut + 1)))
-        if oracle.query(VertexSet._from_mask(t, query)):
+        p = select(lo + k)
+        query = (
+            toggles[: bisect_right(toggles, p)]
+            + (p + 1,)
+            + pairs[2 * bisect_right(inside, p + 1) :]
+        )
+        if oracle.query(VertexSet._from_runs(t, query)):
             size = k
         else:
-            lo, size, kept, cut = lo + k, size - k, query, p
+            lo, size, kept = lo + k, size - k, query
     if stats is not None:
         stats.vertex_search_log.append((n, oracle.count - before))
-    return table.select(lo + 1) + 1
-
-
-def _index_bits(vertices: Iterable[int]) -> dict[int, int]:
-    """Index bit 1 << i -> vertex bit 1 << (v-1) of the i-th vertex, in index order."""
-    return {1 << i: 1 << (v - 1) for i, v in enumerate(vertices)}
+    return select(lo + 1) + 1
 
 
 def find_edges_on(
@@ -134,27 +168,27 @@ def find_edges_on(
     skipping any set that already contains a found edge. For a Sperner hidden
     hypergraph the result is exactly the set of hidden edges inside f.
 
-    Candidates and found edges are also masks over the indices of f's
-    members, which the main loop keeps to at most s*l, so the skip test
-    costs O(1) word work. A candidate's t-bit mask is ORed in the same pass
-    as its index mask: only supersets of found edges are skipped, and one
-    pass measured faster than a second one for the issued candidates.
+    Candidates and found edges are masks over the indices of f's members,
+    which the main loop keeps to at most s*l, so the skip test costs O(1)
+    word work. An issued candidate is run-coded: one toggle pair per member.
     """
     t = f.t
     members = f.members()
-    bits = list(_index_bits(members).items())
+    items = [(1 << i, (v - 1, v)) for i, v in enumerate(members)]
     found: list[int] = []
     for size in range(1, min(max_edge_size, len(members)) + 1):
-        for cand in combinations(bits, size):
-            cmask = qmask = 0
-            for ib, vb in cand:
+        for cand in combinations(items, size):
+            cmask = 0
+            for ib, _ in cand:
                 cmask |= ib
-                qmask |= vb
             for fm in found:
                 if fm & cmask == fm:
                     break
             else:
-                if oracle.query(VertexSet._from_mask(t, qmask)):
+                runs: tuple[int, ...] = ()
+                for _, pair in cand:
+                    runs += pair
+                if oracle.query(VertexSet._from_runs(t, runs)):
                     # Strict supersets of a fresh positive cannot be present
                     # when enumerating smallest-first; the branch stays for
                     # fidelity.
@@ -170,6 +204,21 @@ def find_edges_on(
     )
 
 
+class _Gaps(dict):
+    """Run toggles of vertices minus the ones whose index bit is set in a
+    key: a toggle pair (v-1, v) per vertex v left, between head and tail.
+    Built on first use of a key."""
+
+    def __init__(self, vertices: list[int], head: tuple[int, ...], tail: tuple[int, ...]):
+        super().__init__()
+        self.vertices, self.head, self.tail = vertices, head, tail
+
+    def __missing__(self, bits: int) -> tuple[int, ...]:
+        pairs = [x for i, v in enumerate(self.vertices) if not bits >> i & 1 for x in (v - 1, v)]
+        runs = self[bits] = (*self.head, *pairs, *self.tail)
+        return runs
+
+
 def find_next_query(
     oracle: Oracle, found_edges: Iterable[Edge], t: int
 ) -> VertexSet | None:
@@ -181,30 +230,29 @@ def find_next_query(
     for a Sperner hidden hypergraph certifies that every edge is known.
 
     D and the known edges are masks over the indices of the at most s*l
-    covered vertices, so enumeration and the skip test cost O(1) word work;
-    only an issued query gets a t-bit mask, B plus D's vertex bits.
+    covered vertices, so enumeration and the skip test cost O(1) word work.
+    An issued query is run-coded: V minus the covered vertices outside D,
+    that is the toggles 0 and t around a pair (v-1, v) per such vertex. The
+    pairs of the lower and the upper half of the covered vertices are looked
+    up by D's bits in that half, so a query costs two lookups and, the
+    first time a half's bits occur, O(s*l) to build its part.
     """
     edges = list(found_edges)
     covered = sorted({v for e in edges for v in e})
     index_bit = {v: 1 << i for i, v in enumerate(covered)}
     e_masks = [sum(index_bit[v] for v in e) for e in edges]
-    vertex_bit = _index_bits(covered)
-    covered_mask = 0
-    for b in vertex_bit.values():
-        covered_mask |= b
-    outside = VertexSet._from_mask(t, covered_mask).complement().mask
+    half = len(covered) // 2
+    low_bits = (1 << half) - 1
+    low, high = _Gaps(covered[:half], (0,), ()), _Gaps(covered[half:], (), (t,))
     for size in range(len(covered) + 1):
-        for d in combinations(vertex_bit, size):
+        for d in combinations(index_bit.values(), size):
             dmask = sum(d)
             # Known edges live inside the covered set, so e <= B|D iff e <= D.
             for em in e_masks:
                 if em & dmask == em:
                     break
             else:
-                qmask = outside
-                for b in d:
-                    qmask |= vertex_bit[b]
-                cand = VertexSet._from_mask(t, qmask)
+                cand = VertexSet._from_runs(t, low[dmask & low_bits] + high[dmask >> half])
                 if oracle.query(cand):
                     return cand
     return None
@@ -250,7 +298,8 @@ def learn_detailed(
     if oracle.hidden.t != t:
         raise ValueError(f"universe mismatch: oracle has t={oracle.hidden.t}")
     stats = SearchStats()
-    found_vertices = VertexSet.empty(t)
+    found: list[int] = []
+    found_vertices = _points(t, found)
     found_edges: frozenset[Edge] = frozenset()
     q_vertex = q_edge = q_query = 0
     iterations = 0
@@ -273,7 +322,8 @@ def learn_detailed(
         q_vertex += oracle.count - before
         if v in found_vertices:
             raise SearchContractError(f"vertex search returned known vertex {v}")
-        found_vertices = found_vertices | VertexSet.singleton(t, v)
+        insort(found, v)
+        found_vertices = _points(t, found)
 
         before = oracle.count
         found_edges = find_edges_on(oracle, found_vertices, params.l, stats=stats)

@@ -7,12 +7,17 @@ never memoizes, so repeated queries are counted separately.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import Hypergraph, VertexSet, _bit_positions
+from .core import Hypergraph, VertexSet, _bit_positions, _canonical
+
+
+# Largest transcript, in bytes of member text, that transcript_jsonl builds.
+MAX_TRANSCRIPT_BYTES = 1 << 30
 
 
 class BudgetExceededError(RuntimeError):
@@ -59,11 +64,40 @@ def _contains_edge(edge_bits: Iterable[_EdgeTest], mask: int) -> bool:
     return False
 
 
+# One edge's member positions v-1, lowest first, as (lowest, the others).
+_EdgePositions = tuple[int, tuple[int, ...]]
+
+
+def _member_positions(h: Hypergraph) -> tuple[_EdgePositions, ...]:
+    return tuple((e[0] - 1, tuple(v - 1 for v in e[1:])) for e in h.sorted_edges())
+
+
+def _runs_contain_edge(edge_positions: Iterable[_EdgePositions], runs: tuple[int, ...]) -> bool:
+    """True iff every member of some edge lies in the run-coded set; stops at the first.
+
+    A member at position x is in the set iff an odd number of toggles is
+    <= x, one bisect over the toggles, so an edge costs at most l of them
+    whatever t is. Equal toggles cancel in the count, so runs need not be
+    canonical.
+    """
+    for x, rest in edge_positions:
+        if not bisect_right(runs, x) & 1:
+            continue
+        for x in rest:
+            if not bisect_right(runs, x) & 1:
+                break
+        else:
+            return True
+    return False
+
+
 def is_independent(h: Hypergraph, s: VertexSet) -> bool:
     """True iff no edge of h is entirely contained in s."""
     if s.t != h.t:
         raise ValueError(f"universe mismatch: {s.t} != {h.t}")
-    return not _contains_edge(_member_bits(h), s.mask)
+    if s._runs is not None:
+        return not _runs_contain_edge(_member_positions(h), s._runs)
+    return not _contains_edge(_member_bits(h), s._mask)
 
 
 def _decimal_offset(v: np.ndarray, t: int) -> np.ndarray:
@@ -90,10 +124,15 @@ class Oracle:
     """Answers edge-detecting queries over a hidden hypergraph.
 
     Queries are answered strictly sequentially into an append-only log of
-    (query mask, answer, tag) tuples, one per answered query. The log keeps
-    the int mask, not the caller's VertexSet, whose mask the caller could
-    still reassign. An optional budget caps the number of answered queries
-    so worst-case bounds can be enforced by the oracle itself.
+    (code, answer, tag) tuples, one per answered query. The code is the
+    query's own immutable one: its int mask if it is mask-coded, its toggle
+    tuple if it is run-coded, never the caller's VertexSet, whose mask the
+    caller could still reassign. A run-coded query is answered with one
+    bisect per tested edge member, so a learner run, whose queries are all
+    run-coded, does no t-bit work per query and logs O(s*l) ints per query.
+    The members' t-bit masks for mask-coded queries are built on the first
+    such query. An optional budget caps the number of answered queries so
+    worst-case bounds can be enforced by the oracle itself.
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -102,8 +141,9 @@ class Oracle:
         self.hidden = hidden
         self.budget = budget
         self.tag: str | None = None
-        self._edge_bits = _member_bits(hidden)
-        self._log: list[tuple[int, bool, str | None]] = []
+        self._edge_bits: tuple[_EdgeTest, ...] | None = None
+        self._edge_positions = _member_positions(hidden)
+        self._log: list[tuple[int | tuple[int, ...], bool, str | None]] = []
 
     @property
     def count(self) -> int:
@@ -114,8 +154,13 @@ class Oracle:
         """Every answered query in order, built from the log on each read."""
         t = self.hidden.t
         return tuple(
-            QueryRecord(i, VertexSet._from_mask(t, m), a, tag)
-            for i, (m, a, tag) in enumerate(self._log, 1)
+            QueryRecord(
+                i,
+                VertexSet._from_mask(t, c) if type(c) is int else VertexSet._from_runs(t, c),
+                a,
+                tag,
+            )
+            for i, (c, a, tag) in enumerate(self._log, 1)
         )
 
     def query(self, s: VertexSet) -> bool:
@@ -124,43 +169,71 @@ class Oracle:
         log = self._log
         if self.budget is not None and len(log) >= self.budget:
             raise BudgetExceededError(f"query budget {self.budget} exhausted")
-        mask = s.mask
-        answer = _contains_edge(self._edge_bits, mask)
-        log.append((mask, answer, self.tag))
+        code = s._runs
+        if code is not None:
+            answer = _runs_contain_edge(self._edge_positions, code)
+        else:
+            code = s._mask
+            if self._edge_bits is None:
+                self._edge_bits = _member_bits(self.hidden)
+            answer = _contains_edge(self._edge_bits, code)
+        log.append((code, answer, self.tag))
         return answer
 
     def transcript_jsonl(self) -> str:
         """One JSON object per query: {"i": index, "q": [v,...], "a": 0|1}.
 
         The bytes are json.dumps' default form. Each record's members are
-        copied as slices of one decimal text of 1..t, one slice per run of
-        consecutive vertices, so the cost is O(t) once, O(t/64) per query
-        and O(output bytes).
+        copied as slices of one decimal text of 1..top, top the largest
+        member of any query, one slice per run of consecutive vertices. So
+        the cost is O(top) once, O(runs) per run-coded query, O(t/64) per
+        mask-coded one and O(output bytes). Raises ValueError, before the
+        text is built, when the text or the members would take more than
+        MAX_TRANSCRIPT_BYTES.
         """
         log = self._log
         if not log:
             return ""
         t = self.hidden.t
-        text = ", ".join(map(str, range(1, t + 1)))
-        # Bit j of m ^ (m << 1) is set iff vertices j and j+1 differ in
-        # membership (j in 0..t): one bit where each run starts and one
-        # just past where it ends. Records are laid end to end at a stride
-        # of whole 64-bit words, so one scan finds every boundary.
+        # A mask record's toggles are the set bits of m ^ (m << 1): bit j
+        # is set iff vertices j and j+1 differ in membership (j in 0..t).
+        # Mask records are laid end to end at a stride of whole 64-bit
+        # words, so one scan finds every toggle of them all.
         stride = 64 * ((t >> 6) + 1)
-        pos = _bit_positions(
-            (m ^ (m << 1) for m, _, _ in log), stride
-        )
-        # ends[i] counts the runs of records 0..i; boundaries come in pairs.
-        ends = np.searchsorted(pos, stride * np.arange(1, len(log) + 1)) // 2
-        offset = _decimal_offset(pos % stride + 1, t)
+        masks = [c for c, _, _ in log if type(c) is int]
+        scanned = _bit_positions((m ^ (m << 1) for m in masks), stride)
+        cuts = np.searchsorted(scanned, stride * np.arange(1, len(masks) + 1)).tolist()
+        scanned = (scanned % stride).tolist()
+        toggles: list[int] = []
+        ends = []  # ends[i] counts the runs of records 0..i
+        k = start = 0
+        for code, _, _ in log:
+            if type(code) is int:
+                toggles += scanned[start : cuts[k]]
+                start = cuts[k]
+                k += 1
+            else:
+                toggles += _canonical(code)
+            ends.append(len(toggles) >> 1)
+        top = max(toggles, default=0)
+        if top > MAX_TRANSCRIPT_BYTES:
+            raise ValueError(f"transcript lists vertex {top}, more than the cap of "
+                             f"{MAX_TRANSCRIPT_BYTES} bytes of decimal text")
+        offset = _decimal_offset(np.array(toggles, dtype=np.int64) + 1, top)
         # Run a..b is the slice from a's offset to b+1's, which carries the
         # ", " after b along; the last run of each record drops it.
         lo = offset[0::2]
         hi = offset[1::2]
-        hi[ends[np.diff(ends, prepend=0) > 0] - 1] -= 2
+        last = np.array(ends, dtype=np.int64)
+        hi[last[np.diff(last, prepend=0) > 0] - 1] -= 2
+        size = int((hi - lo).sum())
+        if size > MAX_TRANSCRIPT_BYTES:
+            raise ValueError(f"transcript members take {size} bytes, more than the cap "
+                             f"of {MAX_TRANSCRIPT_BYTES}")
+        text = ", ".join(map(str, range(1, top + 1)))
         lines = []
         start = 0
-        for i, ((_, answer, _), end) in enumerate(zip(log, ends.tolist()), 1):
+        for i, ((_, answer, _), end) in enumerate(zip(log, ends), 1):
             runs = map(slice, lo[start:end].tolist(), hi[start:end].tolist())
             lines.append("".join([
                 f'{{"i": {i}, "q": [',
@@ -171,5 +244,6 @@ class Oracle:
         return "".join(lines)
 
     def write_transcript(self, path: str) -> None:
+        text = self.transcript_jsonl()  # may refuse before the file is created
         with open(path, "w", encoding="utf-8") as f:
-            f.write(self.transcript_jsonl())
+            f.write(text)

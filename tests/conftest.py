@@ -32,6 +32,20 @@ def all_candidate_edges(t: int, max_size: int) -> list[tuple[int, ...]]:
     return out
 
 
+def toggles_of(members: Iterable[int], extra: Iterable[int] = ()) -> tuple[int, ...]:
+    """Run code of a set of vertices: the toggle pair (a-1, b) for each run
+    a..b of consecutive members, sorted. Each position in extra is added
+    twice; equal toggles cancel, so the code still holds the same set, now
+    with empty or touching runs as the learner may produce them."""
+    out: list[int] = []
+    for v in sorted(members):
+        if out and out[-1] == v - 1:
+            out[-1] = v
+        else:
+            out += [v - 1, v]
+    return tuple(sorted(out + [x for x in extra for _ in range(2)]))
+
+
 def is_antichain(edges: Iterable[tuple[int, ...]]) -> bool:
     sets = [set(e) for e in edges]
     for i, a in enumerate(sets):

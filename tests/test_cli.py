@@ -297,24 +297,41 @@ def test_huge_t_is_an_error(argv):
     cli_error(argv)
 
 
-def test_learn_huge_t_is_an_error(tmp_path):
+def limit_address_space():
+    # Run in the child: 4 GiB of address space, so a t-sized allocation
+    # fails at once whatever the overcommit policy is.
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_learn_huge_t_is_learned(tmp_path):
+    # Learner queries are run-coded, so nothing in a learn run is t bits
+    # wide: a mask of 10**30 bits would not fit in any memory.
     inst = tmp_path / "inst.json"
-    inst.write_text(f'{{"t": {HUGE_T}, "edges": []}}\n')
-    cli_error(["learn", "--in", str(inst), "--s", "1", "--l", "1"])
+    inst.write_text(f'{{"t": {HUGE_T}, "edges": [[1], [{HUGE_T}]]}}\n')
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhl.cli", "learn", "--in", str(inst), "--s", "2",
+         "--l", "1", "--budget-enforce", "on", "--format", "json"],
+        capture_output=True, text=True, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["result_edges"] == [[1], [10**30]]
+    # Two vertex searches of at most ceil(log2 t) = 100 queries each, then
+    # 1 + 2 edge-search queries and three next-query probes.
+    assert out["queries_total"] <= 2 * 100 + 3 + 3
+    assert out["queries_edge_search"] == out["queries_query_search"] == 3
 
 
-def test_learn_out_of_memory_is_an_error(tmp_path):
-    # A mask of 2**50 bits takes 128 TiB. The address-space limit makes the
-    # allocation fail the same way whatever the overcommit policy is.
+def test_learn_transcript_over_the_cap_is_an_error(tmp_path):
+    # The first query of a learn run is the whole universe, whose 2**50
+    # members would take petabytes of JSON: refused before any text is built.
     inst = tmp_path / "inst.json"
     inst.write_text(f'{{"t": {2**50}, "edges": []}}\n')
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
-    stderr = cli_error(["learn", "--in", str(inst), "--s", "1", "--l", "1"],
+    stderr = cli_error(["learn", "--in", str(inst), "--s", "1", "--l", "1",
+                        "--transcript", str(tmp_path / "transcript.jsonl")],
                        preexec_fn=limit_address_space)
-    assert stderr == "error: MemoryError\n"
+    assert "transcript" in stderr and str(2**30) in stderr
+    assert not (tmp_path / "transcript.jsonl").exists()
 
 
 def test_cf_search_and_verify(tmp_path, capsys):

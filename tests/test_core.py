@@ -21,7 +21,9 @@ from hhl import (
     random_family_instance,
     save_hypergraph,
 )
-from hhl.core import _RankTable, _select
+from hhl.core import _select
+
+from conftest import toggles_of
 
 
 def test_canonical_edge_sorts_and_validates():
@@ -112,6 +114,63 @@ def test_vertex_set_word_boundaries(case, data):
         s.split_lowest(len(ref) + 1)
 
 
+def assert_same_set(got: VertexSet, want: VertexSet) -> None:
+    """got, run-coded, holds the set want, mask-coded, for every reader."""
+    t, members = want.t, want.members()
+    assert got.members() == members and list(got) == list(members)
+    assert len(got) == len(members)
+    probes = {0, 1, t, t + 1} | {w for v in members for w in (v - 1, v, v + 1)}
+    assert [v in got for v in sorted(probes)] == [v in want for v in sorted(probes)]
+    assert got == want and want == got and hash(got) == hash(want)
+    assert got.mask == want.mask
+
+
+def run_code_cases() -> list[tuple[int, list[int]]]:
+    """(t, members): empty and full sets, runs touching 1 and t, and
+    excluded vertices next to each other on a 64-bit word boundary."""
+    cases = []
+    for t in (1, 2, 63, 64, 65, 4097):
+        universe = range(1, t + 1)
+        sets = [[], list(universe), [1], [t], [1, t], [v for v in universe if v not in (64, 65)]]
+        sets.append([v for v in universe if v <= 3 or v >= t - 2])
+        sets.append([v for v in universe if v % 3])
+        sets.append([v for v in (63, 64, 65, 66, 128, 129) if v <= t])
+        for members in sets:
+            if (t, sorted(set(members))) not in cases:
+                cases.append((t, sorted(set(members))))
+    return cases
+
+
+@pytest.mark.parametrize("t, members", run_code_cases())
+def test_run_code_agrees_with_members(t, members):
+    want = VertexSet(t, members)
+    code = toggles_of(members)
+    assert_same_set(VertexSet._from_runs(t, code), want)
+    # Empty runs at 0, 64 and t, and runs cut in two where they touch.
+    noisy = toggles_of(members, extra=[0, min(64, t), t, *code])
+    assert len(noisy) == 3 * len(code) + 6
+    assert_same_set(VertexSet._from_runs(t, noisy), want)
+    assert VertexSet._from_runs(t, noisy) == VertexSet._from_runs(t, code)
+    if members:
+        fewer = VertexSet._from_runs(t, toggles_of(members[1:], extra=code))
+        assert fewer != want and fewer != VertexSet._from_runs(t, code)
+
+
+@given(boundary_vertex_sets(), st.lists(st.integers(0, 2**17), max_size=6))
+def test_run_code_agrees_with_members_random(case, extra):
+    t, members = case
+    noisy = toggles_of(members, extra=[x % (t + 1) for x in extra])
+    assert_same_set(VertexSet._from_runs(t, noisy), VertexSet(t, members))
+
+
+def test_assigning_mask_makes_a_run_coded_set_mask_coded():
+    s = VertexSet._from_runs(8, (0, 2))
+    assert s.members() == (1, 2)
+    s.mask = 0b1000
+    assert s.members() == (4,) and len(s) == 1 and 4 in s and 1 not in s
+    assert s == VertexSet(8, [4])
+
+
 def test_vertex_set_members_full_large():
     t = 2**18
     assert VertexSet.full(t).members() == tuple(range(1, t + 1))
@@ -146,10 +205,8 @@ def select_cases() -> list[list[int]]:
 @pytest.mark.parametrize("members", select_cases())
 def test_select_kernels_match_sorted_members(members):
     mask = VertexSet(members[-1], members).mask
-    table = _RankTable(mask)
     for rank, v in enumerate(sorted(members), 1):
         assert _select(mask, rank) == v - 1
-        assert table.select(rank) == v - 1
     for rank in (0, len(members) + 1):
         with pytest.raises(ValueError):
             _select(mask, rank)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from hhl import (
     learn,
     learn_detailed,
     query_search_query_cap,
+    random_disjoint_instance,
     random_family_instance,
     worst_case_query_budget,
 )
@@ -481,3 +483,35 @@ def test_learn_transcripts_pinned_on_benchmark_shapes(shape):
     for mask, answer in queries(o):
         h.update(f"{mask:x} {int(answer)}\n".encode())
     assert h.hexdigest() == digest
+
+
+def test_learn_keeps_no_t_bit_state_per_query(monkeypatch):
+    # At t = 2**22 a mask is 512 KiB. Every learner query is run-coded with
+    # at most 2*(2*s*l + 1) toggles, no VertexSet mask is ever built, and
+    # the whole run allocates less than one mask.
+    t, s, l = 2**22, 3, 2
+    params = FamilyParams(t, s, l)
+    hidden_sets = [
+        random_disjoint_instance(params, seed=1),
+        Hypergraph(t, [(1, 64), (65, t), (t // 2, t // 2 + 1)]),  # word boundaries, 1 and t
+        Hypergraph(t, [(2, 3), (3, t - 1), (64, 65)]),  # shared and adjacent vertices
+    ]
+
+    def no_mask(vs):
+        raise AssertionError("a t-bit mask was built")
+
+    for hidden in hidden_sets:
+        o = Oracle(hidden)
+        with monkeypatch.context() as m:
+            m.setattr(VertexSet, "mask", property(no_mask))
+            tracemalloc.start()
+            try:
+                report = learn_detailed(o, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert report.hypergraph == hidden
+        assert peak < t // 8
+        codes = [r.query._runs for r in o.transcript]
+        assert all(type(c) is tuple for c in codes)
+        assert max(map(len, codes)) <= 2 * (2 * s * l + 1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hhl.oracle
 from hhl import (
     BudgetExceededError,
     FamilyParams,
@@ -21,6 +22,8 @@ from hhl import (
     random_disjoint_instance,
     two_stage_trial,
 )
+
+from conftest import toggles_of
 
 
 def test_is_independent():
@@ -252,6 +255,69 @@ def test_log_keeps_the_mask_that_was_answered():
     o.transcript[0].query.mask = 0b1110
     assert o.transcript == record
     assert o.transcript_jsonl() == jsonl
+
+
+@pytest.mark.parametrize("t", [1, 2, 63, 64, 65, 130, 4097])
+def test_run_coded_queries_match_mask_coded(t):
+    # One oracle is asked mask-coded sets, one the same sets run-coded
+    # (with empty and touching runs), one the two codes in turn: same
+    # answers, tags, transcripts and bytes.
+    rng = random.Random(t)
+    marks = sorted({v for v in (1, 2, 63, 64, 65, t // 2, t // 2 + 1, t - 1, t) if 1 <= v <= t})
+    for _ in range(8):
+        edges = {
+            tuple(sorted(set(rng.sample(marks, rng.randint(1, min(3, len(marks)))))))
+            for _ in range(rng.randint(0, 3))
+        }
+        h = Hypergraph(t, edges)
+        oracles = Oracle(h), Oracle(h), Oracle(h)
+        for i in range(25):
+            members = {v for v in marks if rng.random() < 0.7}
+            start = rng.randint(1, t)
+            members |= set(range(start, min(t + 1, start + rng.randint(0, 200))))
+            members |= {v for v in range(1, t + 1) if rng.random() < 0.05}
+            extra = [rng.randint(0, t) for _ in range(rng.randint(0, 3))]
+            by_mask = VertexSet(t, members)
+            by_runs = VertexSet._from_runs(t, toggles_of(members, extra))
+            tag = rng.choice([None, "stage1"])
+            want = any(set(e) <= members for e in edges)
+            for o, s in zip(oracles, (by_mask, by_runs, (by_mask, by_runs)[i % 2])):
+                o.tag = tag
+                assert o.query(s) == want
+            assert is_independent(h, by_runs) == (not want)
+        first = oracles[0].transcript
+        assert all(o.transcript == first for o in oracles)
+        assert all([r.query.members() for r in o.transcript]
+                   == [r.query.members() for r in first] for o in oracles)
+        assert all(o.transcript_jsonl() == oracles[0].transcript_jsonl() for o in oracles)
+        assert_reference_bytes(oracles[1])
+        assert_reference_bytes(oracles[2])
+
+
+def test_log_keeps_the_toggles_that_were_answered():
+    o = Oracle(Hypergraph(4, [(1,)]))
+    s = VertexSet._from_runs(4, (0, 1, 1, 1))
+    assert o.query(s)
+    s.mask = 0b1110
+    assert s.members() == (2, 3, 4)
+    assert o.transcript == (QueryRecord(1, VertexSet(4, [1]), True, None),)
+    assert o.transcript_jsonl() == '{"i": 1, "q": [1], "a": 1}\n'
+
+
+def test_transcript_over_the_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", 20)
+    o = Oracle(Hypergraph(100, [(1,)]))
+    o.query(VertexSet(100, range(1, 6)))
+    assert o.transcript_jsonl() == '{"i": 1, "q": [1, 2, 3, 4, 5], "a": 1}\n'
+    o.query(VertexSet._from_runs(100, (29, 30)))
+    with pytest.raises(ValueError, match="decimal text"):
+        o.transcript_jsonl()
+    # Vertices 1..10 fit in the text; three lists of them do not.
+    o = Oracle(Hypergraph(10, [(1,)]))
+    for _ in range(3):
+        o.query(VertexSet.full(10))
+    with pytest.raises(ValueError, match="members take 87 bytes"):
+        o.transcript_jsonl()
 
 
 def test_query_answers_match_plain_set_containment():
