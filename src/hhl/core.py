@@ -53,12 +53,11 @@ def edge_mask(edge: Iterable[int]) -> int:
     return m
 
 
-def _bit_positions(masks: Iterable[int], width: int) -> np.ndarray:
-    """0-based positions of the set bits of int masks laid end to end at a
-    stride of width bits (a multiple of 64), in increasing order: bit j of
-    masks[i] is position i*width + j."""
-    data = b"".join(m.to_bytes(width >> 3, "little") for m in masks)
-    words = np.frombuffer(data, dtype="<u8")
+def _bit_positions(mask: int) -> np.ndarray:
+    """0-based positions of the set bits of mask, in increasing order: one
+    scan over its 64-bit words, unpacking only the nonzero ones."""
+    n_bytes = 8 * ((mask.bit_length() + 63) >> 6)
+    words = np.frombuffer(mask.to_bytes(n_bytes, "little"), dtype="<u8")
     nonzero = np.flatnonzero(words)
     bits = np.flatnonzero(
         np.unpackbits(words[nonzero].view(np.uint8), bitorder="little")
@@ -126,16 +125,15 @@ class VertexSet:
     learner's queries are run-coded, with O(s*l) toggles whatever t is;
     sets with many runs, such as two-stage blocks, are mask-coded.
 
-    Operations return new sets and leave their operands alone. t and mask
-    are plain attributes that a caller can reassign; assigning mask makes
-    the set mask-coded. A run-coded set builds its mask on the first read,
-    in O(runs * t/w) for machine word size w, and keeps it. Code that must
+    Operations return new sets and leave their operands alone; mask is
+    read-only. A run-coded set builds its mask on the first read, in
+    O(runs * t/w) for machine word size w, and keeps it. Code that must
     keep a set's value (the oracle's log) keeps its int mask or its toggle
     tuple instead of the set.
 
     On a run-coded set len(), `in` and members() cost O(runs), O(log runs)
-    and O(runs + |S|); union, intersection, difference, complement, subset
-    tests, split_lowest and hash go through the mask, and so does == unless
+    and O(runs + |S|); union, intersection, difference, complement,
+    split_lowest and hash go through the mask, and so does == unless
     both sets are run-coded. On a mask-coded set those cost O(t/w);
     split_lowest bisects over halving bit windows (_select), and members()
     and iteration cost O(t/64 + |S|): one numpy scan over 64-bit words,
@@ -187,18 +185,12 @@ class VertexSet:
             self._mask = m
         return m
 
-    @mask.setter
-    def mask(self, mask: int) -> None:
-        self._mask = mask
-        self._runs = None
-
     def _toggles(self) -> tuple[int, ...]:
         """The run code: the set's own for a run-coded set, else found by one
         numpy scan of mask ^ (mask << 1) in O(t/64)."""
         if self._runs is not None:
             return self._runs
-        x = self._mask ^ (self._mask << 1)
-        return tuple(_bit_positions([x], 64 * ((x.bit_length() + 63) >> 6)).tolist())
+        return tuple(_bit_positions(self._mask ^ (self._mask << 1)).tolist())
 
     @classmethod
     def empty(cls, t: int) -> "VertexSet":
@@ -239,8 +231,7 @@ class VertexSet:
             return chain.from_iterable(
                 range(lo + 1, hi + 1) for lo, hi in zip(r[0::2], r[1::2])
             )
-        width = 64 * ((self._mask.bit_length() + 63) >> 6)
-        return iter((_bit_positions([self._mask], width) + 1).tolist())
+        return iter((_bit_positions(self._mask) + 1).tolist())
 
     def members(self) -> tuple[int, ...]:
         return tuple(self)
@@ -260,12 +251,6 @@ class VertexSet:
     def __sub__(self, other: "VertexSet") -> "VertexSet":
         self._check(other)
         return VertexSet._from_mask(self.t, self.mask & ~other.mask)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & other.mask == self.mask
-
-    __le__ = issubset
 
     def complement(self) -> "VertexSet":
         return VertexSet._from_mask(self.t, self.mask ^ ((1 << self.t) - 1))

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Hypergraph, VertexSet, _bit_positions, _canonical
+from .core import Hypergraph, VertexSet, _canonical
 
 
 # Largest transcript, in bytes of member text, that transcript_jsonl builds.
@@ -22,46 +22,6 @@ MAX_TRANSCRIPT_BYTES = 1 << 30
 
 class BudgetExceededError(RuntimeError):
     """A query was attempted past the oracle's query budget."""
-
-
-# One member's bit test (low, x), and one edge's tests (low, x, rest).
-_MemberTest = tuple[bool, int]
-_EdgeTest = tuple[bool, int, tuple[_MemberTest, ...]]
-
-
-def _member_bits(h: Hypergraph) -> tuple[_EdgeTest, ...]:
-    """Per edge of h, its members' bit tests, lowest member first, as
-    (low, x, rest): the lowest member's test and a tuple of the others'.
-    A test (low, x) has x = 1 << (v-1) if v-1 is in the low half of 0..t-1
-    (low is True), else x = v-1."""
-    half = h.t >> 1
-
-    def test(v: int) -> _MemberTest:
-        return (True, 1 << (v - 1)) if v - 1 < half else (False, v - 1)
-
-    return tuple((*test(e[0]), tuple(map(test, e[1:]))) for e in h.sorted_edges())
-
-
-def _contains_edge(edge_bits: Iterable[_EdgeTest], mask: int) -> bool:
-    """True iff every member bit of some edge is set in mask; stops at the first.
-
-    Each edge costs at most l bit tests, lowest member first, and its test
-    ends at the first bit that mask lacks. Python ints have no O(1) bit
-    test: ANDing with a bit costs the words up to it, shifting it down the
-    words above it. So a bit in the low half of the universe is ANDed and
-    one in the high half shifted down, and each test costs at most t/2 bits
-    of word work, never a compare of whole masks. Most edges fail on their
-    lowest member, so its test stands outside the loop over the others.
-    """
-    for low, x, rest in edge_bits:
-        if not (mask & x if low else mask >> x & 1):
-            continue
-        for low, x in rest:
-            if not (mask & x if low else mask >> x & 1):
-                break
-        else:
-            return True
-    return False
 
 
 # One edge's member positions v-1, lowest first, as (lowest, the others).
@@ -78,7 +38,8 @@ def _runs_contain_edge(edge_positions: Iterable[_EdgePositions], runs: tuple[int
     A member at position x is in the set iff an odd number of toggles is
     <= x, one bisect over the toggles, so an edge costs at most l of them
     whatever t is. Equal toggles cancel in the count, so runs need not be
-    canonical.
+    canonical. Most edges fail on their lowest member, so its test stands
+    outside the loop over the others.
     """
     for x, rest in edge_positions:
         if not bisect_right(runs, x) & 1:
@@ -91,13 +52,27 @@ def _runs_contain_edge(edge_positions: Iterable[_EdgePositions], runs: tuple[int
     return False
 
 
+def _mask_contains_edge(edge_positions: Iterable[_EdgePositions], mask: int) -> bool:
+    """True iff every member bit of some edge is set in mask; stops at the
+    first. The same scan as _runs_contain_edge, with a bit test per member."""
+    for x, rest in edge_positions:
+        if not mask >> x & 1:
+            continue
+        for x in rest:
+            if not mask >> x & 1:
+                break
+        else:
+            return True
+    return False
+
+
 def is_independent(h: Hypergraph, s: VertexSet) -> bool:
     """True iff no edge of h is entirely contained in s."""
     if s.t != h.t:
         raise ValueError(f"universe mismatch: {s.t} != {h.t}")
     if s._runs is not None:
         return not _runs_contain_edge(_member_positions(h), s._runs)
-    return not _contains_edge(_member_bits(h), s._mask)
+    return not _mask_contains_edge(_member_positions(h), s._mask)
 
 
 def _decimal_offset(v: np.ndarray, t: int) -> np.ndarray:
@@ -126,12 +101,12 @@ class Oracle:
     Queries are answered strictly sequentially into an append-only log of
     (code, answer, tag) tuples, one per answered query. The code is the
     query's own immutable one: its int mask if it is mask-coded, its toggle
-    tuple if it is run-coded, never the caller's VertexSet, whose mask the
-    caller could still reassign. A run-coded query is answered with one
-    bisect per tested edge member, so a learner run, whose queries are all
-    run-coded, does no t-bit work per query and logs O(s*l) ints per query.
-    The members' t-bit masks for mask-coded queries are built on the first
-    such query. An optional budget caps the number of answered queries so
+    tuple if it is run-coded, never the caller's VertexSet. Both codes are
+    answered from one table of the hidden edges' member positions: a
+    run-coded query with one bisect per tested edge member, so a learner
+    run, whose queries are all run-coded, does no t-bit work per query and
+    logs O(s*l) ints per query; a mask-coded one with one bit test per
+    tested member. An optional budget caps the number of answered queries so
     worst-case bounds can be enforced by the oracle itself.
     """
 
@@ -141,7 +116,6 @@ class Oracle:
         self.hidden = hidden
         self.budget = budget
         self.tag: str | None = None
-        self._edge_bits: tuple[_EdgeTest, ...] | None = None
         self._edge_positions = _member_positions(hidden)
         self._log: list[tuple[int | tuple[int, ...], bool, str | None]] = []
 
@@ -174,9 +148,7 @@ class Oracle:
             answer = _runs_contain_edge(self._edge_positions, code)
         else:
             code = s._mask
-            if self._edge_bits is None:
-                self._edge_bits = _member_bits(self.hidden)
-            answer = _contains_edge(self._edge_bits, code)
+            answer = _mask_contains_edge(self._edge_positions, code)
         log.append((code, answer, self.tag))
         return answer
 
@@ -195,23 +167,11 @@ class Oracle:
         if not log:
             return ""
         t = self.hidden.t
-        # A mask record's toggles are the set bits of m ^ (m << 1): bit j
-        # is set iff vertices j and j+1 differ in membership (j in 0..t).
-        # Mask records are laid end to end at a stride of whole 64-bit
-        # words, so one scan finds every toggle of them all.
-        stride = 64 * ((t >> 6) + 1)
-        masks = [c for c, _, _ in log if type(c) is int]
-        scanned = _bit_positions((m ^ (m << 1) for m in masks), stride)
-        cuts = np.searchsorted(scanned, stride * np.arange(1, len(masks) + 1)).tolist()
-        scanned = (scanned % stride).tolist()
         toggles: list[int] = []
         ends = []  # ends[i] counts the runs of records 0..i
-        k = start = 0
         for code, _, _ in log:
             if type(code) is int:
-                toggles += scanned[start : cuts[k]]
-                start = cuts[k]
-                k += 1
+                toggles += VertexSet._from_mask(t, code)._toggles()
             else:
                 toggles += _canonical(code)
             ends.append(len(toggles) >> 1)

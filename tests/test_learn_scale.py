@@ -29,7 +29,7 @@ def test_learn_scale_prints_one_exact_line_in_little_memory():
 
 
 def test_learn_scale_refuses_k_out_of_range():
-    proc = run_script("27")
+    proc = run_script("63")
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
