@@ -1,5 +1,5 @@
-"""Information-theoretic lower bound: exact family counting, the asymptotic
-main term, and rate computation."""
+"""Information-theoretic lower bound: exact family counting and rate
+computation."""
 
 from __future__ import annotations
 
@@ -15,20 +15,6 @@ def family_size_exact(params: FamilyParams) -> int:
     t, s, l = params.t, params.s, params.l
     n_edges = sum(comb(t, j) for j in range(1, l + 1))
     return sum(comb(n_edges, k) for k in range(0, s + 1))
-
-
-def family_size_asymptotic(params: FamilyParams) -> float:
-    """Leading term t**(s*l) / ((l!)**s * s!), computed in log space."""
-    t, s, l = params.t, params.s, params.l
-    log_value = (
-        s * l * math.log(t)
-        - s * math.lgamma(l + 1)
-        - math.lgamma(s + 1)
-    )
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
 
 
 def info_lower_bound(params: FamilyParams) -> int:

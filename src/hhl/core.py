@@ -78,29 +78,6 @@ def _bools_from_masks(masks: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
-def _select(mask: int, rank: int) -> int:
-    """0-based position of the rank-th lowest set bit of mask (rank from 1).
-
-    Bisects over halving bit windows, keeping the window's offset and the
-    rank still wanted inside it: O(b/w) word work for a b-bit mask. Raises
-    ValueError when mask has fewer than rank set bits or rank < 1.
-    """
-    window, pos = mask, 0
-    while window > 1:
-        half = window.bit_length() >> 1
-        low = window & ((1 << half) - 1)
-        below = low.bit_count()
-        if below >= rank:
-            window = low
-        else:
-            window >>= half
-            pos += half
-            rank -= below
-    if window != 1 or rank != 1:
-        raise ValueError("mask has fewer set bits than the rank")
-    return pos
-
-
 def _canonical(toggles: Sequence[int]) -> list[int]:
     """Strictly increasing form of a sorted toggle sequence: equal toggles
     cancel in pairs (an empty run, or two runs that touch)."""
@@ -134,11 +111,11 @@ class VertexSet:
     On a run-coded set len(), `in` and members() cost O(runs), O(log runs)
     and O(runs + |S|); union, intersection, difference, complement,
     split_lowest and hash go through the mask, and so does == unless
-    both sets are run-coded. On a mask-coded set those cost O(t/w);
-    split_lowest bisects over halving bit windows (_select), and members()
-    and iteration cost O(t/64 + |S|): one numpy scan over 64-bit words,
-    unpacking only the nonzero ones. Building a set from n members costs
-    O(t/8 + n): one byte buffer, converted to an int once.
+    both sets are run-coded. On a mask-coded set those cost O(t/w), and
+    split_lowest, members() and iteration cost O(t/64 + |S|): one numpy
+    scan over 64-bit words, unpacking only the nonzero ones. Building a set
+    from n members costs O(t/8 + n): one byte buffer, converted to an int
+    once.
     """
 
     __slots__ = ("t", "_mask", "_runs")
@@ -259,10 +236,9 @@ class VertexSet:
         """Split into (k lowest-numbered members, the rest)."""
         if k == 0:
             return VertexSet.empty(self.t), self
-        try:
-            pos = _select(self.mask, k)
-        except ValueError:
-            raise ValueError(f"cannot take {k} of {len(self)} members") from None
+        if not 0 < k <= len(self):
+            raise ValueError(f"cannot take {k} of {len(self)} members")
+        pos = int(_bit_positions(self.mask)[k - 1])
         low_mask = self.mask & ((2 << pos) - 1)
         return (
             VertexSet._from_mask(self.t, low_mask),

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Iterable
 
-from .core import Edge, FamilyParams, Hypergraph, VertexSet
+from .core import Edge, FamilyParams, Hypergraph, VertexSet, _canonical
 from .oracle import Oracle, is_independent
 
 
@@ -88,8 +88,9 @@ def find_active_vertex(
     known edges. Uses at most ceil(log2 |s - f|) queries.
 
     The search runs on ranks in the pool s - f: the pool left is its members
-    lo+1..lo+size, and the kept set is s & f plus members 1..lo. The pool
-    is s's runs with f's members cut out, kept as run starts and cumulative
+    lo+1..lo+size, and the kept set is s & f plus members 1..lo. The pool's
+    run code is s's toggles merged with a toggle pair (v-1, v) per member v
+    of s & f, which takes v out. It is kept as run starts and cumulative
     sizes, so the position p of member lo+k is one bisect. The query is s
     through p plus the members of s & f above p: s's toggles up to p, a
     toggle closing the run at p, and a toggle pair per member of s & f
@@ -99,31 +100,14 @@ def find_active_vertex(
     s._check(f)
     t = s.t
     toggles = s._toggles()
-    members = f.members()
-    starts: list[int] = []  # position of each pool run's first member
-    ranks: list[int] = []  # pool members in runs 0..i
-    inside: list[int] = []  # members of s & f
-    n = j = 0
-    for a, end in zip(toggles[0::2], toggles[1::2]):
-        # Cut s's run at positions a..end-1 at each member of f in it; the
-        # members of f below it lie outside s.
-        while j < len(members) and members[j] <= end:
-            x = members[j] - 1
-            if x >= a:
-                inside.append(members[j])
-                if x > a:
-                    starts.append(a)
-                    n += x - a
-                    ranks.append(n)
-                a = x + 1
-            j += 1
-        if end > a:
-            starts.append(a)
-            n += end - a
-            ranks.append(n)
-    if n == 0:
-        raise SearchContractError("no candidate vertices: S - F is empty")
+    inside = [v for v in f.members() if bisect_right(toggles, v - 1) & 1]  # s & f
     pairs = tuple(x for v in inside for x in (v - 1, v))
+    pool = _canonical(sorted(toggles + pairs))  # run code of s - f
+    starts = pool[0::2]  # position of each pool run's first member
+    ranks = list(accumulate(b - a for a, b in zip(starts, pool[1::2])))
+    if not ranks:
+        raise SearchContractError("no candidate vertices: S - F is empty")
+    n = ranks[-1]  # ranks[i]: pool members in runs 0..i
 
     def select(rank: int) -> int:
         # 0-based position of pool member rank (from 1).

@@ -7,7 +7,6 @@ import pytest
 from conftest import count_family_bruteforce
 from hhl import (
     FamilyParams,
-    family_size_asymptotic,
     family_size_exact,
     info_lower_bound,
     rate_point,
@@ -40,23 +39,6 @@ def test_family_size_monotone():
     assert family_size_exact(FamilyParams(7, 2, 2)) >= base
     assert family_size_exact(FamilyParams(6, 3, 2)) >= base
     assert family_size_exact(FamilyParams(6, 2, 3)) >= base
-
-
-def test_family_size_asymptotic_values():
-    for t in (3, 10, 1000):
-        assert family_size_asymptotic(FamilyParams(t, 1, 1)) == pytest.approx(t)
-    assert family_size_asymptotic(FamilyParams(100, 2, 2)) == pytest.approx(1.25e7)
-
-
-def test_family_size_ratio_approaches_one():
-    p = FamilyParams(1000, 2, 2)
-    ratio = family_size_exact(p) / family_size_asymptotic(p)
-    assert abs(ratio - 1) < 0.10
-
-
-def test_family_size_asymptotic_huge_params_no_overflow():
-    value = family_size_asymptotic(FamilyParams(10**6, 20, 20))
-    assert value == math.inf
 
 
 def test_info_lower_bound():

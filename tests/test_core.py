@@ -21,7 +21,6 @@ from hhl import (
     random_family_instance,
     save_hypergraph,
 )
-from hhl.core import _select
 
 from conftest import toggles_of
 
@@ -194,12 +193,15 @@ def select_cases() -> list[list[int]]:
 
 @pytest.mark.parametrize("members", select_cases())
 def test_select_kernels_match_sorted_members(members):
-    mask = VertexSet(members[-1], members).mask
-    for rank, v in enumerate(sorted(members), 1):
-        assert _select(mask, rank) == v - 1
-    for rank in (0, len(members) + 1):
-        with pytest.raises(ValueError):
-            _select(mask, rank)
+    s = VertexSet(members[-1], members)
+    want = 0  # mask of the k lowest members
+    for k in range(len(members) + 1):
+        low, high = s.split_lowest(k)
+        assert (low.mask, high.mask) == (want, s.mask ^ want)
+        if k < len(members):
+            want |= 1 << (members[k] - 1)
+    with pytest.raises(ValueError):
+        s.split_lowest(len(members) + 1)
 
 
 def test_hypergraph_canonicalization():

@@ -13,6 +13,7 @@ from conftest import (
     reference_find_active_vertex,
     reference_find_edges_on,
     reference_find_next_query,
+    toggles_of,
 )
 from hhl import (
     FamilyParams,
@@ -145,7 +146,11 @@ def vertex_search_cases(t: int, rng: random.Random):
     """(hidden, s, f) at t over pools s - f that are full, sparse, near-full
     and single, that touch vertices 1, t and 63/64/65, with f overlapping s.
     Most keep the search's contract; the last two per pool break it, one
-    with an edge inside s & f and one with no edge inside s."""
+    with an edge inside s & f and one with no edge inside s. Each pool comes
+    mask-coded, then run-coded as the main loop passes it: s as
+    find_next_query builds it, the toggles 0 and t around the gaps of s,
+    with equal toggles (at 0 when vertex 1 is a gap, at t when t is) and
+    touching runs (each mark doubled) left in, and f one run per member."""
     universe = range(1, t + 1)
     marks = sorted({v for v in (1, 2, 63, 64, 65, t // 2, t - 1, t) if 1 <= v <= t})
     pools = [
@@ -164,17 +169,25 @@ def vertex_search_cases(t: int, rng: random.Random):
         rest = [v for v in universe if v not in pool]
         picks = rng.sample(rest, min(len(rest), 4))
         inside, outside = picks[: len(picks) // 2], picks[len(picks) // 2 :]
-        s, f = VertexSet(t, pool | set(inside)), VertexSet(t, inside + outside)
+        held = pool | set(inside)
+        s, f = VertexSet(t, held), VertexSet(t, inside + outside)
         members = sorted(pool)
+        hiddens = []
         for a in sorted({members[0], members[-1], rng.choice(members)}):
             edges = [(a, *inside[:2])]
             if outside:
                 edges.append((members[len(members) // 2], outside[0]))
-            yield Hypergraph(t, edges), s, f
+            hiddens.append(Hypergraph(t, edges))
         if inside:
-            yield Hypergraph(t, [tuple(inside), (members[0],)]), s, f
+            hiddens.append(Hypergraph(t, [tuple(inside), (members[0],)]))
         if outside:
-            yield Hypergraph(t, [(outside[0],)]), s, f
+            hiddens.append(Hypergraph(t, [(outside[0],)]))
+        gaps = toggles_of([v for v in universe if v not in held], extra=marks)
+        s_runs = VertexSet._from_runs(t, (0, *gaps, t))
+        f_runs = hhl.learner._points(t, f.members())
+        for codes in ((s, f), (s_runs, f_runs)):
+            for hidden in hiddens:
+                yield hidden, *codes
 
 
 def vertex_search_outcome(search, o, s, f, debug_checks):
