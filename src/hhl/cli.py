@@ -21,8 +21,8 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
+from ._numpy import np
 from .bounds import family_size_exact, info_lower_bound, rate_point
 from .core import (
     FamilyParams,
@@ -124,6 +124,8 @@ def _map_ordered(fn, items, jobs: int) -> list:
     jobs = min(jobs, os.cpu_count() or 1, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
@@ -223,6 +225,7 @@ def _cmd_twostage(args, parser) -> tuple[object, list[dict]]:
         (args.t, args.s, args.l, args.seed + i, args.epsilon, args.layers)
         for i in range(args.trials)
     ]
+    np.ndarray  # loads numpy before workers fork, so they inherit it
     rows = _map_ordered(_twostage_one, configs, args.jobs)
     successes = [r for r in rows if r["success"]]
     aggregate = {

@@ -15,7 +15,7 @@ from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
+from ._numpy import np
 
 Edge = tuple[int, ...]
 

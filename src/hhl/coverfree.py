@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-import numpy as np
+from ._numpy import np
 
 from .core import _bools_from_masks, edge_mask
 

@@ -18,7 +18,7 @@ from itertools import accumulate, combinations
 from math import comb
 from typing import Iterable
 
-from .core import Edge, FamilyParams, Hypergraph, VertexSet, _canonical
+from .core import Edge, FamilyParams, Hypergraph, VertexSet
 from .oracle import Oracle, is_independent
 
 
@@ -91,7 +91,9 @@ def find_active_vertex(
     lo+1..lo+size, and the kept set is s & f plus members 1..lo. The pool's
     run code is s's toggles merged with a toggle pair (v-1, v) per member v
     of s & f, which takes v out. It is kept as run starts and cumulative
-    sizes, so the position p of member lo+k is one bisect. The query is s
+    sizes, so the position p of member lo+k is one bisect. Equal toggles
+    stay in: the sorted merge read pairwise already holds s - f, and the
+    bisect skips the empty runs they make. The query is s
     through p plus the members of s & f above p: s's toggles up to p, a
     toggle closing the run at p, and a toggle pair per member of s & f
     above p. With run-coded s and f, as the main loop passes them, a step
@@ -102,12 +104,12 @@ def find_active_vertex(
     toggles = s._toggles()
     inside = [v for v in f.members() if bisect_right(toggles, v - 1) & 1]  # s & f
     pairs = tuple(x for v in inside for x in (v - 1, v))
-    pool = _canonical(sorted(toggles + pairs))  # run code of s - f
+    pool = sorted(toggles + pairs)  # run code of s - f, empty runs left in
     starts = pool[0::2]  # position of each pool run's first member
     ranks = list(accumulate(b - a for a, b in zip(starts, pool[1::2])))
-    if not ranks:
+    n = ranks[-1] if ranks else 0  # ranks[i]: pool members in runs 0..i
+    if n == 0:
         raise SearchContractError("no candidate vertices: S - F is empty")
-    n = ranks[-1]  # ranks[i]: pool members in runs 0..i
 
     def select(rank: int) -> int:
         # 0-based position of pool member rank (from 1).

@@ -11,8 +11,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .core import Hypergraph, VertexSet, _canonical
 
 
@@ -75,15 +73,16 @@ def is_independent(h: Hypergraph, s: VertexSet) -> bool:
     return not _mask_contains_edge(_member_positions(h), s._mask)
 
 
-def _decimal_offset(v: np.ndarray, t: int) -> np.ndarray:
-    """Offset of each vertex v in 1..t+1 in ", ".join(map(str, range(1, t+1))).
+def _decimal_offset(v: int) -> int:
+    """Offset of vertex v >= 1 in ", ".join(map(str, itertools.count(1))).
 
     Before v come two separator bytes for each of 1..v-1 and their digits:
     one for each of 1..v-1 and one more for each that is at least 10**k,
     for every power 10**k below v. With d such powers that is
-    d*v - (1 + 10 + ... + 10**(d-1)) = d*v - 10**d // 9.
+    d*v - (1 + 10 + ... + 10**(d-1)) = d*v - 10**d // 9. Taking d as the
+    digit count of v-1 gives that count, and at v = 1 adds one term, v-1 = 0.
     """
-    d = np.searchsorted(10 ** np.arange(len(str(t))), v)
+    d = len(str(v - 1))
     return (d + 2) * v - 2 - 10**d // 9
 
 
@@ -179,14 +178,17 @@ class Oracle:
         if top > MAX_TRANSCRIPT_BYTES:
             raise ValueError(f"transcript lists vertex {top}, more than the cap of "
                              f"{MAX_TRANSCRIPT_BYTES} bytes of decimal text")
-        offset = _decimal_offset(np.array(toggles, dtype=np.int64) + 1, top)
+        offset = [_decimal_offset(x + 1) for x in toggles]
         # Run a..b is the slice from a's offset to b+1's, which carries the
         # ", " after b along; the last run of each record drops it.
         lo = offset[0::2]
         hi = offset[1::2]
-        last = np.array(ends, dtype=np.int64)
-        hi[last[np.diff(last, prepend=0) > 0] - 1] -= 2
-        size = int((hi - lo).sum())
+        start = 0
+        for end in ends:
+            if end > start:
+                hi[end - 1] -= 2
+            start = end
+        size = sum(hi) - sum(lo)
         if size > MAX_TRANSCRIPT_BYTES:
             raise ValueError(f"transcript members take {size} bytes, more than the cap "
                              f"of {MAX_TRANSCRIPT_BYTES}")
@@ -194,7 +196,7 @@ class Oracle:
         lines = []
         start = 0
         for i, ((_, answer, _), end) in enumerate(zip(log, ends), 1):
-            runs = map(slice, lo[start:end].tolist(), hi[start:end].tolist())
+            runs = map(slice, lo[start:end], hi[start:end])
             lines.append("".join([
                 f'{{"i": {i}, "q": [',
                 *map(text.__getitem__, runs),

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import factorial
 from typing import Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_mask
 from .core import _bools_from_masks, _mask_from_bools

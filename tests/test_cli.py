@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,7 +212,7 @@ def test_jobs_capped_at_cpus_and_tasks(monkeypatch, capsys, cpus, trials, pool_s
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     argv = ["bench", "--t", "16", "--s", "1", "--l", "2", "--seed", "5",
             "--trials", str(trials)]
@@ -372,6 +374,77 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["family_size"] == 11
+
+
+# Run by a fresh interpreter: import the CLI, run each argument list of the
+# JSON in argv[1], and print the exit statuses, which of HEAVY were imported
+# after the import and after the runs, and the process's thread count.
+FRESH_RUN = """
+import json, os, sys
+from hhl.cli import main
+HEAVY = ("numpy._core", "concurrent.futures.process")
+loaded = [[m for m in HEAVY if m in sys.modules]]
+statuses = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded.append([m for m in HEAVY if m in sys.modules])
+threads = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps({"statuses": statuses, "loaded": loaded, "threads": threads}))
+"""
+
+
+def child_env() -> dict:
+    # A child interpreter imports the hhl that this test imported, from any cwd.
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+
+def fresh_run(cwd, *argvs) -> dict:
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(argvs)],
+                          cwd=cwd, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_without_numpy_is_an_import_error():
+    # numpy loads on first use, but its absence still shows at import.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.modules['numpy'] = None; import hhl"],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "ModuleNotFoundError: No module named 'numpy'" in proc.stderr
+
+
+def test_learner_commands_load_neither_numpy_nor_a_process_pool(tmp_path):
+    # numpy's import costs more CPU than a learner run and starts BLAS
+    # threads; none of these commands calls numpy or forks a worker.
+    shape = ["--s", "3", "--l", "2"]
+    out = fresh_run(
+        tmp_path,
+        ["gen", "--t", "4096", *shape, "--seed", "1", "--out", "inst.json"],
+        ["learn", "--in", "inst.json", *shape, "--out", "learn.json"],
+        ["learn", "--in", "inst.json", *shape, "--transcript", "transcript.jsonl",
+         "--out", "learn.json"],
+        ["bench", "--t", "4096", *shape, "--seed", "1", "--trials", "2",
+         "--out", "bench.json"],
+        ["bounds", "--t", "1024", *shape, "--out", "bounds.json"],
+    )
+    assert out["statuses"] == [0] * 5
+    assert out["loaded"] == [[], []]
+    if sys.platform == "linux":
+        assert out["threads"] == 1
+    records = (tmp_path / "transcript.jsonl").read_text().splitlines()
+    assert len(records) == json.loads((tmp_path / "learn.json").read_text())["queries_total"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["twostage", "--t", "64", "--s", "2", "--l", "2", "--seed", "1", "--trials", "2"],
+    ["cf-verify", "--in", "code.txt", "--s", "1", "--l", "1"],
+], ids=lambda argv: argv[0])
+def test_numpy_commands_load_it_on_first_use(tmp_path, argv):
+    (tmp_path / "code.txt").write_text("2 4\n0011\n0101\n")
+    out = fresh_run(tmp_path, argv + ["--out", "out.json"])
+    assert out["statuses"] == [0]
+    assert out["loaded"] == [[], ["numpy._core"]]
+    assert json.loads((tmp_path / "out.json").read_text())
 
 
 # The CLI's output contract at fixed seeds: stdout and every file a run

@@ -143,43 +143,53 @@ def test_find_active_vertex_debug_checks_catch_a_wrong_answer(t):
 
 
 def vertex_search_cases(t: int, rng: random.Random):
-    """(hidden, s, f) at t over pools s - f that are full, sparse, near-full
-    and single, that touch vertices 1, t and 63/64/65, with f overlapping s.
-    Most keep the search's contract; the last two per pool break it, one
-    with an edge inside s & f and one with no edge inside s. Each pool comes
-    mask-coded, then run-coded as the main loop passes it: s as
+    """(hidden, s, f) at t over pools s - f that are full, sparse, near-full,
+    single and empty, that touch vertices 1, t and 63/64/65, with f
+    overlapping s: at random, at both ends of a run of s, and holding all
+    of s. Most keep the search's contract; the last two per pool break it,
+    one with an edge inside s & f and one with no edge inside s. Each pool
+    comes mask-coded, then run-coded as the main loop passes it: s as
     find_next_query builds it, the toggles 0 and t around the gaps of s,
     with equal toggles (at 0 when vertex 1 is a gap, at t when t is) and
     touching runs (each mark doubled) left in, and f one run per member."""
     universe = range(1, t + 1)
     marks = sorted({v for v in (1, 2, 63, 64, 65, t // 2, t - 1, t) if 1 <= v <= t})
+    mid = marks[len(marks) // 2]
     pools = [
-        set(universe),
-        set(marks),
-        set(rng.sample(universe, min(t, 5))),
-        set(universe) - set(rng.sample(universe, min(t - 1, 3))),
-        {marks[-1]},
-        {marks[len(marks) // 2]},
+        (set(universe), None),
+        (set(marks), None),
+        (set(rng.sample(universe, min(t, 5))), None),
+        (set(universe) - set(rng.sample(universe, min(t - 1, 3))), None),
+        ({marks[-1]}, None),
+        ({mid}, None),
+        # f at both ends of a run of s, then at 1 and t, then holding all of s
+        ({mid}, [v for v in (mid - 1, mid + 1) if 1 <= v <= t]),
+        (set(range(2, t)), [1, t] if t > 2 else None),
+        (set(), marks),
     ]
     seen = []
-    for pool in pools:
-        if pool in seen:
+    for pool, inside in pools:
+        if (pool, inside) in seen:
             continue
-        seen.append(pool)
+        seen.append((pool, inside))
         rest = [v for v in universe if v not in pool]
-        picks = rng.sample(rest, min(len(rest), 4))
-        inside, outside = picks[: len(picks) // 2], picks[len(picks) // 2 :]
+        if inside is None:
+            picks = rng.sample(rest, min(len(rest), 4))
+            inside, outside = picks[: len(picks) // 2], picks[len(picks) // 2 :]
+        else:
+            rest = [v for v in rest if v not in inside]
+            outside = rng.sample(rest, min(len(rest), 2))
         held = pool | set(inside)
         s, f = VertexSet(t, held), VertexSet(t, inside + outside)
         members = sorted(pool)
         hiddens = []
-        for a in sorted({members[0], members[-1], rng.choice(members)}):
+        for a in sorted({members[0], members[-1], rng.choice(members)} if members else ()):
             edges = [(a, *inside[:2])]
             if outside:
                 edges.append((members[len(members) // 2], outside[0]))
             hiddens.append(Hypergraph(t, edges))
         if inside:
-            hiddens.append(Hypergraph(t, [tuple(inside), (members[0],)]))
+            hiddens.append(Hypergraph(t, [tuple(inside), *[(v,) for v in members[:1]]]))
         if outside:
             hiddens.append(Hypergraph(t, [(outside[0],)]))
         gaps = toggles_of([v for v in universe if v not in held], extra=marks)
