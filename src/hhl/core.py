@@ -65,9 +65,12 @@ def _bit_positions(mask: int) -> np.ndarray:
     return nonzero[bits >> 6] * 64 + (bits & 63)
 
 
-def _mask_from_bools(flags: np.ndarray) -> int:
-    """Int mask of a 1-d bool array: bit j set iff flags[j]."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+def _masks_from_bools(flags: np.ndarray) -> list[int]:
+    """Int masks of the rows of a 2-d bool array, the inverse of
+    _bools_from_masks: bit j of mask i is flags[i, j]. One packbits for all."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    data, n = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i : i + n], "little") for i in range(0, len(data), n)]
 
 
 def _bools_from_masks(masks: Sequence[int], width: int) -> np.ndarray:

@@ -105,8 +105,9 @@ class Oracle:
     run-coded query with one bisect per tested edge member, so a learner
     run, whose queries are all run-coded, does no t-bit work per query and
     logs O(s*l) ints per query; a mask-coded one with one bit test per
-    tested member. An optional budget caps the number of answered queries so
-    worst-case bounds can be enforced by the oracle itself.
+    tested member. The tag is query's second argument. An optional budget
+    caps the number of answered queries so worst-case bounds can be
+    enforced by the oracle itself.
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -114,7 +115,6 @@ class Oracle:
             raise ValueError("budget must be non-negative")
         self.hidden = hidden
         self.budget = budget
-        self.tag: str | None = None
         self._edge_positions = _member_positions(hidden)
         self._log: list[tuple[int | tuple[int, ...], bool, str | None]] = []
 
@@ -136,7 +136,7 @@ class Oracle:
             for i, (c, a, tag) in enumerate(self._log, 1)
         )
 
-    def query(self, s: VertexSet) -> bool:
+    def query(self, s: VertexSet, tag: str | None = None) -> bool:
         if s.t != self.hidden.t:
             raise ValueError(f"universe mismatch: {s.t} != {self.hidden.t}")
         log = self._log
@@ -148,7 +148,7 @@ class Oracle:
         else:
             code = s._mask
             answer = _mask_contains_edge(self._edge_positions, code)
-        log.append((code, answer, self.tag))
+        log.append((code, answer, tag))
         return answer
 
     def transcript_jsonl(self) -> str:

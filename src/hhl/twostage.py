@@ -24,7 +24,7 @@ from typing import Sequence
 from ._numpy import np
 
 from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_mask
-from .core import _bools_from_masks, _mask_from_bools
+from .core import _bools_from_masks, _masks_from_bools
 from .coverfree import BinaryCode, _candidate_indices, _signatures
 from .oracle import Oracle
 
@@ -68,27 +68,6 @@ class LayerMatrix:
         return int(self.symbols.shape[1])
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint vertex blocks covering the whole universe (blocks may be empty)."""
-
-    blocks: tuple[VertexSet, ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("partition needs at least one block")
-        t = self.blocks[0].t
-        union = 0
-        total = 0
-        for b in self.blocks:
-            if b.t != t:
-                raise ValueError("blocks disagree on the universe size")
-            union |= b.mask
-            total += len(b)
-        if union != (1 << t) - 1 or total != t:
-            raise ValueError("blocks must partition the vertex set")
-
-
 def sample_layer_matrix(n_layers: int, t: int, s: int, seed: int) -> LayerMatrix:
     """Sample every entry i.i.d. uniform on {1..s}; deterministic in seed."""
     if n_layers < 1 or t < 1 or s < 1:
@@ -102,33 +81,32 @@ def sample_layer_matrix(n_layers: int, t: int, s: int, seed: int) -> LayerMatrix
     return LayerMatrix(s, symbols)
 
 
-def layer_partition(matrix: LayerMatrix, layer: int) -> Partition:
-    """Partition of {1..t} into the s symbol classes of one layer."""
-    row = matrix.symbols[layer]
-    blocks = tuple(
-        VertexSet._from_mask(matrix.t, _mask_from_bools(row == r))
-        for r in range(1, matrix.s + 1)
-    )
-    return Partition(blocks)
+def layer_partition(matrix: LayerMatrix, layer: int) -> tuple[VertexSet, ...]:
+    """The s symbol classes of one layer: block r-1 holds the vertices whose
+    symbol is r. LayerMatrix holds every symbol in 1..s, so the blocks are
+    disjoint and cover {1..t}; some may be empty."""
+    flags = matrix.symbols[layer] == np.arange(1, matrix.s + 1)[:, None]
+    return tuple(VertexSet._from_mask(matrix.t, m) for m in _masks_from_bools(flags))
 
 
 def find_good_layer(
     matrix: LayerMatrix, oracle: Oracle
-) -> tuple[int, Partition] | None:
+) -> tuple[int, tuple[VertexSet, ...]] | None:
     """Stage one: query every block of every layer, then return the first
-    layer whose s block queries all answered 1, or None if no layer did.
+    layer whose s block queries all answered 1, as (index, layer_partition
+    blocks), or None if no layer did.
 
-    Every query is issued whatever the earlier answers were, so the batch
-    is fixed in advance and costs exactly s * n_layers queries.
+    Every query is issued, and tagged "stage1", whatever the earlier answers
+    were, so the batch is fixed in advance and costs exactly s * n_layers.
     """
     if matrix.t != oracle.hidden.t:
         raise ValueError(f"universe mismatch: {matrix.t} != {oracle.hidden.t}")
-    good: tuple[int, Partition] | None = None
+    good: tuple[int, tuple[VertexSet, ...]] | None = None
     for i in range(matrix.n_layers):
-        part = layer_partition(matrix, i)
-        answers = [oracle.query(block) for block in part.blocks]
+        blocks = layer_partition(matrix, i)
+        answers = [oracle.query(block, "stage1") for block in blocks]
         if good is None and all(answers):
-            good = (i, part)
+            good = (i, blocks)
     return good
 
 
@@ -213,8 +191,7 @@ def build_block_design(n_cols: int, max_edge_size: int, seed: int) -> BinaryCode
         cf_style = rng.random((n, n_cols)) < 1.0 / (max_edge_size + 1)
         support = ~cf_style
         if _distinct_signatures(support, cand):
-            rows = tuple(_mask_from_bools(row) for row in support)
-            return BinaryCode(n, n_cols, rows)
+            return BinaryCode(n, n_cols, tuple(_masks_from_bools(support)))
         if n == MAX_DESIGN_ROWS:
             break
         n = min(2 * n, MAX_DESIGN_ROWS)
@@ -305,8 +282,8 @@ def two_stage_trial(
     Stage one always issues the full fixed batch of s*N block queries and
     then picks the first good layer. No good layer, an exhausted design
     search or a block whose answers do not decode to exactly one candidate
-    is a declared failure, never a fallback. Transcript entries are tagged
-    "stage1" / "stage2".
+    is a declared failure, never a fallback. Each query is tagged as it is
+    issued: "stage1" by find_good_layer, "stage2" here.
     """
     t, s, l = params.t, params.s, params.l
     if not 0 < epsilon < 1:
@@ -314,53 +291,39 @@ def two_stage_trial(
     layers = n_layers if n_layers is not None else required_layers(epsilon, s, l)
     matrix = sample_layer_matrix(layers, t, s, _derive_seed(seed, 0))
     start = oracle.count
-    old_tag = oracle.tag
+    good = find_good_layer(matrix, oracle)
+    stage1 = oracle.count - start
+    if good is None:
+        return TrialReport(t, s, l, epsilon, layers, stage1, 0, False, None)
+    _, part = good
+
+    # Commit every stage-two query before reading any stage-two answer:
+    # designs depend only on the partition (a stage-one outcome) and the
+    # seed, so the whole batch is fixed up front.
     try:
-        oracle.tag = "stage1"
-        good = find_good_layer(matrix, oracle)
-        stage1 = oracle.count - start
-        if good is None:
-            return TrialReport(t, s, l, epsilon, layers, stage1, 0, False, None)
-        _, part = good
+        blocks = [
+            (block.members(), build_block_design(len(block), l, _derive_seed(seed, bi)))
+            for bi, block in enumerate(part, start=1)
+        ]
+    except DesignSearchError:
+        return TrialReport(t, s, l, epsilon, layers, stage1, 0, False, None)
 
-        # Commit every stage-two query before reading any stage-two answer:
-        # designs depend only on the partition (a stage-one outcome) and the
-        # seed, so the whole batch is fixed up front.
-        try:
-            blocks = [
-                (
-                    block.members(),
-                    build_block_design(len(block), l, _derive_seed(seed, bi)),
-                )
-                for bi, block in enumerate(part.blocks, start=1)
-            ]
-        except DesignSearchError:
-            return TrialReport(t, s, l, epsilon, layers, stage1, 0, False, None)
+    mid = oracle.count
+    block_answers: list[list[bool]] = []
+    for verts, design in blocks:
+        rows = np.zeros((design.n_rows, t), dtype=bool)
+        rows[:, np.array(verts) - 1] = _bools_from_masks(design.rows, design.n_cols)
+        block_answers.append([
+            oracle.query(VertexSet._from_mask(t, m), "stage2")
+            for m in _masks_from_bools(rows)
+        ])
+    stage2 = oracle.count - mid
 
-        oracle.tag = "stage2"
-        mid = oracle.count
-        block_answers: list[list[bool]] = []
-        for verts, design in blocks:
-            support = _bools_from_masks(design.rows, design.n_cols)
-            rows = np.zeros((design.n_rows, t), dtype=bool)
-            rows[:, np.array(verts) - 1] = support
-            block_answers.append(
-                [
-                    oracle.query(VertexSet._from_mask(t, _mask_from_bools(row)))
-                    for row in rows
-                ]
-            )
-        stage2 = oracle.count - mid
-
-        edges: list[Edge] = []
-        try:
-            for (verts, design), answers in zip(blocks, block_answers):
-                local = decode_block(design, answers, l)
-                edges.append(tuple(verts[j - 1] for j in local))
-        except DecodeError:
-            return TrialReport(t, s, l, epsilon, layers, stage1, stage2, False, None)
-        return TrialReport(
-            t, s, l, epsilon, layers, stage1, stage2, True, Hypergraph(t, edges)
-        )
-    finally:
-        oracle.tag = old_tag
+    edges: list[Edge] = []
+    try:
+        for (verts, design), answers in zip(blocks, block_answers):
+            local = decode_block(design, answers, l)
+            edges.append(tuple(verts[j - 1] for j in local))
+    except DecodeError:
+        return TrialReport(t, s, l, epsilon, layers, stage1, stage2, False, None)
+    return TrialReport(t, s, l, epsilon, layers, stage1, stage2, True, Hypergraph(t, edges))

@@ -171,7 +171,7 @@ def test_criterion_5_layer_probability():
         oracle = Oracle(hidden)
         for i in range(matrix.n_layers):
             part = layer_partition(matrix, i)
-            if all(oracle.query(b) for b in part.blocks):
+            if all(oracle.query(b) for b in part):
                 hits += 1
     total = n_instances * layers_each
     freq = hits / total

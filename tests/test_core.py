@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,8 @@ from hhl import (
     random_family_instance,
     save_hypergraph,
 )
+
+from hhl.core import _bools_from_masks, _masks_from_bools
 
 from conftest import toggles_of
 
@@ -202,6 +205,22 @@ def test_select_kernels_match_sorted_members(members):
             want |= 1 << (members[k] - 1)
     with pytest.raises(ValueError):
         s.split_lowest(len(members) + 1)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 257])
+@pytest.mark.parametrize("n_rows", [0, 1, 5])
+def test_masks_from_bools_inverts_bools_from_masks(width, n_rows):
+    rng = np.random.default_rng(width * 10 + n_rows)
+    flags = rng.random((n_rows, width)) < 0.5
+    if n_rows:
+        flags[0] = True  # the top bit of a full row sits at the last byte's edge
+    masks = _masks_from_bools(flags)
+    assert masks == [
+        sum(1 << j for j in range(width) if row[j]) for row in flags.tolist()
+    ]
+    back = _bools_from_masks(masks, width)
+    assert back.shape == (n_rows, width) and (back == flags).all()
+    assert _masks_from_bools(back) == masks
 
 
 def test_hypergraph_canonicalization():

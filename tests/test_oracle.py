@@ -202,9 +202,7 @@ def test_transcript_write(tmp_path):
 def test_tags_recorded():
     o = Oracle(Hypergraph(3, [(1,)]))
     o.query(VertexSet(3, [1]))
-    o.tag = "stage1"
-    o.query(VertexSet(3, [2]))
-    o.tag = None
+    o.query(VertexSet(3, [2]), "stage1")
     o.query(VertexSet(3, [3]))
     assert [r.tag for r in o.transcript] == [None, "stage1", None]
 
@@ -215,8 +213,7 @@ def test_transcript_is_tuple_of_frozen_records_built_from_the_log():
     sets = [VertexSet(6, m) for m in ([1, 2], [3], [4, 5], [], [1, 2, 3, 4, 5, 6])]
     tags = [None, "stage1", "stage1", "stage2", None]
     for s, tag in zip(sets, tags):
-        o.tag = tag
-        o.query(s)
+        o.query(s, tag)
         assert o.count == len(o.transcript)
     tr = o.transcript
     assert type(tr) is tuple
@@ -285,8 +282,7 @@ def test_run_coded_queries_match_mask_coded(t):
             tag = rng.choice([None, "stage1"])
             want = any(set(e) <= members for e in edges)
             for o, s in zip(oracles, (by_mask, by_runs, (by_mask, by_runs)[i % 2])):
-                o.tag = tag
-                assert o.query(s) == want
+                assert o.query(s, tag) == want
             assert is_independent(h, by_runs) == (not want)
             assert is_independent(h, by_mask) == (not want)
         first = oracles[0].transcript
@@ -346,8 +342,7 @@ def test_query_answers_match_plain_set_containment():
 
 def test_query_past_budget_records_nothing():
     o = Oracle(Hypergraph(4, [(1,)]), budget=1)
-    o.tag = "stage1"
-    o.query(VertexSet(4, [1]))
+    o.query(VertexSet(4, [1]), "stage1")
     jsonl = o.transcript_jsonl()
     with pytest.raises(BudgetExceededError):
         o.query(VertexSet(4, [2]))

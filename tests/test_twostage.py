@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from conftest import all_candidate_edges
 
 from hhl import (
+    BudgetExceededError,
     DecodeError,
     DesignSearchError,
     FamilyParams,
@@ -68,8 +70,25 @@ def test_sample_layer_matrix_symbol_frequencies():
 def test_layer_partition_blocks():
     m = LayerMatrix(2, np.array([[1, 1, 2, 2]]))
     part = layer_partition(m, 0)
-    assert part.blocks[0] == VertexSet(4, [1, 2])
-    assert part.blocks[1] == VertexSet(4, [3, 4])
+    assert part[0] == VertexSet(4, [1, 2])
+    assert part[1] == VertexSet(4, [3, 4])
+
+
+@pytest.mark.parametrize("t", [1, 63, 64, 65, 257])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_layer_partition_blocks_are_the_symbol_classes(t, s):
+    # Block r-1 is {v : symbol of v is r}, so the blocks are disjoint and
+    # cover {1..t}, as a plain-Python scan of each layer says.
+    rng = random.Random(t * 10 + s)
+    matrix = LayerMatrix(s, np.array([[rng.randint(1, s) for _ in range(t)] for _ in range(3)]))
+    for layer, symbols in enumerate(matrix.symbols.tolist()):
+        blocks = layer_partition(matrix, layer)
+        assert len(blocks) == s
+        assert all(b.t == t for b in blocks)
+        assert sum(len(b) for b in blocks) == t
+        assert set().union(*(b.members() for b in blocks)) == set(range(1, t + 1))
+        for r, block in enumerate(blocks, start=1):
+            assert set(block) == {v for v in range(1, t + 1) if symbols[v - 1] == r}
 
 
 def test_find_good_layer_examples():
@@ -78,7 +97,7 @@ def test_find_good_layer_examples():
     res = find_good_layer(good, Oracle(hidden))
     assert res is not None
     assert res[0] == 0
-    assert res[1].blocks[0] == VertexSet(4, [1, 2])
+    assert res[1][0] == VertexSet(4, [1, 2])
 
     bad = LayerMatrix(2, np.array([[1, 2, 1, 2]]))
     assert find_good_layer(bad, Oracle(hidden)) is None
@@ -90,7 +109,7 @@ def test_find_good_layer_singleton_alphabet():
     res = find_good_layer(m, Oracle(hidden))
     assert res is not None
     assert res[0] == 0
-    assert res[1].blocks == (VertexSet.full(6),)
+    assert res[1] == (VertexSet.full(6),)
 
 
 def test_find_good_layer_full_batch():
@@ -102,7 +121,7 @@ def test_find_good_layer_full_batch():
     # Neither the 0 in layer 0 nor the good layer 1 ends the scan early.
     assert oracle.count == m.s * m.n_layers
     assert [r.query for r in oracle.transcript] == [
-        b for i in range(m.n_layers) for b in layer_partition(m, i).blocks
+        b for i in range(m.n_layers) for b in layer_partition(m, i)
     ]
 
 
@@ -121,7 +140,7 @@ def test_layer_success_probability_empirical():
         o = Oracle(hidden)
         for i in range(m.n_layers):
             part = layer_partition(m, i)
-            if all(o.query(b) for b in part.blocks):
+            if all(o.query(b) for b in part):
                 hits += 1
     total = n_layers * n_instances
     p = 0.125
@@ -281,7 +300,29 @@ def test_two_stage_trial_success():
     tags = [r.tag for r in oracle.transcript]
     assert set(tags) == {"stage1", "stage2"}
     assert tags == sorted(tags)  # stage1 strictly precedes stage2
-    assert oracle.tag is None
+
+
+def test_query_after_a_trial_is_untagged():
+    params = FamilyParams(16, 2, 2)
+    hidden = random_disjoint_instance(params, seed=4)
+    oracle = Oracle(hidden)
+    report = two_stage_trial(oracle, params, 0.5, seed=4, n_layers=1)
+    assert report.success and report.stage2_queries > 1
+    oracle.query(VertexSet.full(16))
+    tags = [r.tag for r in oracle.transcript]
+    n1 = report.stage1_queries
+    assert tags[:n1] == ["stage1"] * n1
+    assert tags[n1:-1] == ["stage2"] * report.stage2_queries
+    assert tags[-1] is None
+
+    # The same trial with a budget that runs out one query into stage two.
+    oracle = Oracle(hidden, budget=n1 + 1)
+    with pytest.raises(BudgetExceededError):
+        two_stage_trial(oracle, params, 0.5, seed=4, n_layers=1)
+    assert [r.tag for r in oracle.transcript] == ["stage1"] * n1 + ["stage2"]
+    oracle.budget = None
+    oracle.query(VertexSet.full(16))
+    assert oracle.transcript[-1].tag is None
 
 
 def test_two_stage_trial_declared_failure():
@@ -309,7 +350,6 @@ def test_two_stage_trial_ambiguous_decode_is_declared_failure():
     assert report.stage1_queries == report.layers
     assert report.stage2_queries == design.n_rows
     assert oracle.count == report.stage1_queries + report.stage2_queries
-    assert oracle.tag is None
 
 
 @pytest.mark.parametrize("t", [250, 257])
@@ -326,7 +366,7 @@ def test_two_stage_queries_remap_design_rows(t):
         matrix = sample_layer_matrix(report.layers, t, 2, _derive_seed(seed, 0))
         _, part = find_good_layer(matrix, Oracle(hidden))
         want = []
-        for bi, block in enumerate(part.blocks, start=1):
+        for bi, block in enumerate(part, start=1):
             verts = block.members()
             design = build_block_design(len(block), 2, _derive_seed(seed, bi))
             for row in design.rows:
