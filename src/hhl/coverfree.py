@@ -18,7 +18,7 @@ from math import comb
 
 from ._numpy import np
 
-from .core import _bools_from_masks, edge_mask
+from .core import _bools_from_masks
 
 # Most column sets of size <= l that cover-free checks and stage-two designs
 # enumerate: 2**24 sets of size <= 2 take 256 MiB of index arrays alone.
@@ -48,10 +48,9 @@ class BinaryCode:
             raise ValueError("row mask outside column range")
 
     def row_lines(self) -> list[str]:
-        return [
-            "".join("1" if (r >> j) & 1 else "0" for j in range(self.n_cols))
-            for r in self.rows
-        ]
+        """Each row as '0'/'1' characters, column 1 first: its mask's binary
+        digits, reversed."""
+        return [format(r, f"0{self.n_cols}b")[::-1] for r in self.rows]
 
 
 def _candidate_indices(n_cols: int, max_size: int) -> list[np.ndarray]:
@@ -179,7 +178,7 @@ def search_random_cf_code(
     while n <= max_n:
         # One draw per column, row by row: fixed seeds must give the same codes.
         rows = tuple(
-            edge_mask(v for v in range(1, t + 1) if rng.random() < p)
+            int("".join("1" if rng.random() < p else "0" for _ in range(t))[::-1], 2)
             for _ in range(n)
         )
         code = BinaryCode(n, t, rows)
@@ -212,9 +211,9 @@ def parse_code(text: str) -> BinaryCode:
         raise ValueError(f"expected {n_rows} rows, found {len(body)}")
     rows = []
     for ln in body:
-        if len(ln) != n_cols or any(ch not in "01" for ch in ln):
+        if len(ln) != n_cols or ln.strip("01"):
             raise ValueError(f"bad row {ln!r}")
-        rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
+        rows.append(int(ln[::-1], 2))
     return BinaryCode(n_rows, n_cols, tuple(rows))
 
 

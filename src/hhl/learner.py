@@ -57,17 +57,6 @@ def worst_case_query_budget(params: FamilyParams) -> int:
     return s * l * (log_t + edge_search_query_cap(s, l) + query_search_query_cap(s, l) + 1)
 
 
-def _assert_bisection_invariant(
-    oracle: Oracle, t: int, pool: int, kept: int
-) -> None:
-    # Ground-truth check against the simulated hidden hypergraph; issues no
-    # counted queries.
-    if not is_independent(oracle.hidden, VertexSet._from_mask(t, kept)):
-        raise SearchContractError("bisection invariant broken: kept set is positive")
-    if is_independent(oracle.hidden, VertexSet._from_mask(t, pool | kept)):
-        raise SearchContractError("bisection invariant broken: pool query is negative")
-
-
 def _points(t: int, vertices: Iterable[int]) -> VertexSet:
     """Run-coded set of vertices given in increasing order: one run each."""
     return VertexSet._from_runs(t, tuple(x for v in vertices for x in (v - 1, v)))
@@ -93,11 +82,13 @@ def find_active_vertex(
     of s & f, which takes v out. It is kept as run starts and cumulative
     sizes, so the position p of member lo+k is one bisect. Equal toggles
     stay in: the sorted merge read pairwise already holds s - f, and the
-    bisect skips the empty runs they make. The query is s
-    through p plus the members of s & f above p: s's toggles up to p, a
-    toggle closing the run at p, and a toggle pair per member of s & f
-    above p. With run-coded s and f, as the main loop passes them, a step
-    costs O(s*l) whatever t is.
+    bisect skips the empty runs they make. upto(p) is s through p plus the
+    members of s & f above p: s's toggles up to p, a toggle closing the run
+    at p, and a toggle pair per member of s & f above p. At member lo+k it
+    is the query; at member lo+size it is the pool left plus the kept set,
+    which debug_checks requires to be positive and the kept set (s & f, then
+    the last negative query) to be negative. With run-coded s and f, as the
+    main loop passes them, a step, checks included, costs O(s*l) whatever t is.
     """
     s._check(f)
     t = s.t
@@ -116,23 +107,25 @@ def find_active_vertex(
         i = bisect_left(ranks, rank)
         return starts[i] + rank - (ranks[i - 1] if i else 0) - 1
 
-    size, lo, kept = n, 0, pairs
+    def upto(p: int) -> VertexSet:
+        # s through position p, plus the members of s & f above p.
+        above = pairs[2 * bisect_right(inside, p + 1) :]
+        return VertexSet._from_runs(t, toggles[: bisect_right(toggles, p)] + (p + 1,) + above)
+
+    size, lo, kept = n, 0, VertexSet._from_runs(t, pairs)
     before = oracle.count
     while True:
         if debug_checks:
-            kept_mask = VertexSet._from_runs(t, kept).mask
-            left = s.mask & ~f.mask & ~kept_mask & ((2 << select(lo + size)) - 1)
-            _assert_bisection_invariant(oracle, t, left, kept_mask)
+            # Ground truth from the hidden hypergraph; no counted queries.
+            if not is_independent(oracle.hidden, kept):
+                raise SearchContractError("bisection invariant broken: kept set is positive")
+            if is_independent(oracle.hidden, upto(select(lo + size))):
+                raise SearchContractError("bisection invariant broken: pool query is negative")
         if size == 1:
             break
         k = (size + 1) // 2
-        p = select(lo + k)
-        query = (
-            toggles[: bisect_right(toggles, p)]
-            + (p + 1,)
-            + pairs[2 * bisect_right(inside, p + 1) :]
-        )
-        if oracle.query(VertexSet._from_runs(t, query)):
+        query = upto(select(lo + k))
+        if oracle.query(query):
             size = k
         else:
             lo, size, kept = lo + k, size - k, query
@@ -288,15 +281,13 @@ def learn_detailed(
     found_vertices = _points(t, found)
     found_edges: frozenset[Edge] = frozenset()
     q_vertex = q_edge = q_query = 0
-    iterations = 0
-
-    before = oracle.count
-    s = find_next_query(oracle, found_edges, t)
-    q_query += oracle.count - before
-
-    while s is not None:
-        iterations += 1
-        if iterations > params.s * params.l:
+    while True:
+        before = oracle.count
+        s = find_next_query(oracle, found_edges, t)
+        q_query += oracle.count - before
+        if s is None:
+            break
+        if len(found) == params.s * params.l:
             raise SearchContractError(
                 "more active vertices than the family permits; hidden hypergraph "
                 "violates the (s, l) bounds"
@@ -315,10 +306,6 @@ def learn_detailed(
         found_edges = find_edges_on(oracle, found_vertices, params.l, stats=stats)
         q_edge += oracle.count - before
 
-        before = oracle.count
-        s = find_next_query(oracle, found_edges, t)
-        q_query += oracle.count - before
-
     return LearnReport(
         t=t,
         s=params.s,
@@ -328,7 +315,7 @@ def learn_detailed(
         queries_vertex_search=q_vertex,
         queries_edge_search=q_edge,
         queries_query_search=q_query,
-        iterations=iterations,
+        iterations=len(found),
         stats=stats,
     )
 

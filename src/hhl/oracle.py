@@ -64,15 +64,6 @@ def _mask_contains_edge(edge_positions: Iterable[_EdgePositions], mask: int) -> 
     return False
 
 
-def is_independent(h: Hypergraph, s: VertexSet) -> bool:
-    """True iff no edge of h is entirely contained in s."""
-    if s.t != h.t:
-        raise ValueError(f"universe mismatch: {s.t} != {h.t}")
-    if s._runs is not None:
-        return not _runs_contain_edge(_member_positions(h), s._runs)
-    return not _mask_contains_edge(_member_positions(h), s._mask)
-
-
 def _decimal_offset(v: int) -> int:
     """Offset of vertex v >= 1 in ", ".join(map(str, itertools.count(1))).
 
@@ -175,7 +166,7 @@ class Oracle:
                 toggles += _canonical(code)
             ends.append(len(toggles) >> 1)
         top = max(toggles, default=0)
-        if top > MAX_TRANSCRIPT_BYTES:
+        if _decimal_offset(top + 1) - 2 > MAX_TRANSCRIPT_BYTES:  # the length of text
             raise ValueError(f"transcript lists vertex {top}, more than the cap of "
                              f"{MAX_TRANSCRIPT_BYTES} bytes of decimal text")
         offset = [_decimal_offset(x + 1) for x in toggles]
@@ -209,3 +200,9 @@ class Oracle:
         text = self.transcript_jsonl()  # may refuse before the file is created
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
+
+
+def is_independent(h: Hypergraph, s: VertexSet) -> bool:
+    """True iff no edge of h is entirely contained in s: a throwaway
+    oracle's answer."""
+    return not Oracle(h).query(s)

@@ -89,24 +89,22 @@ def layer_partition(matrix: LayerMatrix, layer: int) -> tuple[VertexSet, ...]:
     return tuple(VertexSet._from_mask(matrix.t, m) for m in _masks_from_bools(flags))
 
 
-def find_good_layer(
-    matrix: LayerMatrix, oracle: Oracle
-) -> tuple[int, tuple[VertexSet, ...]] | None:
-    """Stage one: query every block of every layer, then return the first
-    layer whose s block queries all answered 1, as (index, layer_partition
-    blocks), or None if no layer did.
+def find_good_layer(matrix: LayerMatrix, oracle: Oracle) -> tuple[VertexSet, ...] | None:
+    """Stage one: query every block of every layer, then return the
+    layer_partition blocks of the first layer whose s block queries all
+    answered 1, or None if no layer did.
 
     Every query is issued, and tagged "stage1", whatever the earlier answers
     were, so the batch is fixed in advance and costs exactly s * n_layers.
     """
     if matrix.t != oracle.hidden.t:
         raise ValueError(f"universe mismatch: {matrix.t} != {oracle.hidden.t}")
-    good: tuple[int, tuple[VertexSet, ...]] | None = None
+    good = None
     for i in range(matrix.n_layers):
         blocks = layer_partition(matrix, i)
         answers = [oracle.query(block, "stage1") for block in blocks]
         if good is None and all(answers):
-            good = (i, blocks)
+            good = blocks
     return good
 
 
@@ -291,39 +289,31 @@ def two_stage_trial(
     layers = n_layers if n_layers is not None else required_layers(epsilon, s, l)
     matrix = sample_layer_matrix(layers, t, s, _derive_seed(seed, 0))
     start = oracle.count
-    good = find_good_layer(matrix, oracle)
+    part = find_good_layer(matrix, oracle)
     stage1 = oracle.count - start
-    if good is None:
-        return TrialReport(t, s, l, epsilon, layers, stage1, 0, False, None)
-    _, part = good
-
-    # Commit every stage-two query before reading any stage-two answer:
-    # designs depend only on the partition (a stage-one outcome) and the
-    # seed, so the whole batch is fixed up front.
-    try:
-        blocks = [
-            (block.members(), build_block_design(len(block), l, _derive_seed(seed, bi)))
-            for bi, block in enumerate(part, start=1)
-        ]
-    except DesignSearchError:
-        return TrialReport(t, s, l, epsilon, layers, stage1, 0, False, None)
-
-    mid = oracle.count
-    block_answers: list[list[bool]] = []
-    for verts, design in blocks:
-        rows = np.zeros((design.n_rows, t), dtype=bool)
-        rows[:, np.array(verts) - 1] = _bools_from_masks(design.rows, design.n_cols)
-        block_answers.append([
-            oracle.query(VertexSet._from_mask(t, m), "stage2")
-            for m in _masks_from_bools(rows)
-        ])
-    stage2 = oracle.count - mid
-
-    edges: list[Edge] = []
-    try:
-        for (verts, design), answers in zip(blocks, block_answers):
-            local = decode_block(design, answers, l)
-            edges.append(tuple(verts[j - 1] for j in local))
-    except DecodeError:
-        return TrialReport(t, s, l, epsilon, layers, stage1, stage2, False, None)
-    return TrialReport(t, s, l, epsilon, layers, stage1, stage2, True, Hypergraph(t, edges))
+    hypergraph = None
+    if part is not None:
+        # Commit every stage-two query before reading any stage-two answer:
+        # designs depend only on the partition (a stage-one outcome) and the
+        # seed, so the whole batch is fixed up front.
+        try:
+            blocks = [
+                (block.members(), build_block_design(len(block), l, _derive_seed(seed, bi)))
+                for bi, block in enumerate(part, start=1)
+            ]
+            block_answers: list[list[bool]] = []
+            for verts, design in blocks:
+                rows = np.zeros((design.n_rows, t), dtype=bool)
+                rows[:, np.array(verts) - 1] = _bools_from_masks(design.rows, design.n_cols)
+                block_answers.append([
+                    oracle.query(VertexSet._from_mask(t, m), "stage2")
+                    for m in _masks_from_bools(rows)
+                ])
+            hypergraph = Hypergraph(t, [
+                tuple(verts[j - 1] for j in decode_block(design, answers, l))
+                for (verts, design), answers in zip(blocks, block_answers)
+            ])
+        except (DesignSearchError, DecodeError):
+            pass
+    stage2 = oracle.count - start - stage1
+    return TrialReport(t, s, l, epsilon, layers, stage1, stage2, hypergraph is not None, hypergraph)

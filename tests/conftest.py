@@ -9,6 +9,7 @@ to pin the order of the queries the searches issue.
 
 from __future__ import annotations
 
+import resource
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -22,6 +23,12 @@ from hhl import (
     is_independent,
 )
 from hhl.core import edge_mask
+
+
+def limit_address_space():
+    # Run in the child: 4 GiB of address space, so a t-sized allocation
+    # fails at once whatever the overcommit policy is.
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
 def all_candidate_edges(t: int, max_size: int) -> list[tuple[int, ...]]:

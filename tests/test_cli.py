@@ -3,13 +3,13 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import limit_address_space
 from hhl import cf_rate_bounds, cli, load_hypergraph
 from hhl.cli import main
 
@@ -297,12 +297,6 @@ HUGE_T = str(10**30)
 ])
 def test_huge_t_is_an_error(argv):
     cli_error(argv)
-
-
-def limit_address_space():
-    # Run in the child: 4 GiB of address space, so a t-sized allocation
-    # fails at once whatever the overcommit policy is.
-    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
 def test_learn_huge_t_is_learned(tmp_path):

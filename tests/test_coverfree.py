@@ -227,6 +227,20 @@ def test_code_file_round_trip(tmp_path):
     assert load_code(str(path)) == code
 
 
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 2**16])
+def test_code_file_rows_match_per_bit_forms(width):
+    # Rows empty, full, random and top column only, against the forms that
+    # write and read one column at a time.
+    rows = (0, (1 << width) - 1, random.Random(width).getrandbits(width), 1 << (width - 1))
+    code = BinaryCode(len(rows), width, rows)
+    lines = code.row_lines()
+    assert lines == [
+        "".join("1" if (r >> j) & 1 else "0" for j in range(width)) for r in rows
+    ]
+    assert [sum(1 << j for j, ch in enumerate(ln) if ch == "1") for ln in lines] == list(rows)
+    assert parse_code(format_code(code)) == code
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "2\n01\n10\n", "2 2\n01\n", "1 2\n0x\n", "1 2\n010\n", "a b\n01\n"],

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import hhl.learner
 from conftest import (
     enumerate_family,
+    limit_address_space,
     minimal_positive_subsets,
     reference_find_active_vertex,
     reference_find_edges_on,
@@ -538,3 +541,20 @@ def test_learn_keeps_no_t_bit_state_per_query(monkeypatch):
         codes = [r.query._runs for r in o.transcript]
         assert all(type(c) is tuple for c in codes)
         assert max(map(len, codes)) <= 2 * (2 * s * l + 1)
+
+
+def test_debug_checks_run_at_any_t():
+    # The debug checks test run-coded sets, as the searches query them, so
+    # a checked learn at t = 10**30 builds no mask, which would not fit in
+    # any memory.
+    code = (
+        "from hhl import FamilyParams, Hypergraph, Oracle, learn_detailed\n"
+        "t = 10**30\n"
+        "report = learn_detailed(Oracle(Hypergraph(t, [(1,), (t,)])),\n"
+        "                        FamilyParams(t, 2, 1), debug_checks=True)\n"
+        "print(report.hypergraph.sorted_edges() == [(1,), (t,)])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

@@ -313,11 +313,22 @@ def test_transcript_over_the_cap_is_refused(monkeypatch):
     o.query(VertexSet._from_runs(100, (29, 30)))
     with pytest.raises(ValueError, match="decimal text"):
         o.transcript_jsonl()
-    # Vertices 1..10 fit in the text; three lists of them do not.
+    # The text of vertices 1..10 (29 bytes) fits; three lists of them do not.
+    monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", 40)
     o = Oracle(Hypergraph(10, [(1,)]))
     for _ in range(3):
         o.query(VertexSet.full(10))
     with pytest.raises(ValueError, match="members take 87 bytes"):
+        o.transcript_jsonl()
+
+
+def test_transcript_cap_counts_the_text_not_the_top_vertex(monkeypatch):
+    # The text of 1..50 would take 189 bytes, so a lone {50} is refused,
+    # although 50 is below the cap and its member takes 2 bytes.
+    monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", 100)
+    o = Oracle(Hypergraph(100, [(1,)]))
+    o.query(VertexSet(100, [50]))
+    with pytest.raises(ValueError, match="vertex 50, more than the cap of 100 bytes"):
         o.transcript_jsonl()
 
 

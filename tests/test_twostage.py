@@ -95,9 +95,8 @@ def test_find_good_layer_examples():
     hidden = Hypergraph(4, [(1, 2), (3, 4)])
     good = LayerMatrix(2, np.array([[1, 1, 2, 2]]))
     res = find_good_layer(good, Oracle(hidden))
-    assert res is not None
-    assert res[0] == 0
-    assert res[1][0] == VertexSet(4, [1, 2])
+    assert res == layer_partition(good, 0)
+    assert res[0] == VertexSet(4, [1, 2])
 
     bad = LayerMatrix(2, np.array([[1, 2, 1, 2]]))
     assert find_good_layer(bad, Oracle(hidden)) is None
@@ -107,9 +106,8 @@ def test_find_good_layer_singleton_alphabet():
     hidden = Hypergraph(6, [(2, 5)])
     m = sample_layer_matrix(3, 6, 1, seed=0)
     res = find_good_layer(m, Oracle(hidden))
-    assert res is not None
-    assert res[0] == 0
-    assert res[1] == (VertexSet.full(6),)
+    assert res == layer_partition(m, 0)
+    assert res == (VertexSet.full(6),)
 
 
 def test_find_good_layer_full_batch():
@@ -117,7 +115,7 @@ def test_find_good_layer_full_batch():
     # Layer 0 fails on its first block; layers 1 and 2 are both good.
     m = LayerMatrix(2, np.array([[1, 2, 1, 2], [1, 1, 2, 2], [2, 2, 1, 1]]))
     oracle = Oracle(hidden)
-    assert find_good_layer(m, oracle)[0] == 1
+    assert find_good_layer(m, oracle) == layer_partition(m, 1)
     # Neither the 0 in layer 0 nor the good layer 1 ends the scan early.
     assert oracle.count == m.s * m.n_layers
     assert [r.query for r in oracle.transcript] == [
@@ -364,7 +362,7 @@ def test_two_stage_queries_remap_design_rows(t):
             continue
         successes += 1
         matrix = sample_layer_matrix(report.layers, t, 2, _derive_seed(seed, 0))
-        _, part = find_good_layer(matrix, Oracle(hidden))
+        part = find_good_layer(matrix, Oracle(hidden))
         want = []
         for bi, block in enumerate(part, start=1):
             verts = block.members()
