@@ -11,10 +11,15 @@ from .core import FamilyParams
 
 def family_size_exact(params: FamilyParams) -> int:
     """Exact number of hypergraphs with at most s distinct nonempty edges of
-    size at most l on t labeled vertices (the empty hypergraph included)."""
-    t, s, l = params.t, params.s, params.l
-    n_edges = sum(comb(t, j) for j in range(1, l + 1))
-    return sum(comb(n_edges, k) for k in range(0, s + 1))
+    size at most l on t labeled vertices (the empty hypergraph included):
+    the sum of C(n, k) over k <= s for n possible edges, each term found
+    from the one before as C(n, k) = C(n, k-1) * (n-k+1) / k."""
+    n = sum(comb(params.t, j) for j in range(1, params.l + 1))
+    total = c = 1
+    for k in range(1, min(params.s, n) + 1):
+        c = c * (n - k + 1) // k
+        total += c
+    return total
 
 
 def info_lower_bound(params: FamilyParams) -> int:

@@ -81,47 +81,34 @@ def _bools_from_masks(masks: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
-def _canonical(toggles: Sequence[int]) -> list[int]:
-    """Strictly increasing form of a sorted toggle sequence: equal toggles
-    cancel in pairs (an empty run, or two runs that touch)."""
-    out: list[int] = []
-    for x in toggles:
-        if out and out[-1] == x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
-
-
 class VertexSet:
-    """Subset of {1..t} in one of two codes.
+    """Immutable subset of {1..t} in one of two codes, fixed at construction.
 
     Mask-coded: an int bitmask, bit v-1 for vertex v. Run-coded: a tuple of
     sorted toggle positions in 0..t at which membership flips, so bit j is
     in the set iff an odd number of toggles is <= j, and the run of
     vertices a..b is the pair (a-1, b). Equal toggles (an empty run, or two
-    runs that touch) cancel; producers may leave them, readers that need
-    the strictly increasing form (==, transcripts) canonicalise. The
-    learner's queries are run-coded, with O(s*l) toggles whatever t is;
-    sets with many runs, such as two-stage blocks, are mask-coded.
+    runs that touch) cancel; producers may leave them, and _toggles()
+    returns the strictly increasing form for either code. The learner's
+    queries are run-coded, with O(s*l) toggles whatever t is; sets with many
+    runs, such as two-stage blocks, are mask-coded.
 
-    Operations return new sets and leave their operands alone; mask is
-    read-only. A run-coded set builds its mask on the first read, in
-    O(runs * t/w) for machine word size w, and keeps it. Code that must
-    keep a set's value (the oracle's log) keeps its int mask or its toggle
-    tuple instead of the set.
+    Operations return new sets and leave their operands alone; t and mask
+    are read-only, so a set can be kept as a value (the oracle logs the
+    sets it answers). Reading mask on a run-coded set builds the int, in
+    O(runs * t/w) for machine word size w, on every read.
 
     On a run-coded set len(), `in` and members() cost O(runs), O(log runs)
-    and O(runs + |S|); union, intersection, difference, complement,
-    split_lowest and hash go through the mask, and so does == unless
-    both sets are run-coded. On a mask-coded set those cost O(t/w), and
-    split_lowest, members() and iteration cost O(t/64 + |S|): one numpy
-    scan over 64-bit words, unpacking only the nonzero ones. Building a set
+    and O(runs + |S|), and == and hash O(runs); union, intersection,
+    difference, complement and split_lowest go through the mask. On a
+    mask-coded set those cost O(t/w); split_lowest, members() and iteration
+    cost O(t/64 + |S|), and == and hash O(t/64 + runs): one numpy scan over
+    64-bit words, unpacking only the nonzero ones. Building a set
     from n members costs O(t/8 + n): one byte buffer, converted to an int
     once.
     """
 
-    __slots__ = ("t", "_mask", "_runs")
+    __slots__ = ("_t", "_mask", "_runs")
 
     def __init__(self, t: int, members: Iterable[int] = ()) -> None:
         if t < 1:
@@ -131,7 +118,7 @@ class VertexSet:
             if not 1 <= v <= t:
                 raise ValueError(f"vertex {v} outside universe of size {t}")
             buf[(v - 1) >> 3] |= 1 << ((v - 1) & 7)
-        self.t = t
+        self._t = t
         self._mask = int.from_bytes(buf, "little")
         self._runs = None
 
@@ -139,7 +126,7 @@ class VertexSet:
     def _from_mask(cls, t: int, mask: int) -> "VertexSet":
         # Internal fast path: trusts 0 <= mask < 2**t.
         vs = object.__new__(cls)
-        vs.t = t
+        vs._t = t
         vs._mask = mask
         vs._runs = None
         return vs
@@ -149,46 +136,38 @@ class VertexSet:
         # Internal fast path: trusts runs to be a tuple of even length,
         # sorted, with every toggle in 0..t.
         vs = object.__new__(cls)
-        vs.t = t
+        vs._t = t
         vs._mask = None
         vs._runs = runs
         return vs
 
     @property
+    def t(self) -> int:
+        return self._t
+
+    @property
     def mask(self) -> int:
-        m = self._mask
-        if m is None:
-            r = self._runs
-            m = 0
-            for lo, hi in zip(r[0::2], r[1::2]):
-                m |= (1 << hi) - (1 << lo)
-            self._mask = m
+        r = self._runs
+        if r is None:
+            return self._mask
+        m = 0
+        for lo, hi in zip(r[0::2], r[1::2]):
+            m |= (1 << hi) - (1 << lo)
         return m
 
     def _toggles(self) -> tuple[int, ...]:
-        """The run code: the set's own for a run-coded set, else found by one
-        numpy scan of mask ^ (mask << 1) in O(t/64)."""
-        if self._runs is not None:
-            return self._runs
-        return tuple(_bit_positions(self._mask ^ (self._mask << 1)).tolist())
-
-    @classmethod
-    def empty(cls, t: int) -> "VertexSet":
-        return cls._from_mask(t, 0)
-
-    @classmethod
-    def full(cls, t: int) -> "VertexSet":
-        if t < 1:
-            raise ValueError("universe size must be positive")
-        return cls._from_mask(t, (1 << t) - 1)
-
-    @classmethod
-    def singleton(cls, t: int, v: int) -> "VertexSet":
-        if t < 1:
-            raise ValueError("universe size must be positive")
-        if not 1 <= v <= t:
-            raise ValueError(f"vertex {v} outside universe of size {t}")
-        return cls._from_mask(t, 1 << (v - 1))
+        """The strictly increasing run code: a run-coded set's own with equal
+        toggles cancelled in pairs, else found by one numpy scan of
+        mask ^ (mask << 1) in O(t/64)."""
+        if self._runs is None:
+            return tuple(_bit_positions(self._mask ^ (self._mask << 1)).tolist())
+        out: list[int] = []
+        for x in self._runs:
+            if out and out[-1] == x:
+                out.pop()
+            else:
+                out.append(x)
+        return tuple(out)
 
     def __len__(self) -> int:
         r = self._runs
@@ -197,7 +176,7 @@ class VertexSet:
         return sum(r[1::2]) - sum(r[0::2])
 
     def __contains__(self, v: int) -> bool:
-        if not 1 <= v <= self.t:
+        if not 1 <= v <= self._t:
             return False
         r = self._runs
         if r is None:
@@ -217,54 +196,47 @@ class VertexSet:
         return tuple(self)
 
     def _check(self, other: "VertexSet") -> None:
-        if self.t != other.t:
-            raise ValueError(f"universe mismatch: {self.t} != {other.t}")
+        if self._t != other._t:
+            raise ValueError(f"universe mismatch: {self._t} != {other._t}")
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         self._check(other)
-        return VertexSet._from_mask(self.t, self.mask | other.mask)
+        return VertexSet._from_mask(self._t, self.mask | other.mask)
 
     def __and__(self, other: "VertexSet") -> "VertexSet":
         self._check(other)
-        return VertexSet._from_mask(self.t, self.mask & other.mask)
+        return VertexSet._from_mask(self._t, self.mask & other.mask)
 
     def __sub__(self, other: "VertexSet") -> "VertexSet":
         self._check(other)
-        return VertexSet._from_mask(self.t, self.mask & ~other.mask)
+        return VertexSet._from_mask(self._t, self.mask & ~other.mask)
 
     def complement(self) -> "VertexSet":
-        return VertexSet._from_mask(self.t, self.mask ^ ((1 << self.t) - 1))
+        return VertexSet._from_mask(self._t, self.mask ^ ((1 << self._t) - 1))
 
     def split_lowest(self, k: int) -> tuple["VertexSet", "VertexSet"]:
         """Split into (k lowest-numbered members, the rest)."""
         if k == 0:
-            return VertexSet.empty(self.t), self
+            return VertexSet._from_mask(self._t, 0), self
         if not 0 < k <= len(self):
             raise ValueError(f"cannot take {k} of {len(self)} members")
-        pos = int(_bit_positions(self.mask)[k - 1])
-        low_mask = self.mask & ((2 << pos) - 1)
-        return (
-            VertexSet._from_mask(self.t, low_mask),
-            VertexSet._from_mask(self.t, self.mask ^ low_mask),
-        )
+        mask = self.mask
+        low = mask & ((2 << int(_bit_positions(mask)[k - 1])) - 1)
+        return VertexSet._from_mask(self._t, low), VertexSet._from_mask(self._t, mask ^ low)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexSet):
             return NotImplemented
-        if self.t != other.t:
-            return False
-        if self._runs is not None and other._runs is not None:
-            return _canonical(self._runs) == _canonical(other._runs)
-        return self.mask == other.mask
+        return self._t == other._t and self._toggles() == other._toggles()
 
     def __hash__(self) -> int:
-        return hash((self.t, self.mask))
+        return hash((self._t, self._toggles()))
 
     def __repr__(self) -> str:
         n = len(self)
         if n > 20:
-            return f"VertexSet(t={self.t}, |S|={n})"
-        return f"VertexSet(t={self.t}, {{{', '.join(map(str, self))}}})"
+            return f"VertexSet(t={self._t}, |S|={n})"
+        return f"VertexSet(t={self._t}, {{{', '.join(map(str, self))}}})"
 
 
 class Hypergraph:
@@ -319,11 +291,10 @@ def member_of_family(h: Hypergraph, params: FamilyParams) -> bool:
 
 def is_sperner(h: Hypergraph) -> bool:
     """True iff no edge is a proper subset of another edge."""
-    masks = [edge_mask(e) for e in h.edges]
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            inter = a & b
-            if inter == a or inter == b:
+    sets = [set(e) for e in h.edges]
+    for i, a in enumerate(sets):
+        for b in sets[i + 1 :]:
+            if a <= b or b <= a:
                 return False
     return True
 

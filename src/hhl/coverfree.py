@@ -53,16 +53,21 @@ class BinaryCode:
         return [format(r, f"0{self.n_cols}b")[::-1] for r in self.rows]
 
 
-def _candidate_indices(n_cols: int, max_size: int) -> list[np.ndarray]:
-    """0-based column index arrays, one (count, size) array per size, each
-    listing the size-subsets of range(n_cols) in lexicographic order.
-    Raises ValueError, before allocating, above MAX_DESIGN_CANDIDATES."""
+def _check_candidates(n_cols: int, max_size: int) -> None:
+    """Raise ValueError above MAX_DESIGN_CANDIDATES column sets of size <= max_size."""
     n_cand = sum(comb(n_cols, j) for j in range(1, max_size + 1))
     if n_cand > MAX_DESIGN_CANDIDATES:
         raise ValueError(
             f"{n_cand} candidate edges on {n_cols} columns exceed "
             f"{MAX_DESIGN_CANDIDATES}"
         )
+
+
+def _candidate_indices(n_cols: int, max_size: int) -> list[np.ndarray]:
+    """0-based column index arrays, one (count, size) array per size, each
+    listing the size-subsets of range(n_cols) in lexicographic order.
+    Raises ValueError, before allocating, above MAX_DESIGN_CANDIDATES."""
+    _check_candidates(n_cols, max_size)
     idx = np.arange(n_cols).reshape(-1, 1)
     out = [idx]
     for _ in range(1, min(max_size, n_cols)):
@@ -166,12 +171,14 @@ def search_random_cf_code(
     """Randomized search for a cover-free code of size t.
 
     Samples i.i.d. Bernoulli(l/(s+l)) codes at doubling lengths up to max_n
-    and returns the first verified one, or None.
+    and returns the first verified one, or None. Raises ValueError, before
+    drawing any code, when verification would exceed MAX_DESIGN_CANDIDATES.
     """
     if s < 1 or l < 1:
         raise ValueError("s and l must be positive")
     if s + l > t:
         raise ValueError(f"s + l = {s + l} exceeds t = {t}")
+    _check_candidates(t, l)
     rng = random.Random(seed)
     p = l / (s + l)
     n = 1

@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Hypergraph, VertexSet, _canonical
+from .core import Hypergraph, VertexSet
 
 
 # Largest transcript, in bytes of member text, that transcript_jsonl builds.
@@ -89,16 +89,14 @@ class Oracle:
     """Answers edge-detecting queries over a hidden hypergraph.
 
     Queries are answered strictly sequentially into an append-only log of
-    (code, answer, tag) tuples, one per answered query. The code is the
-    query's own immutable one: its int mask if it is mask-coded, its toggle
-    tuple if it is run-coded, never the caller's VertexSet. Both codes are
-    answered from one table of the hidden edges' member positions: a
-    run-coded query with one bisect per tested edge member, so a learner
-    run, whose queries are all run-coded, does no t-bit work per query and
-    logs O(s*l) ints per query; a mask-coded one with one bit test per
-    tested member. The tag is query's second argument. An optional budget
-    caps the number of answered queries so worst-case bounds can be
-    enforced by the oracle itself.
+    (query, answer, tag) tuples, one per answered query. The query is the
+    VertexSet the caller passed, an immutable value, and the tag is query's
+    second argument. Both codes are answered from one table of the hidden
+    edges' member positions: a run-coded query with one bisect per tested
+    edge member, so a learner run, whose queries are all run-coded, does no
+    t-bit work per query; a mask-coded one with one bit test per tested
+    member. An optional budget caps the number of answered queries so
+    worst-case bounds can be enforced by the oracle itself.
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -107,7 +105,7 @@ class Oracle:
         self.hidden = hidden
         self.budget = budget
         self._edge_positions = _member_positions(hidden)
-        self._log: list[tuple[int | tuple[int, ...], bool, str | None]] = []
+        self._log: list[tuple[VertexSet, bool, str | None]] = []
 
     @property
     def count(self) -> int:
@@ -116,30 +114,20 @@ class Oracle:
     @property
     def transcript(self) -> tuple[QueryRecord, ...]:
         """Every answered query in order, built from the log on each read."""
-        t = self.hidden.t
-        return tuple(
-            QueryRecord(
-                i,
-                VertexSet._from_mask(t, c) if type(c) is int else VertexSet._from_runs(t, c),
-                a,
-                tag,
-            )
-            for i, (c, a, tag) in enumerate(self._log, 1)
-        )
+        return tuple(QueryRecord(i, *entry) for i, entry in enumerate(self._log, 1))
 
     def query(self, s: VertexSet, tag: str | None = None) -> bool:
-        if s.t != self.hidden.t:
-            raise ValueError(f"universe mismatch: {s.t} != {self.hidden.t}")
+        if s._t != self.hidden.t:
+            raise ValueError(f"universe mismatch: {s._t} != {self.hidden.t}")
         log = self._log
         if self.budget is not None and len(log) >= self.budget:
             raise BudgetExceededError(f"query budget {self.budget} exhausted")
-        code = s._runs
-        if code is not None:
-            answer = _runs_contain_edge(self._edge_positions, code)
+        runs = s._runs
+        if runs is not None:
+            answer = _runs_contain_edge(self._edge_positions, runs)
         else:
-            code = s._mask
-            answer = _mask_contains_edge(self._edge_positions, code)
-        log.append((code, answer, tag))
+            answer = _mask_contains_edge(self._edge_positions, s._mask)
+        log.append((s, answer, tag))
         return answer
 
     def transcript_jsonl(self) -> str:
@@ -156,14 +144,10 @@ class Oracle:
         log = self._log
         if not log:
             return ""
-        t = self.hidden.t
         toggles: list[int] = []
         ends = []  # ends[i] counts the runs of records 0..i
-        for code, _, _ in log:
-            if type(code) is int:
-                toggles += VertexSet._from_mask(t, code)._toggles()
-            else:
-                toggles += _canonical(code)
+        for query, _, _ in log:
+            toggles += query._toggles()
             ends.append(len(toggles) >> 1)
         top = max(toggles, default=0)
         if _decimal_offset(top + 1) - 2 > MAX_TRANSCRIPT_BYTES:  # the length of text

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from math import comb
 
 import pytest
 
@@ -32,6 +33,17 @@ def test_family_size_full_grid_against_enumeration():
             for l in range(1, 4):
                 expected = count_family_bruteforce(t, s, l)
                 assert family_size_exact(FamilyParams(t, s, l)) == expected
+
+
+def test_family_size_matches_binomial_sum():
+    # The ratio recurrence against one comb() per term, on both sides of
+    # s = n (s > n: every subset of the n possible edges is counted).
+    for t in (1, 2, 3, 7, 30, 200):
+        for l in (1, 2, 3):
+            n = sum(comb(t, j) for j in range(1, l + 1))
+            for s in (1, 2, 3, 5, 8, 40):
+                want = sum(comb(n, k) for k in range(s + 1))
+                assert family_size_exact(FamilyParams(t, s, l)) == want
 
 
 def test_family_size_monotone():

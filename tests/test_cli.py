@@ -299,6 +299,14 @@ def test_huge_t_is_an_error(argv):
     cli_error(argv)
 
 
+def test_cf_search_oversized_t_is_refused_before_drawing():
+    # 2**40 columns are far above coverfree.MAX_DESIGN_CANDIDATES; a row of
+    # 2**40 random draws would run for hours before the verifier refused it.
+    stderr = cli_error(["cf-search", "--t", str(2**40), "--s", "1", "--l", "1",
+                        "--seed", "0"], preexec_fn=limit_address_space)
+    assert "candidate edges" in stderr
+
+
 def test_learn_huge_t_is_learned(tmp_path):
     # Learner queries are run-coded, so nothing in a learn run is t bits
     # wide: a mask of 10**30 bits would not fit in any memory.

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from hhl import (
 
 from hhl.core import _bools_from_masks, _masks_from_bools
 
-from conftest import toggles_of
+from conftest import limit_address_space, toggles_of
 
 
 def test_canonical_edge_sorts_and_validates():
@@ -46,14 +48,12 @@ def test_vertex_set_basics():
     assert list(s) == [1, 3, 7]
     assert 3 in s and 2 not in s and 9 not in s
     assert s.members() == (1, 3, 7)
-    assert VertexSet.full(4).members() == (1, 2, 3, 4)
-    assert len(VertexSet.empty(4)) == 0
+    assert VertexSet(4, range(1, 5)).members() == (1, 2, 3, 4)
+    assert len(VertexSet(4)) == 0
     with pytest.raises(ValueError):
         VertexSet(4, [5])
     vs = (1, 64, 65, 129)
-    assert [VertexSet.singleton(129, v).members() for v in vs] == [(v,) for v in vs]
-    with pytest.raises(ValueError):
-        VertexSet.singleton(4, 5)
+    assert [VertexSet(129, [v]).members() for v in vs] == [(v,) for v in vs]
 
 
 def test_vertex_set_operations():
@@ -151,6 +151,7 @@ def test_run_code_agrees_with_members(t, members):
     assert len(noisy) == 3 * len(code) + 6
     assert_same_set(VertexSet._from_runs(t, noisy), want)
     assert VertexSet._from_runs(t, noisy) == VertexSet._from_runs(t, code)
+    assert hash(VertexSet._from_runs(t, noisy)) == hash(VertexSet._from_runs(t, code))
     if members:
         fewer = VertexSet._from_runs(t, toggles_of(members[1:], extra=code))
         assert fewer != want and fewer != VertexSet._from_runs(t, code)
@@ -165,8 +166,29 @@ def test_run_code_agrees_with_members_random(case, extra):
 
 def test_vertex_set_members_full_large():
     t = 2**18
-    assert VertexSet.full(t).members() == tuple(range(1, t + 1))
-    assert VertexSet(t, range(1, t + 1)) == VertexSet.full(t)
+    full = VertexSet(t, range(1, t + 1))
+    assert full.members() == tuple(range(1, t + 1))
+    assert full == VertexSet._from_runs(t, (0, t))
+    assert hash(full) == hash(VertexSet._from_runs(t, (0, t)))
+
+
+def test_equality_hash_and_sperner_at_huge_t():
+    # Equality and hash compare toggles and is_sperner compares member sets,
+    # so nothing here is t bits wide: a mask of 2**60 bits fits in no memory.
+    code = (
+        "from hhl import Hypergraph, VertexSet, is_sperner\n"
+        "t = 2**60\n"
+        "top = VertexSet._from_runs(t, (t - 1, t))\n"
+        "same = VertexSet._from_runs(t, (0, 0, t - 1, t - 1, t - 1, t))\n"
+        "low = VertexSet._from_mask(t, 1)\n"
+        "print(top == same, hash(top) == hash(same), top != low, low == VertexSet._from_runs(t, (0, 1)),\n"
+        "      hash(low) == hash(VertexSet._from_runs(t, (0, 1))), len({top, same, low}),\n"
+        "      is_sperner(Hypergraph(t, [(1, t), (2, t)])), is_sperner(Hypergraph(t, [(t,), (1, t)])))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True True True True 2 True False\n"
 
 
 def test_vertex_set_split_bounds():

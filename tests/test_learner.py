@@ -41,7 +41,7 @@ from hhl import (
 def test_find_active_vertex_bisection():
     # {5} hides inside {1..8}: splits {1-4}/{5-8}, {5,6}/{7,8}, {5}/{6}
     o = Oracle(Hypergraph(8, [(5,)]))
-    v = find_active_vertex(o, VertexSet.full(8), VertexSet.empty(8))
+    v = find_active_vertex(o, VertexSet(8, range(1, 9)), VertexSet(8))
     assert v == 5
     assert o.count == 3
 
@@ -55,14 +55,14 @@ def test_find_active_vertex_singleton_pool():
 
 def test_find_active_vertex_with_found_set():
     o = Oracle(Hypergraph(4, [(3, 4)]))
-    v = find_active_vertex(o, VertexSet.full(4), VertexSet(4, [3]))
+    v = find_active_vertex(o, VertexSet(4, range(1, 5)), VertexSet(4, [3]))
     assert v == 4
 
 
 def test_find_active_vertex_debug_checks():
     o = Oracle(Hypergraph(8, [(5,)]))
     v = find_active_vertex(
-        o, VertexSet.full(8), VertexSet.empty(8), debug_checks=True
+        o, VertexSet(8, range(1, 9)), VertexSet(8), debug_checks=True
     )
     assert v == 5
     assert o.count == 3  # ground-truth checks issue no counted queries
@@ -82,7 +82,7 @@ def test_find_active_vertex_query_bound():
         o = Oracle(Hypergraph(t, [(v_hidden,)]))
         stats = SearchStats()
         v = find_active_vertex(
-            o, VertexSet.full(t), VertexSet.empty(t), stats=stats
+            o, VertexSet(t, range(1, t + 1)), VertexSet(t), stats=stats
         )
         assert v == v_hidden
         (n, used) = stats.vertex_search_log[0]
@@ -95,7 +95,7 @@ def test_find_active_vertex_debug_checks_report_broken_contracts():
     o = Oracle(Hypergraph(8, [(1, 2)]))
     with pytest.raises(SearchContractError, match="kept set is positive"):
         find_active_vertex(
-            o, VertexSet.full(8), VertexSet(8, [1, 2]), debug_checks=True
+            o, VertexSet(8, range(1, 9)), VertexSet(8, [1, 2]), debug_checks=True
         )
     assert o.count == 0
     # The same with a one-member pool, where no query is issued at all.
@@ -106,7 +106,7 @@ def test_find_active_vertex_debug_checks_report_broken_contracts():
     o = Oracle(Hypergraph(8, [(7, 8)]))
     with pytest.raises(SearchContractError, match="pool query is negative"):
         find_active_vertex(
-            o, VertexSet(8, [1, 2, 3, 4]), VertexSet.empty(8), debug_checks=True
+            o, VertexSet(8, [1, 2, 3, 4]), VertexSet(8), debug_checks=True
         )
 
 
@@ -128,7 +128,7 @@ def test_find_active_vertex_debug_checks_catch_a_wrong_answer(t):
     # a wrong positive keeps a negative half (the pool query turns negative).
     # Both searches must fail at the same step with the same message.
     messages = set()
-    s, f = VertexSet.full(t), VertexSet.empty(t)
+    s, f = VertexSet(t, range(1, t + 1)), VertexSet(t)
     for v in (1, 40, 64, t):
         hidden = Hypergraph(t, [(v,)])
         for flip in range(1, (t - 1).bit_length() + 1):
@@ -281,7 +281,7 @@ def test_find_next_query_finds_fresh_edge():
 def test_find_next_query_no_known_edges():
     o = Oracle(Hypergraph(3, [(2,)]))
     s = find_next_query(o, [], 3)
-    assert s == VertexSet.full(3)
+    assert s == VertexSet(3, range(1, 4))
     assert o.count == 1
 
 

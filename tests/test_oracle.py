@@ -39,7 +39,7 @@ def test_query_answers():
     o = Oracle(Hypergraph(5, [(2, 3)]))
     assert o.query(VertexSet(5, [1, 2, 3])) is True
     assert o.query(VertexSet(5, [2])) is False
-    assert o.query(VertexSet.empty(5)) is False
+    assert o.query(VertexSet(5)) is False
     assert o.count == 3
 
 
@@ -101,8 +101,8 @@ def test_monotonicity(h, data):
 @given(hypergraph_and_universe())
 def test_full_and_empty_queries(h):
     o = Oracle(h)
-    assert o.query(VertexSet.full(h.t)) == bool(h.edges)
-    assert o.query(VertexSet.empty(h.t)) is False
+    assert o.query(VertexSet(h.t, range(1, h.t + 1))) == bool(h.edges)
+    assert o.query(VertexSet(h.t)) is False
 
 
 def test_transcript_jsonl():
@@ -143,10 +143,10 @@ def test_transcript_jsonl_no_queries():
 )
 def test_transcript_jsonl_bytes_match_json_dumps(t):
     o = Oracle(Hypergraph(t, [(t,)]))
-    o.query(VertexSet.empty(t))
-    o.query(VertexSet.full(t))
-    o.query(VertexSet.singleton(t, 1))
-    o.query(VertexSet.singleton(t, t))
+    o.query(VertexSet(t))
+    o.query(VertexSet(t, range(1, t + 1)))
+    o.query(VertexSet(t, [1]))
+    o.query(VertexSet(t, [t]))
     # Runs that start or end at word boundaries, at t, and where the
     # digit count changes.
     ends = sorted({v for v in (1, 9, 10, 63, 64, 65, 99, 100, 128, 1000, t) if v <= t})
@@ -247,12 +247,12 @@ def test_log_keeps_the_mask_that_was_answered():
     record = (QueryRecord(1, VertexSet(4, [1]), True, None),)
     jsonl = '{"i": 1, "q": [1], "a": 1}\n'
     assert o.transcript == record and o.transcript_jsonl() == jsonl
-    # Neither the caller's set nor a set read from the transcript can be
-    # reassigned, and the log is not either of them.
+    # The log keeps the caller's set, which cannot be reassigned.
+    assert o.transcript[0].query is s
+    with pytest.raises(AttributeError):
+        s.t = 5
     with pytest.raises(AttributeError):
         s.mask = 0b1110
-    with pytest.raises(AttributeError):
-        o.transcript[0].query.mask = 0b1110
     assert o.transcript == record
     assert o.transcript_jsonl() == jsonl
 
@@ -298,6 +298,9 @@ def test_log_keeps_the_toggles_that_were_answered():
     o = Oracle(Hypergraph(4, [(1,)]))
     s = VertexSet._from_runs(4, (0, 1, 1, 1))
     assert o.query(s)
+    assert o.transcript[0].query is s
+    with pytest.raises(AttributeError):
+        s.t = 5
     with pytest.raises(AttributeError):
         s.mask = 0b1110
     assert s.members() == (1,)
@@ -317,7 +320,7 @@ def test_transcript_over_the_cap_is_refused(monkeypatch):
     monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", 40)
     o = Oracle(Hypergraph(10, [(1,)]))
     for _ in range(3):
-        o.query(VertexSet.full(10))
+        o.query(VertexSet(10, range(1, 11)))
     with pytest.raises(ValueError, match="members take 87 bytes"):
         o.transcript_jsonl()
 
@@ -361,7 +364,7 @@ def test_query_past_budget_records_nothing():
     assert o.transcript == (QueryRecord(1, VertexSet(4, [1]), True, "stage1"),)
     assert o.transcript_jsonl() == jsonl
     with pytest.raises(BudgetExceededError):
-        Oracle(Hypergraph(4, [(1,)]), budget=0).query(VertexSet.empty(4))
+        Oracle(Hypergraph(4, [(1,)]), budget=0).query(VertexSet(4))
 
 
 def test_monotonicity_bulk_random():

@@ -107,7 +107,7 @@ def test_find_good_layer_singleton_alphabet():
     m = sample_layer_matrix(3, 6, 1, seed=0)
     res = find_good_layer(m, Oracle(hidden))
     assert res == layer_partition(m, 0)
-    assert res == (VertexSet.full(6),)
+    assert res == (VertexSet(6, range(1, 7)),)
 
 
 def test_find_good_layer_full_batch():
@@ -306,7 +306,7 @@ def test_query_after_a_trial_is_untagged():
     oracle = Oracle(hidden)
     report = two_stage_trial(oracle, params, 0.5, seed=4, n_layers=1)
     assert report.success and report.stage2_queries > 1
-    oracle.query(VertexSet.full(16))
+    oracle.query(VertexSet(16, range(1, 17)))
     tags = [r.tag for r in oracle.transcript]
     n1 = report.stage1_queries
     assert tags[:n1] == ["stage1"] * n1
@@ -319,7 +319,7 @@ def test_query_after_a_trial_is_untagged():
         two_stage_trial(oracle, params, 0.5, seed=4, n_layers=1)
     assert [r.tag for r in oracle.transcript] == ["stage1"] * n1 + ["stage2"]
     oracle.budget = None
-    oracle.query(VertexSet.full(16))
+    oracle.query(VertexSet(16, range(1, 17)))
     assert oracle.transcript[-1].tag is None
 
 
