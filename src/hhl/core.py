@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from ._numpy import np
@@ -89,9 +90,9 @@ class VertexSet:
     in the set iff an odd number of toggles is <= j, and the run of
     vertices a..b is the pair (a-1, b). Equal toggles (an empty run, or two
     runs that touch) cancel; producers may leave them, and _toggles()
-    returns the strictly increasing form for either code. The learner's
-    queries are run-coded, with O(s*l) toggles whatever t is; sets with many
-    runs, such as two-stage blocks, are mask-coded.
+    returns the strictly increasing form for either code. The constructor
+    and the learner's queries are run-coded; _from_mask makes the two-stage
+    blocks and stage-two rows, which have many runs, and set algebra results.
 
     Operations return new sets and leave their operands alone; t and mask
     are read-only, so a set can be kept as a value (the oracle logs the
@@ -103,9 +104,9 @@ class VertexSet:
     difference, complement and split_lowest go through the mask. On a
     mask-coded set those cost O(t/w); split_lowest, members() and iteration
     cost O(t/64 + |S|), and == and hash O(t/64 + runs): one numpy scan over
-    64-bit words, unpacking only the nonzero ones. Building a set
-    from n members costs O(t/8 + n): one byte buffer, converted to an int
-    once.
+    64-bit words, unpacking only the nonzero ones. Building a set from n
+    members costs O(n log n): each is checked in the order given, then they
+    are sorted and adjacent ones merged into runs.
     """
 
     __slots__ = ("_t", "_mask", "_runs")
@@ -113,14 +114,21 @@ class VertexSet:
     def __init__(self, t: int, members: Iterable[int] = ()) -> None:
         if t < 1:
             raise ValueError("universe size must be positive")
-        buf = bytearray((t + 7) >> 3)
+        vs: set[int] = set()
         for v in members:
+            v = index(v)
             if not 1 <= v <= t:
                 raise ValueError(f"vertex {v} outside universe of size {t}")
-            buf[(v - 1) >> 3] |= 1 << ((v - 1) & 7)
+            vs.add(v)
+        runs: list[int] = []
+        for v in sorted(vs):
+            if runs and runs[-1] == v - 1:
+                runs[-1] = v
+            else:
+                runs += (v - 1, v)
         self._t = t
-        self._mask = int.from_bytes(buf, "little")
-        self._runs = None
+        self._mask = None
+        self._runs = tuple(runs)
 
     @classmethod
     def _from_mask(cls, t: int, mask: int) -> "VertexSet":

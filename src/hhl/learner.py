@@ -57,11 +57,6 @@ def worst_case_query_budget(params: FamilyParams) -> int:
     return s * l * (log_t + edge_search_query_cap(s, l) + query_search_query_cap(s, l) + 1)
 
 
-def _points(t: int, vertices: Iterable[int]) -> VertexSet:
-    """Run-coded set of vertices given in increasing order: one run each."""
-    return VertexSet._from_runs(t, tuple(x for v in vertices for x in (v - 1, v)))
-
-
 def find_active_vertex(
     oracle: Oracle,
     s: VertexSet,
@@ -278,7 +273,7 @@ def learn_detailed(
         raise ValueError(f"universe mismatch: oracle has t={oracle.hidden.t}")
     stats = SearchStats()
     found: list[int] = []
-    found_vertices = _points(t, found)
+    found_vertices = VertexSet(t, found)
     found_edges: frozenset[Edge] = frozenset()
     q_vertex = q_edge = q_query = 0
     while True:
@@ -300,7 +295,7 @@ def learn_detailed(
         if v in found_vertices:
             raise SearchContractError(f"vertex search returned known vertex {v}")
         insort(found, v)
-        found_vertices = _points(t, found)
+        found_vertices = VertexSet(t, found)
 
         before = oracle.count
         found_edges = find_edges_on(oracle, found_vertices, params.l, stats=stats)

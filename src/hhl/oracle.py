@@ -144,40 +144,22 @@ class Oracle:
         log = self._log
         if not log:
             return ""
-        toggles: list[int] = []
-        ends = []  # ends[i] counts the runs of records 0..i
-        for query, _, _ in log:
-            toggles += query._toggles()
-            ends.append(len(toggles) >> 1)
-        top = max(toggles, default=0)
+        codes = [query._toggles() for query, _, _ in log]
+        top = max((code[-1] for code in codes if code), default=0)
         if _decimal_offset(top + 1) - 2 > MAX_TRANSCRIPT_BYTES:  # the length of text
             raise ValueError(f"transcript lists vertex {top}, more than the cap of "
                              f"{MAX_TRANSCRIPT_BYTES} bytes of decimal text")
-        offset = [_decimal_offset(x + 1) for x in toggles]
-        # Run a..b is the slice from a's offset to b+1's, which carries the
-        # ", " after b along; the last run of each record drops it.
-        lo = offset[0::2]
-        hi = offset[1::2]
-        start = 0
-        for end in ends:
-            if end > start:
-                hi[end - 1] -= 2
-            start = end
-        size = sum(hi) - sum(lo)
+        # Run a..b is the text from a's offset to b+1's, less the ", " after b.
+        offsets = [[_decimal_offset(x + 1) for x in code] for code in codes]
+        size = sum(sum(off[1::2]) - sum(off[0::2]) - 2 for off in offsets if off)
         if size > MAX_TRANSCRIPT_BYTES:
             raise ValueError(f"transcript members take {size} bytes, more than the cap "
                              f"of {MAX_TRANSCRIPT_BYTES}")
         text = ", ".join(map(str, range(1, top + 1)))
         lines = []
-        start = 0
-        for i, ((_, answer, _), end) in enumerate(zip(log, ends), 1):
-            runs = map(slice, lo[start:end], hi[start:end])
-            lines.append("".join([
-                f'{{"i": {i}, "q": [',
-                *map(text.__getitem__, runs),
-                f'], "a": {int(answer)}}}\n',
-            ]))
-            start = end
+        for i, ((_, answer, _), off) in enumerate(zip(log, offsets), 1):
+            runs = ", ".join([text[a : b - 2] for a, b in zip(off[0::2], off[1::2])])
+            lines.append(f'{{"i": {i}, "q": [{runs}], "a": {int(answer)}}}\n')
         return "".join(lines)
 
     def write_transcript(self, path: str) -> None:

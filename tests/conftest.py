@@ -10,7 +10,7 @@ to pin the order of the queries the searches issue.
 from __future__ import annotations
 
 import resource
-from itertools import combinations
+from itertools import combinations, filterfalse
 from typing import Iterable, Iterator
 
 from hhl import (
@@ -194,7 +194,7 @@ def reference_find_next_query(
     covered_mask = 0
     for em in e_masks:
         covered_mask |= em
-    outside = VertexSet._from_mask(t, covered_mask).complement()
+    outside = ((1 << t) - 1) ^ covered_mask
     # At most s*l vertices: cheaper from the edge tuples than from a t-bit scan.
     members = sorted({v for e in edges for v in e})
     for size in range(len(members) + 1):
@@ -203,27 +203,27 @@ def reference_find_next_query(
             # Known edges live inside the covered set, so e <= B|D iff e <= D.
             if any(em & dmask == em for em in e_masks):
                 continue
-            cand = VertexSet._from_mask(t, outside.mask | dmask)
+            cand = VertexSet._from_mask(t, outside | dmask)
             if oracle.query(cand):
                 return cand
     return None
 
 
 # The learner's vertex search as it was written before it ran on ranks:
-# it re-splits the pool VertexSet at every step. The tests check that the
-# library's search issues the same queries, returns the same vertex and
-# logs the same (pool size, queries) pair, and that its debug checks fail
-# with the same messages.
+# it re-splits the pool, a sorted member list, at every step, and keeps the
+# fixed vertices as an int mask. The tests check that the library's search
+# issues the same queries, returns the same vertex and logs the same (pool
+# size, queries) pair, and that its debug checks fail with the same
+# messages.
 
 
-def _reference_assert_bisection_invariant(
-    oracle: Oracle, pool: VertexSet, fixed: VertexSet
-) -> None:
+def _reference_assert_bisection_invariant(oracle: Oracle, pool: int, fixed: int) -> None:
     # Ground-truth check against the simulated hidden hypergraph; issues no
     # counted queries.
-    if not is_independent(oracle.hidden, fixed):
+    t = oracle.hidden.t
+    if not is_independent(oracle.hidden, VertexSet._from_mask(t, fixed)):
         raise SearchContractError("bisection invariant broken: kept set is positive")
-    if is_independent(oracle.hidden, pool | fixed):
+    if is_independent(oracle.hidden, VertexSet._from_mask(t, pool | fixed)):
         raise SearchContractError("bisection invariant broken: pool query is negative")
 
 
@@ -242,24 +242,31 @@ def reference_find_active_vertex(
     known edges. Uses at most ceil(log2 |s - f|) queries.
     """
     s._check(f)
-    pool = s - f
-    n = size = len(pool)
+    t, s_mask, f_mask = s.t, s.mask, f.mask
+    free = s_mask & ~f_mask  # s - f
+
+    def mask_of(members: list[int]) -> int:
+        # members are consecutive members of s - f, lowest first.
+        return free & ((1 << members[-1]) - (1 << (members[0] - 1)))
+
+    pool = list(filterfalse(set(f).__contains__, s))
+    n = len(pool)
     if n == 0:
         raise SearchContractError("no candidate vertices: S - F is empty")
-    fixed = s & f
+    fixed = s_mask & f_mask
     before = oracle.count
-    while size > 1:
+    while len(pool) > 1:
         if debug_checks:
-            _reference_assert_bisection_invariant(oracle, pool, fixed)
-        k = (size + 1) // 2
-        half, rest = pool.split_lowest(k)
-        if oracle.query(half | fixed):
-            pool, size = half, k
+            _reference_assert_bisection_invariant(oracle, mask_of(pool), fixed)
+        k = (len(pool) + 1) // 2
+        half = mask_of(pool[:k])
+        if oracle.query(VertexSet._from_mask(t, half | fixed)):
+            pool = pool[:k]
         else:
-            pool, size = rest, size - k
-            fixed = fixed | half
+            pool = pool[k:]
+            fixed |= half
     if debug_checks:
-        _reference_assert_bisection_invariant(oracle, pool, fixed)
+        _reference_assert_bisection_invariant(oracle, mask_of(pool), fixed)
     if stats is not None:
         stats.vertex_search_log.append((n, oracle.count - before))
-    return pool.mask.bit_length()
+    return pool[0]

@@ -25,7 +25,7 @@ from hhl import (
     save_hypergraph,
 )
 
-from hhl.core import _bools_from_masks, _masks_from_bools
+from hhl.core import _bools_from_masks, _masks_from_bools, edge_mask
 
 from conftest import limit_address_space, toggles_of
 
@@ -54,6 +54,39 @@ def test_vertex_set_basics():
         VertexSet(4, [5])
     vs = (1, 64, 65, 129)
     assert [VertexSet(129, [v]).members() for v in vs] == [(v,) for v in vs]
+
+
+def test_vertex_set_constructor_checks_in_order_and_merges_runs():
+    # Members are checked in the order given, then sorted, deduplicated and
+    # merged into runs; bools count as 0 and 1, as in a mask built from them.
+    assert VertexSet(8, [7, 3, 1, 2, 3, 7])._runs == (0, 3, 6, 7)
+    assert VertexSet(8, [True, 3, 3, 1]) == VertexSet._from_mask(8, 0b101)
+    assert VertexSet(8, [True, 3, 3, 1]).members() == (1, 3)
+    assert VertexSet(8, np.array([2, 3, 3]))._runs == (1, 3)
+    with pytest.raises(ValueError, match="vertex 9 outside"):
+        VertexSet(8, [9, 0])
+    with pytest.raises(ValueError, match="vertex 0 outside"):
+        VertexSet(8, [False])
+    for bad in (1.5, "3"):
+        with pytest.raises(TypeError):
+            VertexSet(8, [1, bad])
+    with pytest.raises(ValueError):
+        VertexSet(0)
+
+
+def test_vertex_set_constructor_at_huge_t():
+    # The constructor allocates nothing sized by t, so it builds {1, 2**60}
+    # under an address limit far below the 2**57 bytes of its mask.
+    code = (
+        "from hhl import VertexSet\n"
+        "t = 2**60\n"
+        "s = VertexSet(t, [t, 1, t])\n"
+        "print(s == VertexSet._from_runs(t, (0, 1, t - 1, t)), s._runs, len(s), t in s)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"True (0, 1, {2**60 - 1}, {2**60}) 2 True\n"
 
 
 def test_vertex_set_operations():
@@ -105,7 +138,8 @@ def boundary_vertex_sets(draw):
 def test_vertex_set_word_boundaries(case, data):
     t, members = case
     ref = sorted(members)
-    s = VertexSet(t, ref)
+    s = VertexSet._from_mask(t, edge_mask(ref))
+    assert s == VertexSet(t, ref)
     assert s.members() == tuple(ref)
     assert list(s) == ref
     k = data.draw(st.integers(min_value=0, max_value=len(ref)))
@@ -143,7 +177,7 @@ def run_code_cases() -> list[tuple[int, list[int]]]:
 
 @pytest.mark.parametrize("t, members", run_code_cases())
 def test_run_code_agrees_with_members(t, members):
-    want = VertexSet(t, members)
+    want = VertexSet._from_mask(t, edge_mask(members))
     code = toggles_of(members)
     assert_same_set(VertexSet._from_runs(t, code), want)
     # Empty runs at 0, 64 and t, and runs cut in two where they touch.
@@ -161,13 +195,14 @@ def test_run_code_agrees_with_members(t, members):
 def test_run_code_agrees_with_members_random(case, extra):
     t, members = case
     noisy = toggles_of(members, extra=[x % (t + 1) for x in extra])
-    assert_same_set(VertexSet._from_runs(t, noisy), VertexSet(t, members))
+    assert_same_set(VertexSet._from_runs(t, noisy), VertexSet._from_mask(t, edge_mask(members)))
 
 
 def test_vertex_set_members_full_large():
     t = 2**18
-    full = VertexSet(t, range(1, t + 1))
+    full = VertexSet._from_mask(t, (1 << t) - 1)
     assert full.members() == tuple(range(1, t + 1))
+    assert VertexSet(t, range(1, t + 1))._runs == (0, t)
     assert full == VertexSet._from_runs(t, (0, t))
     assert hash(full) == hash(VertexSet._from_runs(t, (0, t)))
 
@@ -218,7 +253,7 @@ def select_cases() -> list[list[int]]:
 
 @pytest.mark.parametrize("members", select_cases())
 def test_select_kernels_match_sorted_members(members):
-    s = VertexSet(members[-1], members)
+    s = VertexSet._from_mask(members[-1], edge_mask(members))
     want = 0  # mask of the k lowest members
     for k in range(len(members) + 1):
         low, high = s.split_lowest(k)

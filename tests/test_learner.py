@@ -36,6 +36,7 @@ from hhl import (
     random_family_instance,
     worst_case_query_budget,
 )
+from hhl.core import edge_mask
 
 
 def test_find_active_vertex_bisection():
@@ -154,7 +155,7 @@ def vertex_search_cases(t: int, rng: random.Random):
     comes mask-coded, then run-coded as the main loop passes it: s as
     find_next_query builds it, the toggles 0 and t around the gaps of s,
     with equal toggles (at 0 when vertex 1 is a gap, at t when t is) and
-    touching runs (each mark doubled) left in, and f one run per member."""
+    touching runs (each mark doubled) left in, and f from the constructor."""
     universe = range(1, t + 1)
     marks = sorted({v for v in (1, 2, 63, 64, 65, t // 2, t - 1, t) if 1 <= v <= t})
     mid = marks[len(marks) // 2]
@@ -183,7 +184,11 @@ def vertex_search_cases(t: int, rng: random.Random):
             rest = [v for v in rest if v not in inside]
             outside = rng.sample(rest, min(len(rest), 2))
         held = pool | set(inside)
-        s, f = VertexSet(t, held), VertexSet(t, inside + outside)
+        gaps = toggles_of([v for v in universe if v not in held], extra=marks)
+        s_runs = VertexSet._from_runs(t, (0, *gaps, t))
+        # held has few runs, so its mask is cheaper from them than from edge_mask.
+        s = VertexSet._from_mask(t, s_runs.mask)
+        f = VertexSet._from_mask(t, edge_mask(inside + outside))
         members = sorted(pool)
         hiddens = []
         for a in sorted({members[0], members[-1], rng.choice(members)} if members else ()):
@@ -195,9 +200,7 @@ def vertex_search_cases(t: int, rng: random.Random):
             hiddens.append(Hypergraph(t, [tuple(inside), *[(v,) for v in members[:1]]]))
         if outside:
             hiddens.append(Hypergraph(t, [(outside[0],)]))
-        gaps = toggles_of([v for v in universe if v not in held], extra=marks)
-        s_runs = VertexSet._from_runs(t, (0, *gaps, t))
-        f_runs = hhl.learner._points(t, f.members())
+        f_runs = VertexSet(t, f.members())
         for codes in ((s, f), (s_runs, f_runs)):
             for hidden in hiddens:
                 yield hidden, *codes

@@ -22,6 +22,7 @@ from hhl import (
     random_disjoint_instance,
     two_stage_trial,
 )
+from hhl.core import edge_mask
 
 from conftest import toggles_of
 
@@ -170,7 +171,9 @@ def test_transcript_jsonl_bytes_match_json_dumps(t):
 def test_transcript_jsonl_dense_sets(t, densities, rng):
     o = Oracle(Hypergraph(t, [(1,)]))
     for p in densities:
-        o.query(VertexSet(t, [v for v in range(1, t + 1) if rng.random() < p]))
+        members = [v for v in range(1, t + 1) if rng.random() < p]
+        o.query(VertexSet(t, members))
+        o.query(VertexSet._from_mask(t, edge_mask(members)))
     assert_reference_bytes(o)
 
 
@@ -242,7 +245,7 @@ def test_transcript_cannot_change_the_oracle():
 
 def test_log_keeps_the_mask_that_was_answered():
     o = Oracle(Hypergraph(4, [(1,)]))
-    s = VertexSet(4, [1])
+    s = VertexSet._from_mask(4, 0b1)
     assert o.query(s)
     record = (QueryRecord(1, VertexSet(4, [1]), True, None),)
     jsonl = '{"i": 1, "q": [1], "a": 1}\n'
@@ -277,7 +280,7 @@ def test_run_coded_queries_match_mask_coded(t):
             members |= set(range(start, min(t + 1, start + rng.randint(0, 200))))
             members |= {v for v in range(1, t + 1) if rng.random() < 0.05}
             extra = [rng.randint(0, t) for _ in range(rng.randint(0, 3))]
-            by_mask = VertexSet(t, members)
+            by_mask = VertexSet._from_mask(t, edge_mask(members))
             by_runs = VertexSet._from_runs(t, toggles_of(members, extra))
             tag = rng.choice([None, "stage1"])
             want = any(set(e) <= members for e in edges)
@@ -286,6 +289,7 @@ def test_run_coded_queries_match_mask_coded(t):
             assert is_independent(h, by_runs) == (not want)
             assert is_independent(h, by_mask) == (not want)
         first = oracles[0].transcript
+        assert all(r.query._runs is None for r in first)  # the mask kernel answered
         assert all(o.transcript == first for o in oracles)
         assert all([r.query.members() for r in o.transcript]
                    == [r.query.members() for r in first] for o in oracles)
@@ -335,6 +339,30 @@ def test_transcript_cap_counts_the_text_not_the_top_vertex(monkeypatch):
         o.transcript_jsonl()
 
 
+@pytest.mark.parametrize("rounds", [1, 10])
+def test_transcript_caps_admit_their_exact_size(monkeypatch, rounds):
+    # One round's members take fewer bytes than the text of 1..100, so the
+    # text cap binds; ten rounds' take more, so the member cap binds. The
+    # records have several runs each but one, which has none, so a count
+    # off by the 2 bytes of a separator per record shows.
+    o = Oracle(Hypergraph(100, [(1,)]))
+    for _ in range(rounds):
+        for members in ([1, 2, 3, 7, 20, 21, 22, 40], [], [5, 9, 11], [64, 65, 99, 100]):
+            o.query(VertexSet(100, members))
+    text = len(", ".join(map(str, range(1, 101))))
+    members = sum(len(", ".join(map(str, r.query))) for r in o.transcript)
+    assert (members < text) == (rounds == 1)
+    if rounds == 1:
+        cap, message = text, f"vertex 100, more than the cap of {text - 1} bytes"
+    else:
+        cap, message = members, f"members take {members} bytes"
+    monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", cap)
+    assert_reference_bytes(o)
+    monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", cap - 1)
+    with pytest.raises(ValueError, match=message):
+        o.transcript_jsonl()
+
+
 def test_query_answers_match_plain_set_containment():
     # Vertices 1, t, t//2, t//2 + 1 and 63/64/65 sit on the ends of the
     # universe, its middle and 64-bit word boundaries.
@@ -350,8 +378,9 @@ def test_query_answers_match_plain_set_containment():
             members = {v for v in marks if rng.random() < 0.7}
             members |= {v for v in range(1, t + 1) if rng.random() < 0.3}
             want = any(set(e) <= members for e in edges)
-            assert Oracle(h).query(VertexSet(t, members)) == want
-            assert is_independent(h, VertexSet(t, members)) == (not want)
+            for s in (VertexSet(t, members), VertexSet._from_mask(t, edge_mask(members))):
+                assert Oracle(h).query(s) == want
+                assert is_independent(h, s) == (not want)
 
 
 def test_query_past_budget_records_nothing():
