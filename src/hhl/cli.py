@@ -5,8 +5,9 @@ Every flag can also be supplied through the environment with the HHL_
 prefix (--max-n becomes HHL_MAX_N); explicit flags win over the
 environment, which wins over built-in defaults. An environment value is
 checked only by the subcommand that runs, so a bad HHL_KIND cannot break
-hhl bounds. --seed exists on gen, bench, twostage and cf-search only.
---jobs is capped at the CPU count and at the number of tasks.
+hhl bounds; only that subcommand's options are built. --seed exists on
+gen, bench, twostage and cf-search only. --jobs is capped at the CPU count
+and at the number of tasks.
 
 Each command returns its JSON payload and its CSV rows; main encodes them
 once and writes them to stdout (or --out), diagnostics to stderr. JSON is
@@ -280,7 +281,70 @@ def _cmd_cf_bounds(args, parser) -> tuple[object, list[dict]]:
     return payload, [payload]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _need(flag: str, help: str, type=int) -> tuple[str, dict]:
+    return flag, {"type": type, "required": True, "help": help}
+
+
+_T, _S, _L = (_need("--t", "number of vertices"), _need("--s", "maximum number of edges"),
+              _need("--l", "maximum edge size"))
+_CF_S, _CF_L = _need("--s", "all-zero column set size"), _need("--l", "all-one column set size")
+_FIRST_SEED = _need("--seed", "RNG seed of the first trial")
+_JOBS = ("--jobs", {"type": int, "default": 1, "help": "parallel worker processes"})
+
+# Each subcommand's add_parser keywords, its options as (flag, _opt keywords)
+# in help order, and its set_defaults keywords. Every subcommand then takes
+# --out, and all but gen --format.
+SUBCOMMANDS = {
+    "gen": ({"help": "generate a hidden hypergraph instance"}, [
+        _T, _S, _L, _need("--seed", "RNG seed"),
+        ("--kind", {"default": "sperner", "choices": ("sperner", "family", "disjoint"),
+                    "help": "sperner: antichain member; family: any member; "
+                            "disjoint: s disjoint edges of size exactly l"}),
+    ], {"func": _cmd_gen}),
+    "learn": ({"help": "run the adaptive learner on an instance file"}, [
+        _need("--in", "hidden hypergraph JSON file", str), _S, _L,
+        ("--budget-enforce", {"default": "off", "choices": ("on", "off"), "help":
+                              "make the oracle fail the run past the worst-case budget"}),
+        ("--transcript", {"help": "write the query transcript (JSON lines) here"}),
+    ], {"func": _cmd_learn}),
+    "bounds": ({"help": "family size and query lower bound"}, [_T, _S, _L],
+               {"func": _cmd_bounds}),
+    "bench": ({"help": "learner query-count sweep; CSV columns: " + ",".join(BENCH_COLUMNS)}, [
+        ("--t", {"type": int, "help": "single vertex count (alternative to --sweep)"}),
+        _S, _L, _FIRST_SEED,
+        ("--sweep", {"help": "t_min:t_max:factor geometric sweep of t"}),
+        ("--trials", {"type": int, "default": 10, "help": "instances per t"}),
+        _JOBS,
+        ("--budget-enforce", {"default": "off", "choices": ("on", "off"), "help":
+                              "make the oracle fail runs past the worst-case budget"}),
+    ], {"func": _cmd_bench, "columns": BENCH_COLUMNS}),
+    "twostage": ({"help": "two-stage trials; CSV columns: " + ",".join(TRIAL_COLUMNS)}, [
+        _T, _need("--s", "number of disjoint edges"), _need("--l", "edge size"), _FIRST_SEED,
+        ("--epsilon", {"type": float, "default": 0.05,
+                       "help": "stage-one failure probability target"}),
+        ("--trials", {"type": int, "default": 10, "help": "number of trials"}),
+        ("--layers", {"type": int, "help": "override the computed layer count"}),
+        _JOBS,
+    ], {"func": _cmd_twostage, "columns": TRIAL_COLUMNS}),
+    "cf-verify": ({"help": "verify a code file is cover-free"}, [
+        _need("--in", "code file: first line 'N t', then N rows of 0/1", str), _CF_S, _CF_L,
+        ("--work-limit", {"type": int, "default": 100_000_000,
+                          "help": "refuse verifications above this many pair-row checks"}),
+    ], {"func": _cmd_cf_verify}),
+    "cf-search": ({"help": "randomized search for a cover-free code",
+                   "description": "--out stores the found code file; the JSON/CSV "
+                                  "summary always goes to stdout."}, [
+        _need("--t", "code size (columns)"), _CF_S, _CF_L, _need("--seed", "RNG seed"),
+        ("--max-n", {"type": int, "default": 64, "help": "largest code length to try"}),
+    ], {"func": _cmd_cf_search}),
+    "cf-bounds": ({"help": "numeric cover-free rate bound guides"}, [_CF_S, _CF_L],
+                  {"func": _cmd_cf_bounds}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The hhl parser, with only command's subparser when command names one
+    and with all of them otherwise."""
     parser = argparse.ArgumentParser(
         prog="hhl",
         description=(
@@ -289,109 +353,29 @@ def build_parser() -> argparse.ArgumentParser:
             "cover-free codes, and the two-stage strategy."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, fmt=True):
+    one = command in SUBCOMMANDS
+    names = [command] if one else list(SUBCOMMANDS)
+    # The top-level usage line, under which an unknown flag is reported,
+    # lists every subcommand however many were built. No error names the
+    # metavar, as the one subcommand built is the one given.
+    every = "{" + ",".join(SUBCOMMANDS) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        keywords, options, defaults = SUBCOMMANDS[name]
+        p = sub.add_parser(name, **keywords)
+        for flag, spec in options:
+            _opt(p, flag, **spec)
         _opt(p, "--out", help="write output to this path instead of stdout")
-        if fmt:
+        if name != "gen":
             _opt(p, "--format", default="json", choices=("json", "csv"),
                  help="output encoding")
-
-    p = sub.add_parser("gen", help="generate a hidden hypergraph instance")
-    _opt(p, "--t", type=int, required=True, help="number of vertices")
-    _opt(p, "--s", type=int, required=True, help="maximum number of edges")
-    _opt(p, "--l", type=int, required=True, help="maximum edge size")
-    _opt(p, "--seed", type=int, required=True, help="RNG seed")
-    _opt(p, "--kind", default="sperner", choices=("sperner", "family", "disjoint"),
-         help="sperner: antichain member; family: any member; "
-              "disjoint: s disjoint edges of size exactly l")
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("learn", help="run the adaptive learner on an instance file")
-    _opt(p, "--in", required=True, help="hidden hypergraph JSON file")
-    _opt(p, "--s", type=int, required=True, help="maximum number of edges")
-    _opt(p, "--l", type=int, required=True, help="maximum edge size")
-    _opt(p, "--budget-enforce", default="off", choices=("on", "off"),
-         help="make the oracle fail the run past the worst-case budget")
-    _opt(p, "--transcript", help="write the query transcript (JSON lines) here")
-    common(p)
-    p.set_defaults(func=_cmd_learn)
-
-    p = sub.add_parser("bounds", help="family size and query lower bound")
-    _opt(p, "--t", type=int, required=True, help="number of vertices")
-    _opt(p, "--s", type=int, required=True, help="maximum number of edges")
-    _opt(p, "--l", type=int, required=True, help="maximum edge size")
-    common(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser(
-        "bench",
-        help="learner query-count sweep; CSV columns: " + ",".join(BENCH_COLUMNS),
-    )
-    _opt(p, "--t", type=int, help="single vertex count (alternative to --sweep)")
-    _opt(p, "--s", type=int, required=True, help="maximum number of edges")
-    _opt(p, "--l", type=int, required=True, help="maximum edge size")
-    _opt(p, "--seed", type=int, required=True, help="RNG seed of the first trial")
-    _opt(p, "--sweep", help="t_min:t_max:factor geometric sweep of t")
-    _opt(p, "--trials", type=int, default=10, help="instances per t")
-    _opt(p, "--jobs", type=int, default=1, help="parallel worker processes")
-    _opt(p, "--budget-enforce", default="off", choices=("on", "off"),
-         help="make the oracle fail runs past the worst-case budget")
-    common(p)
-    p.set_defaults(func=_cmd_bench, columns=BENCH_COLUMNS)
-
-    p = sub.add_parser(
-        "twostage",
-        help="two-stage trials; CSV columns: " + ",".join(TRIAL_COLUMNS),
-    )
-    _opt(p, "--t", type=int, required=True, help="number of vertices")
-    _opt(p, "--s", type=int, required=True, help="number of disjoint edges")
-    _opt(p, "--l", type=int, required=True, help="edge size")
-    _opt(p, "--seed", type=int, required=True, help="RNG seed of the first trial")
-    _opt(p, "--epsilon", type=float, default=0.05,
-         help="stage-one failure probability target")
-    _opt(p, "--trials", type=int, default=10, help="number of trials")
-    _opt(p, "--layers", type=int, help="override the computed layer count")
-    _opt(p, "--jobs", type=int, default=1, help="parallel worker processes")
-    common(p)
-    p.set_defaults(func=_cmd_twostage, columns=TRIAL_COLUMNS)
-
-    p = sub.add_parser("cf-verify", help="verify a code file is cover-free")
-    _opt(p, "--in", required=True,
-         help="code file: first line 'N t', then N rows of 0/1")
-    _opt(p, "--s", type=int, required=True, help="all-zero column set size")
-    _opt(p, "--l", type=int, required=True, help="all-one column set size")
-    _opt(p, "--work-limit", type=int, default=100_000_000,
-         help="refuse verifications above this many pair-row checks")
-    common(p)
-    p.set_defaults(func=_cmd_cf_verify)
-
-    p = sub.add_parser(
-        "cf-search",
-        help="randomized search for a cover-free code",
-        description="--out stores the found code file; the JSON/CSV summary "
-                    "always goes to stdout.",
-    )
-    _opt(p, "--t", type=int, required=True, help="code size (columns)")
-    _opt(p, "--s", type=int, required=True, help="all-zero column set size")
-    _opt(p, "--l", type=int, required=True, help="all-one column set size")
-    _opt(p, "--seed", type=int, required=True, help="RNG seed")
-    _opt(p, "--max-n", type=int, default=64, help="largest code length to try")
-    common(p)
-    p.set_defaults(func=_cmd_cf_search)
-
-    p = sub.add_parser("cf-bounds", help="numeric cover-free rate bound guides")
-    _opt(p, "--s", type=int, required=True, help="all-zero column set size")
-    _opt(p, "--l", type=int, required=True, help="all-one column set size")
-    common(p)
-    p.set_defaults(func=_cmd_cf_bounds)
-
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         result = args.func(args, parser)

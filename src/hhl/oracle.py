@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import Hypergraph, VertexSet
 
 
-# Largest transcript, in bytes of member text, that transcript_jsonl builds.
+# Largest transcript, in bytes of member text, that the oracle builds or writes.
 MAX_TRANSCRIPT_BYTES = 1 << 30
 
 
@@ -130,20 +130,19 @@ class Oracle:
         log.append((s, answer, tag))
         return answer
 
-    def transcript_jsonl(self) -> str:
-        """One JSON object per query: {"i": index, "q": [v,...], "a": 0|1}.
+    def _jsonl_lines(self) -> Iterator[str]:
+        """The lines of transcript_jsonl, one per query, from a generator.
 
-        The bytes are json.dumps' default form. Each record's members are
-        copied as slices of one decimal text of 1..top, top the largest
-        member of any query, one slice per run of consecutive vertices. So
-        the cost is O(top) once, O(runs) per run-coded query, O(t/64) per
-        mask-coded one and O(output bytes). Raises ValueError, before the
-        text is built, when the text or the members would take more than
-        MAX_TRANSCRIPT_BYTES.
+        The checks run in this call, not in the generator, so they refuse
+        before write_transcript creates its file: ValueError when the text
+        or the members would take more than MAX_TRANSCRIPT_BYTES. Each
+        record's members are copied as slices of one decimal text of 1..top,
+        top the largest member of any query, one slice per run of
+        consecutive vertices. So the cost is O(top) once, O(runs) per
+        run-coded query, O(t/64) per mask-coded one and O(output bytes), and
+        the generator holds one line at a time.
         """
         log = self._log
-        if not log:
-            return ""
         codes = [query._toggles() for query, _, _ in log]
         top = max((code[-1] for code in codes if code), default=0)
         if _decimal_offset(top + 1) - 2 > MAX_TRANSCRIPT_BYTES:  # the length of text
@@ -156,16 +155,25 @@ class Oracle:
             raise ValueError(f"transcript members take {size} bytes, more than the cap "
                              f"of {MAX_TRANSCRIPT_BYTES}")
         text = ", ".join(map(str, range(1, top + 1)))
-        lines = []
-        for i, ((_, answer, _), off) in enumerate(zip(log, offsets), 1):
-            runs = ", ".join([text[a : b - 2] for a, b in zip(off[0::2], off[1::2])])
-            lines.append(f'{{"i": {i}, "q": [{runs}], "a": {int(answer)}}}\n')
-        return "".join(lines)
+        members = (", ".join([text[a : b - 2] for a, b in zip(off[0::2], off[1::2])])
+                   for off in offsets)
+        return (f'{{"i": {i}, "q": [{q}], "a": {int(answer)}}}\n'
+                for i, ((_, answer, _), q) in enumerate(zip(log, members), 1))
+
+    def transcript_jsonl(self) -> str:
+        """One JSON object per query: {"i": index, "q": [v,...], "a": 0|1}.
+
+        The bytes are json.dumps' default form, all in one string; see
+        _jsonl_lines for the cost and the caps.
+        """
+        return "".join(self._jsonl_lines())
 
     def write_transcript(self, path: str) -> None:
-        text = self.transcript_jsonl()  # may refuse before the file is created
+        """Write transcript_jsonl's bytes to path a line at a time; the file is
+        created only after the caps have passed."""
+        lines = self._jsonl_lines()
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(lines)
 
 
 def is_independent(h: Hypergraph, s: VertexSet) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
 import json
 import os
@@ -68,6 +69,40 @@ def test_help_exits_zero(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert "HHL_OUT" in capsys.readouterr().out
+
+
+def exit_outcome(capsys, parse) -> tuple:
+    """The exit status, stdout and stderr of parse(), which must exit."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def subcommands(parser) -> list[str]:
+    return [name for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction) for name in action.choices]
+
+
+# main builds only the running subcommand's parser; what it prints and how it
+# exits must not tell, so each case runs against the parser of all eight.
+@pytest.mark.parametrize("argv", [
+    *([command, "--help"] for command in cli.SUBCOMMANDS),
+    [], ["--help"], ["bogus"], ["-h", "learn"], ["learn"],
+    ["learn", "--in", "inst.json", "--s", "two", "--l", "1"],
+    # Unknown flags and arguments are reported under the top-level usage line.
+    ["bounds", "--t", "4", "--s", "1", "--l", "2", "--bogus", "1"],
+    ["cf-bounds", "--s", "1", "--l", "1", "extra"],
+], ids=lambda argv: "_".join(argv) or "no-args")
+def test_main_parses_like_the_parser_of_every_subcommand(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli.build_parser()
+    assert subcommands(full) == list(cli.SUBCOMMANDS)
+    want = exit_outcome(capsys, lambda: full.parse_args(argv))
+    assert exit_outcome(capsys, lambda: main(argv)) == want
+    built = subcommands(cli.build_parser(argv[0] if argv else None))
+    assert built == ([argv[0]] if argv and argv[0] in cli.SUBCOMMANDS else subcommands(full))
 
 
 def test_unknown_flag_rejected():

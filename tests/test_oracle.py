@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -177,29 +178,77 @@ def test_transcript_jsonl_dense_sets(t, densities, rng):
     assert_reference_bytes(o)
 
 
-def test_transcript_jsonl_learner_and_two_stage_transcripts():
+@pytest.fixture(scope="module")
+def learner_and_two_stage_oracles() -> list[Oracle]:
+    """Three learner runs at (4096,3,2), then three two-stage trials at (256,2,2)."""
+    oracles = []
     params = FamilyParams(4096, 3, 2)
     for seed in range(3):
-        o = Oracle(random_disjoint_instance(params, seed=seed))
-        learn_detailed(o, params)
-        assert_reference_bytes(o)
+        oracles.append(Oracle(random_disjoint_instance(params, seed=seed)))
+        learn_detailed(oracles[-1], params)
     params = FamilyParams(256, 2, 2)
     for seed in range(3):
-        o = Oracle(random_disjoint_instance(params, seed=seed))
-        two_stage_trial(o, params, 0.05, seed=seed)
+        oracles.append(Oracle(random_disjoint_instance(params, seed=seed)))
+        two_stage_trial(oracles[-1], params, 0.05, seed=seed)
+    return oracles
+
+
+def test_transcript_jsonl_learner_and_two_stage_transcripts(learner_and_two_stage_oracles):
+    for o in learner_and_two_stage_oracles[3:]:
         # Stage-one blocks are random, so their queries have many runs.
         runs = max(bin(r.query.mask ^ (r.query.mask << 1)).count("1") // 2
                    for r in o.transcript)
         assert runs > 20
+    for o in learner_and_two_stage_oracles:
         assert_reference_bytes(o)
 
 
-def test_transcript_write(tmp_path):
+@pytest.mark.parametrize("cap, queries, message", [
+    pytest.param(20, [[30]], "lists vertex 30", id="text"),
+    pytest.param(40, [range(1, 11)] * 3, "members take 87 bytes", id="members"),
+])
+def test_write_transcript_over_a_cap_creates_no_file(tmp_path, monkeypatch, cap, queries,
+                                                     message):
+    monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", cap)
+    o = Oracle(Hypergraph(100, [(1,)]))
+    for members in queries:
+        o.query(VertexSet(100, members))
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError, match=message):
+        o.write_transcript(str(path))
+    assert not path.exists()
+
+
+def test_write_transcript_holds_one_line_at_a_time(tmp_path):
+    # The learner's first queries are the universe and its halves, so the
+    # file is about 43 MB; no more than one line of it is held at once.
+    params = FamilyParams(2**16, 3, 2)
+    o = Oracle(random_disjoint_instance(params, seed=0))
+    learn_detailed(o, params)
+    path = tmp_path / "t.jsonl"
+    tracemalloc.start()
+    try:
+        o.write_transcript(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 40 << 20
+    assert peak < size / 4, (peak, size)
+
+
+def test_transcript_write(tmp_path, learner_and_two_stage_oracles):
     o = Oracle(Hypergraph(3, [(1,)]))
     o.query(VertexSet(3, [1, 2]))
     path = tmp_path / "t.jsonl"
     o.write_transcript(str(path))
     assert json.loads(path.read_text().strip()) == {"i": 1, "q": [1, 2], "a": 1}
+    # The file is streamed a line at a time, with transcript_jsonl's bytes.
+    empty = Oracle(Hypergraph(5, [(1,)]))
+    for k, o in enumerate([empty, *learner_and_two_stage_oracles]):
+        path = tmp_path / f"{k}.jsonl"
+        o.write_transcript(str(path))
+        assert path.read_bytes() == o.transcript_jsonl().encode()
 
 
 def test_tags_recorded():
