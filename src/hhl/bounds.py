@@ -4,9 +4,8 @@ computation."""
 from __future__ import annotations
 
 import math
-from math import comb
 
-from .core import FamilyParams
+from .core import FamilyParams, edge_count
 
 
 def family_size_exact(params: FamilyParams) -> int:
@@ -14,7 +13,7 @@ def family_size_exact(params: FamilyParams) -> int:
     size at most l on t labeled vertices (the empty hypergraph included):
     the sum of C(n, k) over k <= s for n possible edges, each term found
     from the one before as C(n, k) = C(n, k-1) * (n-k+1) / k."""
-    n = sum(comb(params.t, j) for j in range(1, params.l + 1))
+    n = edge_count(params.t, params.l)
     total = c = 1
     for k in range(1, min(params.s, n) + 1):
         c = c * (n - k + 1) // k

@@ -28,20 +28,21 @@ class GenerationError(RuntimeError):
     """Rejection sampling exhausted its retry budget."""
 
 
-def canonical_edge(vertices: Iterable[int], t: int | None = None) -> Edge:
+def canonical_edge(vertices: Iterable[int], t: int) -> Edge:
     """Return the sorted tuple form of an edge, validating its contents.
 
-    Raises ValueError for empty edges, repeated vertices, or (when ``t``
-    is given) vertices outside {1..t}.
+    Vertices are read through operator.index, as VertexSet members are.
+    Raises ValueError for empty edges, repeated vertices or vertices outside
+    {1..t}.
     """
-    vs = tuple(sorted(vertices))
+    vs = tuple(sorted(map(index, vertices)))
     if not vs:
         raise ValueError("edge must be nonempty")
     if any(vs[i] == vs[i + 1] for i in range(len(vs) - 1)):
         raise ValueError(f"edge has repeated vertices: {vs}")
     if vs[0] < 1:
         raise ValueError(f"vertices are 1-based, got {vs[0]}")
-    if t is not None and vs[-1] > t:
+    if vs[-1] > t:
         raise ValueError(f"vertex {vs[-1]} outside universe of size {t}")
     return vs
 
@@ -307,6 +308,11 @@ def is_sperner(h: Hypergraph) -> bool:
     return True
 
 
+def edge_count(n: int, max_size: int) -> int:
+    """Number of candidate edges: nonempty subsets of n vertices of size <= max_size."""
+    return sum(comb(n, j) for j in range(1, min(max_size, n) + 1))
+
+
 def _random_edge(rng: random.Random, t: int, max_size: int) -> Edge:
     # Uniform over nonempty subsets of {1..t} of size <= max_size: pick the
     # size with probability proportional to the number of such subsets.
@@ -327,7 +333,7 @@ def random_family_instance(
     """
     rng = random.Random(seed)
     k = rng.randint(0, params.s)
-    n_choices = sum(comb(params.t, j) for j in range(1, min(params.l, params.t) + 1))
+    n_choices = edge_count(params.t, params.l)
     if k > n_choices:
         raise GenerationError(f"cannot draw {k} distinct edges from {n_choices}")
     for _ in range(MAX_RETRIES):

@@ -18,7 +18,7 @@ from math import comb
 
 from ._numpy import np
 
-from .core import _bools_from_masks
+from .core import _bools_from_masks, edge_count
 
 # Most column sets of size <= l that cover-free checks and stage-two designs
 # enumerate: 2**24 sets of size <= 2 take 256 MiB of index arrays alone.
@@ -55,7 +55,7 @@ class BinaryCode:
 
 def _check_candidates(n_cols: int, max_size: int) -> None:
     """Raise ValueError above MAX_DESIGN_CANDIDATES column sets of size <= max_size."""
-    n_cand = sum(comb(n_cols, j) for j in range(1, max_size + 1))
+    n_cand = edge_count(n_cols, max_size)
     if n_cand > MAX_DESIGN_CANDIDATES:
         raise ValueError(
             f"{n_cand} candidate edges on {n_cols} columns exceed "
@@ -141,11 +141,9 @@ def find_violation(
     return None
 
 
-def is_cover_free(
-    code: BinaryCode, s: int, l: int, work_limit: int | None = None
-) -> bool:
+def is_cover_free(code: BinaryCode, s: int, l: int) -> bool:
     """True iff every disjoint (s-set, l-set) of columns has a separating row."""
-    return find_violation(code, s, l, work_limit) is None
+    return find_violation(code, s, l) is None
 
 
 def cf_rate_bounds(s: int, l: int) -> tuple[float, float]:

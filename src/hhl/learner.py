@@ -15,10 +15,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
-from math import comb
 from typing import Iterable
 
-from .core import Edge, FamilyParams, Hypergraph, VertexSet
+from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_count
 from .oracle import Oracle, is_independent
 
 
@@ -42,7 +41,7 @@ class SearchStats:
 
 def edge_search_query_cap(s: int, l: int) -> int:
     """Worst-case queries of one edge search: subsets of size <= l of s*l vertices."""
-    return sum(comb(s * l, j) for j in range(1, l + 1))
+    return edge_count(s * l, l)
 
 
 def query_search_query_cap(s: int, l: int) -> int:
@@ -288,12 +287,8 @@ def learn_detailed(
                 "violates the (s, l) bounds"
             )
         before = oracle.count
-        v = find_active_vertex(
-            oracle, s, found_vertices, debug_checks=debug_checks, stats=stats
-        )
+        v = find_active_vertex(oracle, s, found_vertices, debug_checks=debug_checks, stats=stats)
         q_vertex += oracle.count - before
-        if v in found_vertices:
-            raise SearchContractError(f"vertex search returned known vertex {v}")
         insort(found, v)
         found_vertices = VertexSet(t, found)
 
@@ -315,8 +310,6 @@ def learn_detailed(
     )
 
 
-def learn(
-    oracle: Oracle, params: FamilyParams, *, debug_checks: bool = False
-) -> Hypergraph:
+def learn(oracle: Oracle, params: FamilyParams) -> Hypergraph:
     """Identify the hidden hypergraph (its minimal-edge antichain if non-Sperner)."""
-    return learn_detailed(oracle, params, debug_checks=debug_checks).hypergraph
+    return learn_detailed(oracle, params).hypergraph

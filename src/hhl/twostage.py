@@ -203,26 +203,25 @@ def decode_block(
 ) -> Edge:
     """Identify the unique candidate edge consistent with the row answers.
 
-    Candidates are pruned to the intersection of all positively answered
-    rows (a consistent edge must lie inside every positive row), then each
-    survivor is checked against the full answer vector. Raises DecodeError
-    unless exactly one candidate remains.
+    The candidates are the subsets of the hull, the AND of the positive
+    rows, so each answers every positive row correctly; one is kept iff no
+    negative row contains it. Raises DecodeError unless exactly one is kept.
     """
     if len(answers) != design.n_rows:
         raise ValueError(f"expected {design.n_rows} answers, got {len(answers)}")
     hull = (1 << design.n_cols) - 1
+    negatives = []
     for row, ans in zip(design.rows, answers):
         if ans:
             hull &= row
-    members = VertexSet._from_mask(design.n_cols, hull).members()
+        else:
+            negatives.append(row)
+    members = [j + 1 for j in range(design.n_cols) if hull >> j & 1]
     matches: list[Edge] = []
     for size in range(1, min(max_edge_size, len(members)) + 1):
         for cand in combinations(members, size):
             cmask = edge_mask(cand)
-            if all(
-                ((row & cmask) == cmask) == bool(ans)
-                for row, ans in zip(design.rows, answers)
-            ):
+            if not any(row & cmask == cmask for row in negatives):
                 matches.append(cand)
     if len(matches) != 1:
         raise DecodeError(

@@ -25,21 +25,50 @@ from hhl import (
     save_hypergraph,
 )
 
-from hhl.core import _bools_from_masks, _masks_from_bools, edge_mask
+from hhl.core import _bools_from_masks, _masks_from_bools, edge_count, edge_mask
 
-from conftest import limit_address_space, toggles_of
+from conftest import all_candidate_edges, limit_address_space, toggles_of
 
 
 def test_canonical_edge_sorts_and_validates():
-    assert canonical_edge([3, 1, 2]) == (1, 2, 3)
+    assert canonical_edge([3, 1, 2], 5) == (1, 2, 3)
     with pytest.raises(ValueError):
-        canonical_edge([])
+        canonical_edge([], 5)
     with pytest.raises(ValueError):
-        canonical_edge([1, 1, 2])
+        canonical_edge([1, 1, 2], 5)
     with pytest.raises(ValueError):
-        canonical_edge([0, 1])
+        canonical_edge([0, 1], 5)
     with pytest.raises(ValueError):
         canonical_edge([1, 6], t=5)
+
+
+def test_canonical_edge_reads_vertices_as_vertex_set_does():
+    # A float is not a vertex, for an edge as for a VertexSet member.
+    for bad in ([1.5, 2], [2.0]):
+        with pytest.raises(TypeError):
+            canonical_edge(bad, 5)
+        with pytest.raises(TypeError):
+            Hypergraph(5, [bad])
+        with pytest.raises(TypeError):
+            VertexSet(5, bad)
+    # A numpy int is stored as a Python int.
+    edge = canonical_edge([np.int64(3), np.uint8(1)], 5)
+    assert edge == (1, 3) and all(type(v) is int for v in edge)
+
+
+def test_numpy_int_edges_round_trip_through_json(tmp_path):
+    h = Hypergraph(6, [(np.int64(4), 5), np.array([1, 3])])
+    assert all(type(v) is int for e in h.edges for v in e)
+    assert json.loads(json.dumps(hypergraph_to_dict(h))) == {"t": 6, "edges": [[1, 3], [4, 5]]}
+    path = tmp_path / "h.json"
+    save_hypergraph(str(path), h)
+    assert load_hypergraph(str(path)) == h == Hypergraph(6, [(1, 3), (4, 5)])
+
+
+def test_edge_count_counts_candidate_edges():
+    for n in range(1, 11):
+        for k in range(1, 13):
+            assert edge_count(n, k) == len(all_candidate_edges(n, k)), (n, k)
 
 
 def test_vertex_set_basics():
@@ -410,6 +439,7 @@ def test_hypergraph_json_round_trip(tmp_path):
         {"t": 4, "edges": [[1, 2], [2, 1]]},
         {"t": 0, "edges": []},
         {"t": 4, "edges": [["1"]]},
+        {"t": 4, "edges": [[1.5]]},
         {"t": 4, "edges": "nope"},
         {"t": True, "edges": []},
     ],

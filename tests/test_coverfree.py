@@ -198,7 +198,7 @@ def test_parameter_validation():
 def test_work_limit():
     code = random_code(random.Random(0), 10, 12)
     with pytest.raises(WorkLimitExceeded):
-        is_cover_free(code, 3, 2, work_limit=100)
+        find_violation(code, 3, 2, work_limit=100)
 
 
 def test_column_set_cap(monkeypatch):

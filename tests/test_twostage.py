@@ -287,6 +287,35 @@ def test_decode_block_error_cases():
         decode_block(design, [True], 1)
 
 
+def test_decode_block_matches_brute_force_on_unverified_codes():
+    # Random codes, most of them not separating, so every outcome occurs:
+    # no consistent candidate, exactly one, and several. Half the answer
+    # vectors are random bits, half are a random candidate's own pattern.
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(3000):
+        n_cols, n_rows, l = rng.randint(1, 9), rng.randint(1, 8), rng.randint(1, 3)
+        rows = tuple(rng.getrandbits(n_cols) for _ in range(n_rows))
+        cands = all_candidate_edges(n_cols, l)
+        if rng.random() < 0.5:
+            answers = [rng.random() < 0.5 for _ in rows]
+        else:
+            cmask = edge_mask(rng.choice(cands))
+            answers = [r & cmask == cmask for r in rows]
+        want = [
+            cand for cand in cands
+            if all((r & edge_mask(cand) == edge_mask(cand)) == a for r, a in zip(rows, answers))
+        ]
+        design = BinaryCode(n_rows, n_cols, rows)
+        if len(want) == 1:
+            assert decode_block(design, answers, l) == want[0]
+        else:
+            with pytest.raises(DecodeError, match=f"^{len(want)} candidates consistent"):
+                decode_block(design, answers, l)
+        outcomes.add(min(len(want), 2))
+    assert outcomes == {0, 1, 2}
+
+
 def test_two_stage_trial_success():
     params = FamilyParams(16, 2, 2)
     hidden = random_disjoint_instance(params, seed=4)
