@@ -98,7 +98,7 @@ class VertexSet:
     Operations return new sets and leave their operands alone; t and mask
     are read-only, so a set can be kept as a value (the oracle logs the
     sets it answers). Reading mask on a run-coded set builds the int, in
-    O(runs * t/w) for machine word size w, on every read.
+    O(t/8 + runs) byte operations, on every read.
 
     On a run-coded set len(), `in` and members() cost O(runs), O(log runs)
     and O(runs + |S|), and == and hash O(runs); union, intersection,
@@ -159,19 +159,30 @@ class VertexSet:
         r = self._runs
         if r is None:
             return self._mask
-        m = 0
+        # Bits lo..hi-1 of a run, in a little-endian byte buffer: the bytes
+        # at its two ends by OR, the whole bytes between them by one slice.
+        buf = bytearray((self._t >> 3) + 1)
         for lo, hi in zip(r[0::2], r[1::2]):
-            m |= (1 << hi) - (1 << lo)
-        return m
+            a, b = lo >> 3, hi >> 3
+            if a == b:
+                buf[a] |= (1 << (hi & 7)) - (1 << (lo & 7))
+            else:
+                buf[a] |= 256 - (1 << (lo & 7))
+                buf[a + 1 : b] = b"\xff" * (b - a - 1)
+                buf[b] |= (1 << (hi & 7)) - 1
+        return int.from_bytes(buf, "little")
 
     def _toggles(self) -> tuple[int, ...]:
         """The strictly increasing run code: a run-coded set's own with equal
         toggles cancelled in pairs, else found by one numpy scan of
         mask ^ (mask << 1) in O(t/64)."""
-        if self._runs is None:
+        r = self._runs
+        if r is None:
             return tuple(_bit_positions(self._mask ^ (self._mask << 1)).tolist())
+        if len(set(r)) == len(r):  # sorted and distinct: already strictly increasing
+            return r
         out: list[int] = []
-        for x in self._runs:
+        for x in r:
             if out and out[-1] == x:
                 out.pop()
             else:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Iterator
 
 from .core import Hypergraph, VertexSet
@@ -77,6 +79,65 @@ def _decimal_offset(v: int) -> int:
     return (d + 2) * v - 2 - 10**d // 9
 
 
+# The numbers P00..P99 for a prefix P, each followed by ", " (_decimal_text).
+_HUNDRED = b"".join(b"P%02d, " % k for k in range(100))
+
+
+def _decimal_text(top: int) -> bytes:
+    """", ".join(map(str, range(1, top + 1))) as ASCII: 1..99 and the last
+    partial hundred one number at a time, and every whole hundred between
+    them as _HUNDRED with its prefix filled in."""
+    if top < 100:
+        return ", ".join(map(str, range(1, top + 1))).encode()
+    low = ", ".join(map(str, range(1, 100))).encode() + b", "
+    high = ", ".join(map(str, range(top // 100 * 100, top + 1))).encode()
+    hundreds = [_HUNDRED.replace(b"P", b"%d" % p) for p in range(1, top // 100)]
+    return b"".join([low, *hundreds, high])
+
+
+class _Offsets(dict):
+    """_decimal_offset(x + 1), the text offset of a run that starts after
+    toggle x, computed once per toggle."""
+
+    def __missing__(self, x: int) -> int:
+        off = self[x] = _decimal_offset(x + 1)
+        return off
+
+
+def _mask_text_size(mask: int) -> int:
+    """Length of ", ".join(map(str, members)) for the members of mask: a
+    separator between members, and for each power of ten p one digit per
+    member >= p, a popcount of mask >> (p - 1)."""
+    if not mask:
+        return 0
+    size, p = 2 * mask.bit_count() - 2, 1
+    while high := mask >> (p - 1):
+        size += high.bit_count()
+        p *= 10
+    return size
+
+
+def _runs_text_size(toggles: tuple[int, ...]) -> int:
+    """_mask_text_size for strictly increasing toggles: the members below p
+    are the whole runs before p's toggle and the part of p's run below it."""
+    if not toggles:
+        return 0
+    below = [0, *accumulate(map(sub, toggles[1::2], toggles[0::2]))]  # members in runs 0..k-1
+    n = below[-1]
+    size, p = 2 * n - 2, 1
+    while p <= toggles[-1]:
+        i = bisect_right(toggles, p - 1)
+        size += n - below[i >> 1] - (p - 1 - toggles[i - 1] if i & 1 else 0)
+        p *= 10
+    return size
+
+
+# A query with fewer members per run than this is written from its member
+# list, one with as many or more as a slice of the decimal text per run
+# (_jsonl_lines).
+MEMBERS_PER_RUN = 10
+
+
 @dataclass(frozen=True)
 class QueryRecord:
     index: int  # 1-based position in the transcript
@@ -130,49 +191,96 @@ class Oracle:
         log.append((s, answer, tag))
         return answer
 
-    def _jsonl_lines(self) -> Iterator[str]:
-        """The lines of transcript_jsonl, one per query, from a generator.
+    def _jsonl_lines(self) -> Iterator[bytes]:
+        """The lines of transcript_jsonl as ASCII bytes, from a generator.
 
         The checks run in this call, not in the generator, so they refuse
         before write_transcript creates its file: ValueError when the text
-        or the members would take more than MAX_TRANSCRIPT_BYTES. Each
-        record's members are copied as slices of one decimal text of 1..top,
-        top the largest member of any query, one slice per run of
-        consecutive vertices. So the cost is O(top) once, O(runs) per
-        run-coded query, O(t/64) per mask-coded one and O(output bytes), and
-        the generator holds one line at a time.
+        or the members would take more than MAX_TRANSCRIPT_BYTES. Members
+        are counted, not listed: a mask-coded query's by _mask_text_size, a
+        listed run-coded one's by _runs_text_size and a sliced one's from
+        the text offsets its slices take.
+
+        A query with MEMBERS_PER_RUN or more members per run is sliced: its
+        line joins one memoryview slice per run of a decimal text of 1..top,
+        top the largest member of a sliced query. A query with shorter runs
+        is listed: its line holds the repr of its member list, which costs
+        less per member than a slice costs per run. So the cost is O(top)
+        once, O(runs) per run-coded query, O(t/64 + runs + |S|) per
+        mask-coded one and O(output bytes). The generator holds the text,
+        an offset per distinct toggle of the sliced run-coded queries (no
+        more than the log holds) and one line.
         """
         log = self._log
-        codes = [query._toggles() for query, _, _ in log]
-        top = max((code[-1] for code in codes if code), default=0)
+        offset = _Offsets()
+        codes = []  # per query: the toggles to slice by, or None to list it
+        top = sliced_top = size = 0
+        for query, _, _ in log:
+            mask = query._mask
+            if mask is None:
+                code = query._toggles()
+                starts, ends = code[0::2], code[1::2]
+                members, runs = sum(ends) - sum(starts), len(ends)
+                high = code[-1] if code else 0
+            else:
+                code = ()  # found again in the generator, one query at a time
+                members, runs = mask.bit_count(), (mask ^ (mask << 1)).bit_count() >> 1
+                high = mask.bit_length()
+            listed = members < MEMBERS_PER_RUN * runs
+            if mask is not None:
+                size += _mask_text_size(mask)
+            elif listed:
+                size += _runs_text_size(code)
+            elif code:  # the text its slices take, from offsets they reuse
+                size += (sum(map(offset.__getitem__, ends))
+                         - sum(map(offset.__getitem__, starts)) - 2)
+            top = max(top, high)
+            if not listed:
+                sliced_top = max(sliced_top, high)
+            codes.append(None if listed else code)
         if _decimal_offset(top + 1) - 2 > MAX_TRANSCRIPT_BYTES:  # the length of text
             raise ValueError(f"transcript lists vertex {top}, more than the cap of "
                              f"{MAX_TRANSCRIPT_BYTES} bytes of decimal text")
-        # Run a..b is the text from a's offset to b+1's, less the ", " after b.
-        offsets = [[_decimal_offset(x + 1) for x in code] for code in codes]
-        size = sum(sum(off[1::2]) - sum(off[0::2]) - 2 for off in offsets if off)
         if size > MAX_TRANSCRIPT_BYTES:
             raise ValueError(f"transcript members take {size} bytes, more than the cap "
                              f"of {MAX_TRANSCRIPT_BYTES}")
-        text = ", ".join(map(str, range(1, top + 1)))
-        members = (", ".join([text[a : b - 2] for a, b in zip(off[0::2], off[1::2])])
-                   for off in offsets)
-        return (f'{{"i": {i}, "q": [{q}], "a": {int(answer)}}}\n'
-                for i, ((_, answer, _), q) in enumerate(zip(log, members), 1))
+        # Run a..b is the text from a's offset to b+1's, the ", " after b
+        # included; a line's last run drops it.
+        text = memoryview(_decimal_text(sliced_top))
+
+        def lines() -> Iterator[bytes]:
+            for i, ((query, answer, _), code) in enumerate(zip(log, codes), 1):
+                if code is None:
+                    members = str(list(query)).encode()
+                    yield b'{"i": %d, "q": %b, "a": %d}\n' % (i, members, answer)
+                    continue
+                if query._mask is None:
+                    off = list(map(offset.__getitem__, code))
+                else:
+                    off = [_decimal_offset(x + 1) for x in query._toggles()]
+                if off:
+                    off[-1] -= 2
+                yield b"".join([b'{"i": %d, "q": [' % i,
+                                *[text[a:b] for a, b in zip(off[0::2], off[1::2])],
+                                b'], "a": %d}\n' % answer])
+
+        return lines()
 
     def transcript_jsonl(self) -> str:
         """One JSON object per query: {"i": index, "q": [v,...], "a": 0|1}.
 
         The bytes are json.dumps' default form, all in one string; see
-        _jsonl_lines for the cost and the caps.
+        _jsonl_lines for the cost and the caps. Each line is decoded as it
+        comes, so the most held is the output twice, while the decoded
+        lines are joined.
         """
-        return "".join(self._jsonl_lines())
+        return "".join([line.decode() for line in self._jsonl_lines()])
 
     def write_transcript(self, path: str) -> None:
-        """Write transcript_jsonl's bytes to path a line at a time; the file is
-        created only after the caps have passed."""
+        """Write transcript_jsonl's bytes to path a line at a time through a
+        64 KiB buffer; the file is created only after the caps have passed."""
         lines = self._jsonl_lines()
-        with open(path, "w", encoding="utf-8") as f:
+        with open(path, "wb", buffering=1 << 16) as f:
             f.writelines(lines)
 
 

@@ -282,15 +282,39 @@ def select_cases() -> list[list[int]]:
 
 @pytest.mark.parametrize("members", select_cases())
 def test_select_kernels_match_sorted_members(members):
-    s = VertexSet._from_mask(members[-1], edge_mask(members))
-    want = 0  # mask of the k lowest members
-    for k in range(len(members) + 1):
-        low, high = s.split_lowest(k)
-        assert (low.mask, high.mask) == (want, s.mask ^ want)
-        if k < len(members):
-            want |= 1 << (members[k] - 1)
-    with pytest.raises(ValueError):
-        s.split_lowest(len(members) + 1)
+    mask = edge_mask(members)
+    for s in (VertexSet(members[-1], members), VertexSet._from_mask(members[-1], mask)):
+        want = 0  # mask of the k lowest members
+        for k in range(len(members) + 1):
+            low, high = s.split_lowest(k)
+            assert (low.mask, high.mask) == (want, mask ^ want)
+            if k < len(members):
+                want |= 1 << (members[k] - 1)
+        with pytest.raises(ValueError):
+            s.split_lowest(len(members) + 1)
+
+
+def per_run_or(runs: tuple[int, ...]) -> int:
+    m = 0
+    for lo, hi in zip(runs[0::2], runs[1::2]):
+        m |= (1 << hi) - (1 << lo)
+    return m
+
+
+@pytest.mark.parametrize("t", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 129, 4097])
+def test_run_coded_mask_matches_the_per_run_or(t):
+    # Toggles on byte and 64-bit word edges, at 0 and at t, and random ones;
+    # equal toggles make empty and touching runs.
+    rng = random.Random(t)
+    marks = [x for x in (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, t - 1, t) if 0 <= x <= t]
+    for _ in range(300):
+        draws = [rng.choice(marks) if rng.random() < 0.6 else rng.randint(0, t)
+                 for _ in range(2 * rng.randint(0, 8))]
+        runs = tuple(sorted(draws))
+        assert VertexSet._from_runs(t, runs).mask == per_run_or(runs), runs
+    assert VertexSet(t, range(1, t + 1)).mask == (1 << t) - 1
+    half = [v for v in range(1, t + 1) if rng.random() < 0.5]
+    assert VertexSet(t, half).mask == edge_mask(half)
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 257])

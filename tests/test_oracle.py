@@ -24,6 +24,7 @@ from hhl import (
     two_stage_trial,
 )
 from hhl.core import edge_mask
+from hhl.oracle import MEMBERS_PER_RUN, _decimal_text, _mask_text_size, _runs_text_size
 
 from conftest import toggles_of
 
@@ -249,6 +250,97 @@ def test_transcript_write(tmp_path, learner_and_two_stage_oracles):
         path = tmp_path / f"{k}.jsonl"
         o.write_transcript(str(path))
         assert path.read_bytes() == o.transcript_jsonl().encode()
+
+
+def assert_encodings_match(o: Oracle, path) -> None:
+    """write_transcript's file, transcript_jsonl and json.dumps per record
+    hold the same bytes."""
+    assert_reference_bytes(o)
+    o.write_transcript(str(path))
+    same = path.read_bytes() == o.transcript_jsonl().encode()
+    assert same, "write_transcript's bytes differ from transcript_jsonl's"
+
+
+def encoder_cases(t: int) -> list[list[int]]:
+    """Member lists: vertex 1 and vertex t, runs and pairs across each
+    digit-count boundary, runs of one member fewer than MEMBERS_PER_RUN and
+    of exactly that many (listed and sliced by default), and random sets."""
+    cases = [[], [1], [t], [1, t], list(range(1, t + 1))]
+    for b in (9, 99, 999, 9999):
+        cases += [[b], [b + 1], [b, b + 1], list(range(b - 2, b + 3)),
+                  list(range(1, b + 1)), list(range(b + 1, t + 1)), [1, b, b + 1, t]]
+    for length in (MEMBERS_PER_RUN - 1, MEMBERS_PER_RUN):
+        cases.append([v for a in range(1, t + 1, length + 2)
+                      for v in range(a, min(a + length, t + 1))])
+    rng = random.Random(t)
+    for p in (0.1, 0.5, 0.9):
+        cases.append([v for v in range(1, t + 1) if rng.random() < p])
+    return [[v for v in members if v <= t] for members in cases]
+
+
+@pytest.mark.parametrize("members_per_run", [1, MEMBERS_PER_RUN, 10**9],
+                         ids=["all-sliced", "default", "all-listed"])
+@pytest.mark.parametrize("t", [10000, 10001])
+def test_encoder_bytes_match_json_dumps(tmp_path, monkeypatch, t, members_per_run):
+    # Every case run- and mask-coded, with each rule: the two ways of
+    # writing a query give json.dumps' bytes.
+    monkeypatch.setattr(hhl.oracle, "MEMBERS_PER_RUN", members_per_run)
+    o = Oracle(Hypergraph(t, [(1,)]))
+    for members in encoder_cases(t):
+        o.query(VertexSet(t, members))
+        o.query(VertexSet._from_mask(t, edge_mask(members)))
+    assert {r.answer for r in o.transcript} == {False, True}
+    assert_encodings_match(o, tmp_path / "t.jsonl")
+    empty = Oracle(Hypergraph(t, [(1,)]))
+    assert_encodings_match(empty, tmp_path / "empty.jsonl")
+    assert (tmp_path / "empty.jsonl").read_bytes() == b""
+
+
+def test_member_list_rule_reads_members_per_run(monkeypatch):
+    # Only a sliced query needs the decimal text: runs one member shorter
+    # than MEMBERS_PER_RUN are listed, runs of that many sliced, in either code.
+    tops = []
+    build = hhl.oracle._decimal_text
+    monkeypatch.setattr(hhl.oracle, "_decimal_text", lambda top: tops.append(top) or build(top))
+    t = 200
+    for length in (MEMBERS_PER_RUN - 1, MEMBERS_PER_RUN):
+        members = [v for a in range(1, 100, length + 3) for v in range(a, a + length)]
+        for s in (VertexSet(t, members), VertexSet._from_mask(t, edge_mask(members))):
+            o = Oracle(Hypergraph(t, [(1,)]))
+            o.query(s)
+            assert_reference_bytes(o)
+        if length < MEMBERS_PER_RUN:
+            assert tops == [0, 0]
+        else:
+            assert tops[2:] == [members[-1]] * 2
+
+
+def test_decimal_text_and_text_sizes_match_join():
+    for top in [*range(1203), 9999, 10000, 10001, 99_999, 100_000, 100_099, 100_100, 10**6 + 57]:
+        assert _decimal_text(top) == ", ".join(map(str, range(1, top + 1))).encode(), top
+    rng = random.Random(3)
+    for t in (1, 9, 10, 11, 99, 100, 101, 1000, 1001, 10001):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            members = [v for v in range(1, t + 1) if rng.random() < p]
+            size = len(", ".join(map(str, members)))
+            assert _mask_text_size(edge_mask(members)) == size
+            assert _runs_text_size(toggles_of(members)) == size
+
+
+def test_transcript_jsonl_holds_the_output_at_most_twice():
+    # The decoded lines and the string they are joined into; no bytes copy
+    # of the whole output besides.
+    params = FamilyParams(2**14, 3, 2)
+    o = Oracle(random_disjoint_instance(params, seed=0))
+    learn_detailed(o, params)
+    tracemalloc.start()
+    try:
+        text = o.transcript_jsonl()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 8 << 20
+    assert peak < 2.2 * len(text), (peak, len(text))
 
 
 def test_tags_recorded():
