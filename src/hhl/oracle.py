@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import sub
 from typing import Iterable, Iterator
 
 from .core import Hypergraph, VertexSet
@@ -117,21 +115,6 @@ def _mask_text_size(mask: int) -> int:
     return size
 
 
-def _runs_text_size(toggles: tuple[int, ...]) -> int:
-    """_mask_text_size for strictly increasing toggles: the members below p
-    are the whole runs before p's toggle and the part of p's run below it."""
-    if not toggles:
-        return 0
-    below = [0, *accumulate(map(sub, toggles[1::2], toggles[0::2]))]  # members in runs 0..k-1
-    n = below[-1]
-    size, p = 2 * n - 2, 1
-    while p <= toggles[-1]:
-        i = bisect_right(toggles, p - 1)
-        size += n - below[i >> 1] - (p - 1 - toggles[i - 1] if i & 1 else 0)
-        p *= 10
-    return size
-
-
 # A query with fewer members per run than this is written from its member
 # list, one with as many or more as a slice of the decimal text per run
 # (_jsonl_lines).
@@ -157,7 +140,9 @@ class Oracle:
     edge member, so a learner run, whose queries are all run-coded, does no
     t-bit work per query; a mask-coded one with one bit test per tested
     member. An optional budget caps the number of answered queries so
-    worst-case bounds can be enforced by the oracle itself.
+    worst-case bounds can be enforced by the oracle itself. A transcript
+    sizes each query by one rule per code, with a memo of at most one text
+    offset per distinct toggle of the run-coded queries (_jsonl_lines).
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -197,9 +182,9 @@ class Oracle:
         The checks run in this call, not in the generator, so they refuse
         before write_transcript creates its file: ValueError when the text
         or the members would take more than MAX_TRANSCRIPT_BYTES. Members
-        are counted, not listed: a mask-coded query's by _mask_text_size, a
-        listed run-coded one's by _runs_text_size and a sliced one's from
-        the text offsets its slices take.
+        are counted, not listed, by one rule per code: a mask-coded query's
+        by _mask_text_size, a run-coded one's, listed or sliced, from the
+        text offsets its runs would take as slices.
 
         A query with MEMBERS_PER_RUN or more members per run is sliced: its
         line joins one memoryview slice per run of a decimal text of 1..top,
@@ -208,10 +193,12 @@ class Oracle:
         less per member than a slice costs per run. So the cost is O(top)
         once, O(runs) per run-coded query, O(t/64 + runs + |S|) per
         mask-coded one and O(output bytes). The generator holds the text,
-        an offset per distinct toggle of the sliced run-coded queries (no
-        more than the log holds) and one line.
+        a memo of at most one offset per distinct run-coded toggle (no more
+        than the log holds) and one line.
         """
         log = self._log
+        # Run a..b is the text from a's offset to b+1's, the ", " after b
+        # included; a line's last run drops it.
         offset = _Offsets()
         codes = []  # per query: the toggles to slice by, or None to list it
         top = sliced_top = size = 0
@@ -222,18 +209,15 @@ class Oracle:
                 starts, ends = code[0::2], code[1::2]
                 members, runs = sum(ends) - sum(starts), len(ends)
                 high = code[-1] if code else 0
+                if code:  # the text its runs take, from the offsets a slice reuses
+                    size += (sum(map(offset.__getitem__, ends))
+                             - sum(map(offset.__getitem__, starts)) - 2)
             else:
                 code = ()  # found again in the generator, one query at a time
                 members, runs = mask.bit_count(), (mask ^ (mask << 1)).bit_count() >> 1
                 high = mask.bit_length()
-            listed = members < MEMBERS_PER_RUN * runs
-            if mask is not None:
                 size += _mask_text_size(mask)
-            elif listed:
-                size += _runs_text_size(code)
-            elif code:  # the text its slices take, from offsets they reuse
-                size += (sum(map(offset.__getitem__, ends))
-                         - sum(map(offset.__getitem__, starts)) - 2)
+            listed = members < MEMBERS_PER_RUN * runs
             top = max(top, high)
             if not listed:
                 sliced_top = max(sliced_top, high)
@@ -244,8 +228,6 @@ class Oracle:
         if size > MAX_TRANSCRIPT_BYTES:
             raise ValueError(f"transcript members take {size} bytes, more than the cap "
                              f"of {MAX_TRANSCRIPT_BYTES}")
-        # Run a..b is the text from a's offset to b+1's, the ", " after b
-        # included; a line's last run drops it.
         text = memoryview(_decimal_text(sliced_top))
 
         def lines() -> Iterator[bytes]:

@@ -24,7 +24,7 @@ from hhl import (
     two_stage_trial,
 )
 from hhl.core import edge_mask
-from hhl.oracle import MEMBERS_PER_RUN, _decimal_text, _mask_text_size, _runs_text_size
+from hhl.oracle import MEMBERS_PER_RUN, _decimal_text, _mask_text_size
 
 from conftest import toggles_of
 
@@ -315,7 +315,7 @@ def test_member_list_rule_reads_members_per_run(monkeypatch):
             assert tops[2:] == [members[-1]] * 2
 
 
-def test_decimal_text_and_text_sizes_match_join():
+def test_decimal_text_and_text_sizes_match_join(monkeypatch):
     for top in [*range(1203), 9999, 10000, 10001, 99_999, 100_000, 100_099, 100_100, 10**6 + 57]:
         assert _decimal_text(top) == ", ".join(map(str, range(1, top + 1))).encode(), top
     rng = random.Random(3)
@@ -324,7 +324,19 @@ def test_decimal_text_and_text_sizes_match_join():
             members = [v for v in range(1, t + 1) if rng.random() < p]
             size = len(", ".join(map(str, members)))
             assert _mask_text_size(edge_mask(members)) == size
-            assert _runs_text_size(toggles_of(members)) == size
+            if not members:
+                continue
+            # The encoder's count for the run-coded set, listed or sliced:
+            # logged until its members outweigh the text of 1..top, so the
+            # member cap, set to that text's length, names their total.
+            o = Oracle(Hypergraph(t, [(1,)]))
+            text, n = len(_decimal_text(members[-1])), 0
+            while n * size <= text:
+                o.query(VertexSet(t, members))
+                n += 1
+            monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", text)
+            with pytest.raises(ValueError, match=f"members take {n * size} bytes"):
+                o.transcript_jsonl()
 
 
 def test_transcript_jsonl_holds_the_output_at_most_twice():
@@ -482,26 +494,35 @@ def test_transcript_cap_counts_the_text_not_the_top_vertex(monkeypatch):
 
 @pytest.mark.parametrize("rounds", [1, 10])
 def test_transcript_caps_admit_their_exact_size(monkeypatch, rounds):
-    # One round's members take fewer bytes than the text of 1..100, so the
+    # One round's members take fewer bytes than the text of 1..t, so the
     # text cap binds; ten rounds' take more, so the member cap binds. The
     # records have several runs each but one, which has none, so a count
-    # off by the 2 bytes of a separator per record shows.
-    o = Oracle(Hypergraph(100, [(1,)]))
-    for _ in range(rounds):
-        for members in ([1, 2, 3, 7, 20, 21, 22, 40], [], [5, 9, 11], [64, 65, 99, 100]):
-            o.query(VertexSet(100, members))
-    text = len(", ".join(map(str, range(1, 101))))
-    members = sum(len(", ".join(map(str, r.query))) for r in o.transcript)
-    assert (members < text) == (rounds == 1)
-    if rounds == 1:
-        cap, message = text, f"vertex 100, more than the cap of {text - 1} bytes"
-    else:
-        cap, message = members, f"members take {members} bytes"
-    monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", cap)
-    assert_reference_bytes(o)
-    monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", cap - 1)
-    with pytest.raises(ValueError, match=message):
-        o.transcript_jsonl()
+    # off by the 2 bytes of a separator per record, or by a digit in any
+    # digit count, shows at the exact cap or one below it. At t = 10001
+    # the records are listed and their runs straddle 9/10, 99/100,
+    # 999/1000 and 9999/10000: a pair across each, and the runs of six
+    # between multiples of 7 (8..13, 99..104, 995..1000, 9997..10001).
+    for t, records in (
+        (100, ([1, 2, 3, 7, 20, 21, 22, 40], [], [5, 9, 11], [64, 65, 99, 100])),
+        (10001, ([9, 10, 99, 100, 999, 1000, 9999, 10000], [],
+                 [v for v in range(1, 10002) if v % 7])),
+    ):
+        o = Oracle(Hypergraph(t, [(1,)]))
+        for _ in range(rounds):
+            for members in records:
+                o.query(VertexSet(t, members))
+        text = len(", ".join(map(str, range(1, t + 1))))
+        members = sum(len(", ".join(map(str, r.query))) for r in o.transcript)
+        assert (members < text) == (rounds == 1)
+        if rounds == 1:
+            cap, message = text, f"vertex {t}, more than the cap of {text - 1} bytes"
+        else:
+            cap, message = members, f"members take {members} bytes"
+        monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", cap)
+        assert_reference_bytes(o)
+        monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", cap - 1)
+        with pytest.raises(ValueError, match=message):
+            o.transcript_jsonl()
 
 
 def test_query_answers_match_plain_set_containment():
