@@ -7,15 +7,27 @@ import math
 
 from .core import FamilyParams, edge_count
 
+# Most work family_size_exact takes on, in bit-by-word products: its
+# min(s, n) steps each multiply a number of up to min(s, n) * b bits by
+# n - k + 1, b bits or b/64 words for b = n.bit_length().
+MAX_FAMILY_COUNT_WORK = 1 << 34
+
 
 def family_size_exact(params: FamilyParams) -> int:
     """Exact number of hypergraphs with at most s distinct nonempty edges of
     size at most l on t labeled vertices (the empty hypergraph included):
     the sum of C(n, k) over k <= s for n possible edges, each term found
-    from the one before as C(n, k) = C(n, k-1) * (n-k+1) / k."""
+    from the one before as C(n, k) = C(n, k-1) * (n-k+1) / k. Raises
+    ValueError, before the count, above MAX_FAMILY_COUNT_WORK."""
     n = edge_count(params.t, params.l)
+    terms, b = min(params.s, n), n.bit_length()
+    work = terms**2 * b * -(-b // 64)
+    if work > MAX_FAMILY_COUNT_WORK:
+        raise ValueError(f"counting {terms} terms over a {b}-bit number of candidate "
+                         f"edges takes work {work}, more than the cap of "
+                         f"{MAX_FAMILY_COUNT_WORK}")
     total = c = 1
-    for k in range(1, min(params.s, n) + 1):
+    for k in range(1, terms + 1):
         c = c * (n - k + 1) // k
         total += c
     return total

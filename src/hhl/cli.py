@@ -382,10 +382,21 @@ def main(argv: list[str] | None = None) -> int:
         if result is None:
             return 0
         payload, rows = result
-        if getattr(args, "format", "json") == "csv":
-            text = _csv_text(rows, getattr(args, "columns", None) or rows[0].keys())
-        else:
-            text = json.dumps(payload, indent=2) + "\n"
+        # A family size runs to as many digits as bounds' work cap admits
+        # (71,230 at --t 1000 --s 16000 --l 3), past Python's int-to-str
+        # limit, so the limit is lifted while output, and no input, is
+        # formatted. Python before 3.10.7 has no limit: int() is 0.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            if getattr(args, "format", "json") == "csv":
+                text = _csv_text(rows, getattr(args, "columns", None) or rows[0].keys())
+            else:
+                text = json.dumps(payload, indent=2) + "\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as f:
                 f.write(text)

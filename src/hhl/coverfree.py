@@ -128,8 +128,8 @@ def find_violation(
                 f"{work} pair-row checks exceed the limit {work_limit}"
             )
     cand = _candidate_indices(t, l)
-    ands = _signatures(_bools_from_masks(code.rows, t), cand)
-    colsig, ones, ones_and = ands[0], cand[-1], ands[-1]
+    ones = cand[-1]
+    colsig, ones_and = _signatures(_bools_from_masks(code.rows, t), [cand[0], ones])
     # A row separates (zero_cols, ones[k]) iff its bit is set in ones_and[k] and
     # clear in zero_or; l-sets that meet zero_cols never are, so they are dropped.
     for zero_cols in combinations(range(t), s):

@@ -115,12 +115,6 @@ def _mask_text_size(mask: int) -> int:
     return size
 
 
-# A query with fewer members per run than this is written from its member
-# list, one with as many or more as a slice of the decimal text per run
-# (_jsonl_lines).
-MEMBERS_PER_RUN = 10
-
-
 @dataclass(frozen=True)
 class QueryRecord:
     index: int  # 1-based position in the transcript
@@ -141,8 +135,9 @@ class Oracle:
     t-bit work per query; a mask-coded one with one bit test per tested
     member. An optional budget caps the number of answered queries so
     worst-case bounds can be enforced by the oracle itself. A transcript
-    sizes each query by one rule per code, with a memo of at most one text
-    offset per distinct toggle of the run-coded queries (_jsonl_lines).
+    writes each query by one rule per code: a run-coded query as one slice
+    per run of a decimal text, a mask-coded one as its member list
+    (_jsonl_lines).
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -183,52 +178,43 @@ class Oracle:
         before write_transcript creates its file: ValueError when the text
         or the members would take more than MAX_TRANSCRIPT_BYTES. Members
         are counted, not listed, by one rule per code: a mask-coded query's
-        by _mask_text_size, a run-coded one's, listed or sliced, from the
-        text offsets its runs would take as slices.
+        by _mask_text_size, a run-coded one's from the text offsets its
+        runs take as slices.
 
-        A query with MEMBERS_PER_RUN or more members per run is sliced: its
-        line joins one memoryview slice per run of a decimal text of 1..top,
-        top the largest member of a sliced query. A query with shorter runs
-        is listed: its line holds the repr of its member list, which costs
-        less per member than a slice costs per run. So the cost is O(top)
-        once, O(runs) per run-coded query, O(t/64 + runs + |S|) per
-        mask-coded one and O(output bytes). The generator holds the text,
-        a memo of at most one offset per distinct run-coded toggle (no more
-        than the log holds) and one line.
+        A query's code fixes how its line is written. A run-coded query's
+        line joins one memoryview slice per run of a decimal text of
+        1..top, top the largest member of any run-coded query (the text
+        cap counts no other). A mask-coded query's line holds the repr of
+        its member list. So the cost is O(top) once, O(runs) per run-coded
+        query, O(t/64 + |S|) per mask-coded one and O(output bytes). The
+        generator holds the text, a memo of at most one offset per
+        distinct run-coded toggle (no more than the log holds) and one line.
         """
         log = self._log
         # Run a..b is the text from a's offset to b+1's, the ", " after b
         # included; a line's last run drops it.
         offset = _Offsets()
         codes = []  # per query: the toggles to slice by, or None to list it
-        top = sliced_top = size = 0
+        top = size = 0
         for query, _, _ in log:
             mask = query._mask
             if mask is None:
                 code = query._toggles()
-                starts, ends = code[0::2], code[1::2]
-                members, runs = sum(ends) - sum(starts), len(ends)
-                high = code[-1] if code else 0
-                if code:  # the text its runs take, from the offsets a slice reuses
-                    size += (sum(map(offset.__getitem__, ends))
-                             - sum(map(offset.__getitem__, starts)) - 2)
+                if code:  # the text its runs take, from the offsets its slices reuse
+                    top = max(top, code[-1])
+                    size += (sum(map(offset.__getitem__, code[1::2]))
+                             - sum(map(offset.__getitem__, code[0::2])) - 2)
             else:
-                code = ()  # found again in the generator, one query at a time
-                members, runs = mask.bit_count(), (mask ^ (mask << 1)).bit_count() >> 1
-                high = mask.bit_length()
+                code = None
                 size += _mask_text_size(mask)
-            listed = members < MEMBERS_PER_RUN * runs
-            top = max(top, high)
-            if not listed:
-                sliced_top = max(sliced_top, high)
-            codes.append(None if listed else code)
+            codes.append(code)
         if _decimal_offset(top + 1) - 2 > MAX_TRANSCRIPT_BYTES:  # the length of text
             raise ValueError(f"transcript lists vertex {top}, more than the cap of "
                              f"{MAX_TRANSCRIPT_BYTES} bytes of decimal text")
         if size > MAX_TRANSCRIPT_BYTES:
             raise ValueError(f"transcript members take {size} bytes, more than the cap "
                              f"of {MAX_TRANSCRIPT_BYTES}")
-        text = memoryview(_decimal_text(sliced_top))
+        text = memoryview(_decimal_text(top))
 
         def lines() -> Iterator[bytes]:
             for i, ((query, answer, _), code) in enumerate(zip(log, codes), 1):
@@ -236,10 +222,7 @@ class Oracle:
                     members = str(list(query)).encode()
                     yield b'{"i": %d, "q": %b, "a": %d}\n' % (i, members, answer)
                     continue
-                if query._mask is None:
-                    off = list(map(offset.__getitem__, code))
-                else:
-                    off = [_decimal_offset(x + 1) for x in query._toggles()]
+                off = list(map(offset.__getitem__, code))
                 if off:
                     off[-1] -= 2
                 yield b"".join([b'{"i": %d, "q": [' % i,

@@ -160,16 +160,6 @@ def _distinct_signatures(support: np.ndarray, cand: list[np.ndarray]) -> bool:
     return len(np.unique(keys)) == len(rest)
 
 
-def is_separating_design(code: BinaryCode, max_edge_size: int) -> bool:
-    """True iff distinct candidate edges (nonempty, size <= max_edge_size)
-    always produce distinct answer patterns under the code's rows."""
-    if max_edge_size < 1:
-        raise ValueError("max_edge_size must be positive")
-    support = _bools_from_masks(code.rows, code.n_cols)
-    cand = _candidate_indices(code.n_cols, max_edge_size)
-    return _distinct_signatures(support, cand)
-
-
 def build_block_design(n_cols: int, max_edge_size: int, seed: int) -> BinaryCode:
     """Random search for a verified single-edge identification design.
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+import time
 from math import comb
 
 import pytest
+
+import hhl.bounds as bounds
 
 from conftest import count_family_bruteforce
 from hhl import (
@@ -77,3 +80,27 @@ def test_rate_point():
         rate_point(1024, 0)
     with pytest.raises(ValueError):
         rate_point(1, 5)
+
+
+def test_oversized_family_count_is_refused_at_once(monkeypatch):
+    # Each would take from seconds to minutes of big-int steps; the
+    # refusal names the numbers instead.
+    for t, s, l, bits in ((10**20, 10**5, 3, 197), (10**20, 10**4, 3, 197),
+                          (10**6, 3 * 10**4, 3, 58), (10**1000, 1000, 3, 9964)):
+        start = time.process_time()
+        with pytest.raises(ValueError, match=f"counting {s} terms over a {bits}-bit number"):
+            info_lower_bound(FamilyParams(t, s, l))
+        assert time.process_time() - start < 1.0
+    # CI's (1000, 16000, 3) has 166,667,500 candidate edges, a 28-bit
+    # number that fits one word, so it stays under the cap.
+    assert 16000**2 * 28 <= bounds.MAX_FAMILY_COUNT_WORK
+    # The cap is inclusive. (10, 3, 1) has 10 candidate edges, 4 bits in
+    # one word; (2**70, 2, 1) has 2**70 of them, 71 bits in two words.
+    for params, work, size in ((FamilyParams(10, 3, 1), 3**2 * 4, 1 + 10 + 45 + 120),
+                               (FamilyParams(2**70, 2, 1), 2**2 * 71 * 2,
+                                1 + 2**70 + 2**70 * (2**70 - 1) // 2)):
+        monkeypatch.setattr(bounds, "MAX_FAMILY_COUNT_WORK", work)
+        assert family_size_exact(params) == size
+        monkeypatch.setattr(bounds, "MAX_FAMILY_COUNT_WORK", work - 1)
+        with pytest.raises(ValueError, match=f"takes work {work}, more than the cap of {work - 1}"):
+            family_size_exact(params)

@@ -46,6 +46,31 @@ def test_bounds_csv(capsys):
     assert lines[1] == "4,1,2,11,4"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bounds_prints_a_family_size_past_the_int_digit_limit(capsys, fmt):
+    # At t = 10**1000 two edges of size at most 3 give a 5999-digit family
+    # size, past Python's default limit of 4300 digits, which stays set.
+    t = 10**1000
+    n = t + t * (t - 1) // 2 + t * (t - 1) * (t - 2) // 6
+    want = 1 + n + n * (n - 1) // 2
+    limit = sys.get_int_max_str_digits()
+    assert main(["bounds", "--t", "1" + "0" * 1000, "--s", "2", "--l", "3",
+                 "--format", fmt]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    if fmt == "json":
+        size = out.split('"family_size": ')[1].split(",")[0]
+        bound = out.split('"lower_bound_queries": ')[1].split()[0]
+    else:
+        size, bound = out.splitlines()[1].split(",")[3:]
+    assert bound == str((want - 1).bit_length())
+    sys.set_int_max_str_digits(0)
+    try:
+        assert size == str(want)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["gen", "--t", "8", "--s", "1", "--l", "1"], id="gen"),
     pytest.param(["learn", "--s", "1", "--l", "1"], id="learn"),
@@ -332,6 +357,12 @@ HUGE_T = str(10**30)
 ])
 def test_huge_t_is_an_error(argv):
     cli_error(argv)
+
+
+def test_oversized_family_count_is_an_error():
+    # 10**5 terms of up to 2 * 10**7 bits each: minutes of big-int steps.
+    stderr = cli_error(["bounds", "--t", str(10**20), "--s", "100000", "--l", "3"])
+    assert "counting 100000 terms over a 197-bit number of candidate edges" in stderr
 
 
 def test_cf_search_oversized_t_is_refused_before_drawing():

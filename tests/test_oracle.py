@@ -24,7 +24,7 @@ from hhl import (
     two_stage_trial,
 )
 from hhl.core import edge_mask
-from hhl.oracle import MEMBERS_PER_RUN, _decimal_text, _mask_text_size
+from hhl.oracle import _decimal_text, _mask_text_size
 
 from conftest import toggles_of
 
@@ -263,13 +263,12 @@ def assert_encodings_match(o: Oracle, path) -> None:
 
 def encoder_cases(t: int) -> list[list[int]]:
     """Member lists: vertex 1 and vertex t, runs and pairs across each
-    digit-count boundary, runs of one member fewer than MEMBERS_PER_RUN and
-    of exactly that many (listed and sliced by default), and random sets."""
+    digit-count boundary, runs of 9 and of 10 members, and random sets."""
     cases = [[], [1], [t], [1, t], list(range(1, t + 1))]
     for b in (9, 99, 999, 9999):
         cases += [[b], [b + 1], [b, b + 1], list(range(b - 2, b + 3)),
                   list(range(1, b + 1)), list(range(b + 1, t + 1)), [1, b, b + 1, t]]
-    for length in (MEMBERS_PER_RUN - 1, MEMBERS_PER_RUN):
+    for length in (9, 10):
         cases.append([v for a in range(1, t + 1, length + 2)
                       for v in range(a, min(a + length, t + 1))])
     rng = random.Random(t)
@@ -278,13 +277,10 @@ def encoder_cases(t: int) -> list[list[int]]:
     return [[v for v in members if v <= t] for members in cases]
 
 
-@pytest.mark.parametrize("members_per_run", [1, MEMBERS_PER_RUN, 10**9],
-                         ids=["all-sliced", "default", "all-listed"])
 @pytest.mark.parametrize("t", [10000, 10001])
-def test_encoder_bytes_match_json_dumps(tmp_path, monkeypatch, t, members_per_run):
-    # Every case run- and mask-coded, with each rule: the two ways of
+def test_encoder_bytes_match_json_dumps(tmp_path, t):
+    # Every case run-coded (sliced) and mask-coded (listed): the two ways of
     # writing a query give json.dumps' bytes.
-    monkeypatch.setattr(hhl.oracle, "MEMBERS_PER_RUN", members_per_run)
     o = Oracle(Hypergraph(t, [(1,)]))
     for members in encoder_cases(t):
         o.query(VertexSet(t, members))
@@ -296,23 +292,25 @@ def test_encoder_bytes_match_json_dumps(tmp_path, monkeypatch, t, members_per_ru
     assert (tmp_path / "empty.jsonl").read_bytes() == b""
 
 
-def test_member_list_rule_reads_members_per_run(monkeypatch):
-    # Only a sliced query needs the decimal text: runs one member shorter
-    # than MEMBERS_PER_RUN are listed, runs of that many sliced, in either code.
+def test_only_run_coded_queries_build_the_decimal_text(monkeypatch):
+    # The code alone picks the line rule: a run-coded query is sliced even
+    # when its runs hold one member each, so the text runs up to its top;
+    # a mask-coded query is listed even when its runs are long, so no text
+    # is built for it.
     tops = []
     build = hhl.oracle._decimal_text
     monkeypatch.setattr(hhl.oracle, "_decimal_text", lambda top: tops.append(top) or build(top))
     t = 200
-    for length in (MEMBERS_PER_RUN - 1, MEMBERS_PER_RUN):
-        members = [v for a in range(1, 100, length + 3) for v in range(a, a + length)]
-        for s in (VertexSet(t, members), VertexSet._from_mask(t, edge_mask(members))):
-            o = Oracle(Hypergraph(t, [(1,)]))
-            o.query(s)
-            assert_reference_bytes(o)
-        if length < MEMBERS_PER_RUN:
-            assert tops == [0, 0]
-        else:
-            assert tops[2:] == [members[-1]] * 2
+    singles = list(range(1, 150, 2))
+    o = Oracle(Hypergraph(t, [(1,)]))
+    o.query(VertexSet(t, singles))
+    assert_reference_bytes(o)
+    assert tops == [singles[-1]]
+    long_runs = [v for a in range(1, 150, 40) for v in range(a, a + 30)]
+    o = Oracle(Hypergraph(t, [(1,)]))
+    o.query(VertexSet._from_mask(t, edge_mask(long_runs)))
+    assert_reference_bytes(o)
+    assert tops[1:] == [0]
 
 
 def test_decimal_text_and_text_sizes_match_join(monkeypatch):
@@ -326,7 +324,7 @@ def test_decimal_text_and_text_sizes_match_join(monkeypatch):
             assert _mask_text_size(edge_mask(members)) == size
             if not members:
                 continue
-            # The encoder's count for the run-coded set, listed or sliced:
+            # The encoder's count for the run-coded set, from its runs' offsets:
             # logged until its members outweigh the text of 1..top, so the
             # member cap, set to that text's length, names their total.
             o = Oracle(Hypergraph(t, [(1,)]))
@@ -492,6 +490,18 @@ def test_transcript_cap_counts_the_text_not_the_top_vertex(monkeypatch):
         o.transcript_jsonl()
 
 
+def test_transcript_text_cap_counts_only_run_coded_queries(monkeypatch):
+    # A mask-coded {50} is listed and reads no text, so only its 2 bytes of
+    # members count; the run-coded {50} still needs the 189 bytes of 1..50.
+    monkeypatch.setattr(hhl.oracle, "MAX_TRANSCRIPT_BYTES", 100)
+    o = Oracle(Hypergraph(100, [(1,)]))
+    o.query(VertexSet._from_mask(100, edge_mask([50])))
+    assert o.transcript_jsonl() == '{"i": 1, "q": [50], "a": 0}\n'
+    o.query(VertexSet(100, [50]))
+    with pytest.raises(ValueError, match="vertex 50, more than the cap of 100 bytes"):
+        o.transcript_jsonl()
+
+
 @pytest.mark.parametrize("rounds", [1, 10])
 def test_transcript_caps_admit_their_exact_size(monkeypatch, rounds):
     # One round's members take fewer bytes than the text of 1..t, so the
@@ -499,7 +509,7 @@ def test_transcript_caps_admit_their_exact_size(monkeypatch, rounds):
     # records have several runs each but one, which has none, so a count
     # off by the 2 bytes of a separator per record, or by a digit in any
     # digit count, shows at the exact cap or one below it. At t = 10001
-    # the records are listed and their runs straddle 9/10, 99/100,
+    # the records are sliced and their runs straddle 9/10, 99/100,
     # 999/1000 and 9999/10000: a pair across each, and the runs of six
     # between multiples of 7 (8..13, 99..104, 995..1000, 9997..10001).
     for t, records in (

@@ -19,7 +19,6 @@ from hhl import (
     coverfree,
     decode_block,
     find_good_layer,
-    is_separating_design,
     layer_partition,
     layer_success_probability,
     random_disjoint_instance,
@@ -28,7 +27,7 @@ from hhl import (
     two_stage_trial,
     twostage,
 )
-from hhl.core import edge_mask
+from hhl.core import _bools_from_masks, edge_mask
 from hhl.coverfree import BinaryCode
 from hhl.twostage import (
     MAX_LAYER_ENTRIES,
@@ -37,6 +36,13 @@ from hhl.twostage import (
     _derive_seed,
     _distinct_signatures,
 )
+
+
+def separates(code: BinaryCode, l: int) -> bool:
+    """True iff distinct candidate edges of size 1..l give distinct answer
+    patterns under the code's rows: the check build_block_design runs."""
+    return _distinct_signatures(_bools_from_masks(code.rows, code.n_cols),
+                                _candidate_indices(code.n_cols, l))
 
 
 def complement_of_identity(t: int) -> BinaryCode:
@@ -197,12 +203,12 @@ def test_oversized_block_design_refused_before_allocating(monkeypatch):
     with pytest.raises(ValueError, match="candidate edges"):
         _candidate_indices(5, 2)
     with pytest.raises(ValueError, match="candidate edges"):
-        is_separating_design(complement_of_identity(5), 2)
+        separates(complement_of_identity(5), 2)
 
 
 def test_complement_of_identity_separates_singletons():
     design = complement_of_identity(5)
-    assert is_separating_design(design, 1)
+    assert separates(design, 1)
     for v in range(1, 6):
         answers = [(r >> (v - 1)) & 1 == 1 for r in design.rows]
         assert decode_block(design, answers, 1) == (v,)
@@ -210,9 +216,9 @@ def test_complement_of_identity_separates_singletons():
 
 def test_identity_rows_do_not_separate_pairs():
     identity = BinaryCode(3, 3, (1, 2, 4))
-    assert not is_separating_design(identity, 2)
-    with pytest.raises(ValueError):
-        is_separating_design(identity, 0)
+    assert not separates(identity, 2)
+    with pytest.raises(ValueError, match="max_edge_size must be positive"):
+        build_block_design(3, 0, seed=0)
 
 
 def separates_by_brute_force(rows: list[int], n_cols: int, l: int) -> bool:
@@ -244,7 +250,7 @@ def test_distinct_signatures_match_brute_force(n_rows, l):
         rows = [sum(1 << int(j) for j in np.flatnonzero(r)) for r in support]
         want = separates_by_brute_force(rows, n_cols, l)
         assert _distinct_signatures(support, _candidate_indices(n_cols, l)) == want
-        assert is_separating_design(BinaryCode(n_rows, n_cols, tuple(rows)), l) == want
+        assert separates(BinaryCode(n_rows, n_cols, tuple(rows)), l) == want
         outcomes.append(want)
     assert not outcomes[2]
     if n_rows == 128:
