@@ -33,11 +33,16 @@ def family_size_exact(params: FamilyParams) -> int:
     return total
 
 
+def ceil_log2(size: int) -> int:
+    """ceil(log2 size) for a positive int, exactly: the fewest yes/no
+    answers that tell size cases apart."""
+    return (size - 1).bit_length()
+
+
 def info_lower_bound(params: FamilyParams) -> int:
     """Minimum worst-case query count of any searching algorithm:
     ceil(log2 of the exact family size)."""
-    size = family_size_exact(params)
-    return (size - 1).bit_length()
+    return ceil_log2(family_size_exact(params))
 
 
 def rate_point(t: int, queries: int) -> float:

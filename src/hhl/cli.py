@@ -24,7 +24,7 @@ import os
 import sys
 
 from ._numpy import np
-from .bounds import family_size_exact, info_lower_bound, rate_point
+from .bounds import ceil_log2, family_size_exact, info_lower_bound, rate_point
 from .core import (
     FamilyParams,
     load_hypergraph,
@@ -190,13 +190,13 @@ def _cmd_learn(args, parser) -> tuple[object, list[dict]]:
 
 
 def _cmd_bounds(args, parser) -> tuple[object, list[dict]]:
-    params = FamilyParams(args.t, args.s, args.l)
+    size = family_size_exact(FamilyParams(args.t, args.s, args.l))
     payload = {
         "t": args.t,
         "s": args.s,
         "l": args.l,
-        "family_size": family_size_exact(params),
-        "lower_bound_queries": info_lower_bound(params),
+        "family_size": size,
+        "lower_bound_queries": ceil_log2(size),
     }
     return payload, [payload]
 

@@ -82,15 +82,20 @@ def _candidate_indices(n_cols: int, max_size: int) -> list[np.ndarray]:
     return out
 
 
-def _signatures(support: np.ndarray, cand: list[np.ndarray]) -> list[np.ndarray]:
-    """One (count, words) uint64 array per index array of cand: the AND of
-    the sets' packed column signatures of an (n_rows, n_cols) bool matrix,
-    one zero-padded bit per row, set iff the row holds the whole set."""
+def _packed_columns(support: np.ndarray) -> np.ndarray:
+    """(n_cols, words) uint64 column signatures of an (n_rows, n_cols) bool
+    matrix: one zero-padded bit per row, set iff the row holds the column."""
     n_rows, n_cols = support.shape
     words = (n_rows + 63) >> 6
     colsig = np.zeros((n_cols, 8 * words), dtype=np.uint8)
     colsig[:, : (n_rows + 7) >> 3] = np.packbits(support, axis=0).T
-    colsig = colsig.view(np.uint64)
+    return colsig.view(np.uint64)
+
+
+def _signatures(colsig: np.ndarray, cand: list[np.ndarray]) -> list[np.ndarray]:
+    """One (count, words) uint64 array per index array of cand: the AND of
+    the sets' _packed_columns signatures, whose bit is set iff the row
+    holds the whole set."""
     ands = []
     for idx in cand:
         sig = colsig[idx[:, 0]]
@@ -129,7 +134,8 @@ def find_violation(
             )
     cand = _candidate_indices(t, l)
     ones = cand[-1]
-    colsig, ones_and = _signatures(_bools_from_masks(code.rows, t), [cand[0], ones])
+    colsig = _packed_columns(_bools_from_masks(code.rows, t))
+    (ones_and,) = _signatures(colsig, [ones])
     # A row separates (zero_cols, ones[k]) iff its bit is set in ones_and[k] and
     # clear in zero_or; l-sets that meet zero_cols never are, so they are dropped.
     for zero_cols in combinations(range(t), s):

@@ -23,9 +23,9 @@ from typing import Sequence
 
 from ._numpy import np
 
-from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_mask
+from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_count, edge_mask
 from .core import _bools_from_masks, _masks_from_bools
-from .coverfree import BinaryCode, _candidate_indices, _signatures
+from .coverfree import BinaryCode, _candidate_indices, _packed_columns, _signatures
 from .oracle import Oracle
 
 
@@ -34,6 +34,9 @@ MAX_LAYER_ENTRIES = 1 << 25
 
 # Longest design build_block_design tries before a declared failure.
 MAX_DESIGN_ROWS = 4096
+
+# Words per temporary of the column-containment certificate: 8 MiB of uint64.
+CONTAINMENT_CHUNK_WORDS = 1 << 20
 
 
 class DesignSearchError(RuntimeError):
@@ -141,15 +144,36 @@ def required_layers(epsilon: float, s: int, l: int) -> int:
     return n
 
 
+def _has_contained_column(colsig: np.ndarray) -> bool:
+    # colsig: (n_cols, words) packed columns. True iff some column's rows all
+    # lie in another column's rows. Each chunk of columns is compared with
+    # every column one word at a time, so a temporary holds about
+    # CONTAINMENT_CHUNK_WORDS entries whatever the design's size.
+    n_cols, words = colsig.shape
+    step = max(1, CONTAINMENT_CHUNK_WORDS // n_cols)
+    for lo in range(0, n_cols, step):
+        chunk = colsig[lo : lo + step]
+        # contained[i, b]: the rows of column lo + i lie in b's, as far as the
+        # words compared so far tell. Every column lies in itself.
+        contained = (chunk[:, 0, None] & ~colsig[:, 0]) == 0
+        for w in range(1, words):
+            if np.count_nonzero(contained) == len(chunk):
+                break
+            contained &= (chunk[:, w, None] & ~colsig[:, w]) == 0
+        if np.count_nonzero(contained) > len(chunk):
+            return True
+    return False
+
+
 def _distinct_signatures(support: np.ndarray, cand: list[np.ndarray]) -> bool:
     # support: (n_rows, n_cols) bool. A design separates the candidates iff
     # the per-candidate answer columns are pairwise distinct. A row contains
     # a candidate iff it contains each of its columns, so a candidate's
     # answer column is the AND of its columns' packed row signatures.
-    n_cand = sum(len(idx) for idx in cand)
-    if (1 << support.shape[0]) < n_cand:
-        return False  # fewer answer patterns than candidates
-    sigs = np.concatenate(_signatures(support, cand))
+    colsig = _packed_columns(support)
+    if len(cand) > 1 and _has_contained_column(colsig):
+        return False  # rows of a within rows of b: {a} and {a, b} answer alike
+    sigs = np.concatenate(_signatures(colsig, cand))
     first = np.sort(sigs[:, 0])
     tied = first[1:][first[1:] == first[:-1]]
     if sigs.shape[1] == 1 or len(tied) == 0:
@@ -165,8 +189,9 @@ def build_block_design(n_cols: int, max_edge_size: int, seed: int) -> BinaryCode
 
     Samples the bit-complement of i.i.d. Bernoulli(1/(max_edge_size+1))
     codes at doubling lengths and returns the first one that passes the
-    exhaustive separation check. Raises DesignSearchError when no design
-    of at most MAX_DESIGN_ROWS rows passes.
+    exhaustive separation check; lengths with fewer answer patterns than
+    candidates are skipped. Raises DesignSearchError when no design of at
+    most MAX_DESIGN_ROWS rows passes.
     """
     if max_edge_size < 1:
         raise ValueError("max_edge_size must be positive")
@@ -174,7 +199,15 @@ def build_block_design(n_cols: int, max_edge_size: int, seed: int) -> BinaryCode
         raise ValueError(f"block of {n_cols} cannot hold an edge of {max_edge_size}")
     rng = np.random.default_rng(seed)
     cand = _candidate_indices(n_cols, max_edge_size)
-    n = 1
+    n_cand = edge_count(n_cols, max_edge_size)
+    # n rows give at most 2**n answer columns, too few for n_cand candidates
+    # below that. Those lengths' rows are drawn in one call, which takes the
+    # same values from the stream as one draw per length.
+    n, skipped = 1, 0
+    while n < MAX_DESIGN_ROWS and (1 << n) < n_cand:
+        skipped += n
+        n = min(2 * n, MAX_DESIGN_ROWS)
+    rng.random((skipped, n_cols))
     while n <= MAX_DESIGN_ROWS:
         cf_style = rng.random((n, n_cols)) < 1.0 / (max_edge_size + 1)
         support = ~cf_style

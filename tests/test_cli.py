@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import limit_address_space
-from hhl import cf_rate_bounds, cli, load_hypergraph
+from hhl import FamilyParams, bounds, cf_rate_bounds, cli, info_lower_bound, load_hypergraph
 from hhl.cli import main
 
 
@@ -44,6 +44,23 @@ def test_bounds_csv(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "t,s,l,family_size,lower_bound_queries"
     assert lines[1] == "4,1,2,11,4"
+
+
+def test_bounds_counts_the_family_once(capsys, monkeypatch):
+    # The count is the slow part at large s: 0.6-0.8 s at (1000, 16000, 3).
+    calls = []
+    count = bounds.family_size_exact
+
+    def counted(params):
+        calls.append(params)
+        return count(params)
+
+    monkeypatch.setattr(bounds, "family_size_exact", counted)
+    monkeypatch.setattr(cli, "family_size_exact", counted)
+    out = run_json(capsys, ["bounds", "--t", "1000", "--s", "40", "--l", "3"])
+    assert calls == [FamilyParams(1000, 40, 3)]
+    assert out["family_size"] == count(FamilyParams(1000, 40, 3))
+    assert out["lower_bound_queries"] == info_lower_bound(FamilyParams(1000, 40, 3))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

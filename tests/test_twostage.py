@@ -230,9 +230,9 @@ def separates_by_brute_force(rows: list[int], n_cols: int, l: int) -> bool:
     return len(patterns) == len(cands)
 
 
-# n_rows covers the pigeonhole cut (at l = 3, 13 rows hold fewer patterns
-# than the 10700 candidates on 40 columns, 14 rows do not), one and two
-# 64-bit words either side of the boundary, and two full words.
+# n_rows covers too few rows for the candidates (at l = 3, 13 rows hold
+# fewer patterns than the 10700 candidates on 40 columns, 14 rows do not),
+# one and two 64-bit words either side of the boundary, and two full words.
 @pytest.mark.parametrize("n_rows", [1, 13, 14, 63, 64, 65, 128])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_distinct_signatures_match_brute_force(n_rows, l):
@@ -245,8 +245,14 @@ def test_distinct_signatures_match_brute_force(n_rows, l):
     first_word_tie[:64, 1] = first_word_tie[:64, 0]
     duplicated = random_support.copy()
     duplicated[:, 1] = duplicated[:, 0]
+    # Column 0's rows lie strictly inside column 1's: the last row holds 1
+    # but not 0. With n_rows > 64, the columns are equal on the first word.
+    contained = random_support.copy()
+    contained[:, 1] |= contained[:, 0]
+    contained[:64, 1] = contained[:64, 0]
+    contained[-1, 0], contained[-1, 1] = False, True
     outcomes = []
-    for support in (random_support, first_word_tie, duplicated):
+    for support in (random_support, first_word_tie, duplicated, contained):
         rows = [sum(1 << int(j) for j in np.flatnonzero(r)) for r in support]
         want = separates_by_brute_force(rows, n_cols, l)
         assert _distinct_signatures(support, _candidate_indices(n_cols, l)) == want
@@ -255,6 +261,79 @@ def test_distinct_signatures_match_brute_force(n_rows, l):
     assert not outcomes[2]
     if n_rows == 128:
         assert outcomes[1]  # separated by the second word alone
+    if l > 1:
+        assert not outcomes[3]  # {0} and {0, 1} answer alike
+    elif n_rows >= 13:
+        assert outcomes[3]  # singletons only: nested columns still differ
+
+
+@pytest.mark.parametrize("chunk_words", [1, 5 * 12, 7 * 12 + 3])
+@pytest.mark.parametrize("n_rows", [63, 65, 128])
+def test_containment_certificate_across_chunks(monkeypatch, chunk_words, n_rows):
+    # Chunks of 1, 5 and 7 columns, so pairs within one chunk, pairs across
+    # chunks and a short last chunk are all compared.
+    monkeypatch.setattr(twostage, "CONTAINMENT_CHUNK_WORDS", chunk_words)
+    n_cols = 12
+    rng = np.random.default_rng(n_rows + chunk_words)
+    support = rng.random((n_rows, n_cols)) < 2 / 3
+    cand = _candidate_indices(n_cols, 2)
+    colsig = coverfree._packed_columns(support)
+    assert not twostage._has_contained_column(colsig)
+    for inner, outer in [(0, 11), (11, 0), (4, 5), (5, 4), (6, 7), (10, 11), (3, 10)]:
+        nested = support.copy()
+        nested[:, outer] |= nested[:, inner]
+        nested[-1, inner], nested[-1, outer] = False, True
+        assert twostage._has_contained_column(coverfree._packed_columns(nested))
+        assert not _distinct_signatures(nested, cand)
+        rows = [sum(1 << int(j) for j in np.flatnonzero(r)) for r in nested]
+        assert not separates_by_brute_force(rows, n_cols, 2)
+
+
+def design_by_per_length_draws(n_cols: int, l: int, seed: int) -> BinaryCode:
+    """Reference design search: one draw per doubling length, each checked
+    for too few answer patterns and then for distinct answer columns of
+    every candidate."""
+    rng = np.random.default_rng(seed)
+    cand = _candidate_indices(n_cols, l)
+    n_cand = sum(len(idx) for idx in cand)
+    n = 1
+    while n <= twostage.MAX_DESIGN_ROWS:
+        support = ~(rng.random((n, n_cols)) < 1.0 / (l + 1))
+        if 1 << n >= n_cand:
+            sigs = np.concatenate(coverfree._signatures(coverfree._packed_columns(support), cand))
+            keys = sigs.view(np.dtype((np.void, 8 * sigs.shape[1])))
+            if len(np.unique(keys)) == n_cand:
+                rows = tuple(sum(1 << int(j) for j in np.flatnonzero(r)) for r in support)
+                return BinaryCode(n, n_cols, rows)
+        if n == twostage.MAX_DESIGN_ROWS:
+            break
+        n = min(2 * n, twostage.MAX_DESIGN_ROWS)
+    raise DesignSearchError(
+        f"no separating design for {n_cols} columns within {twostage.MAX_DESIGN_ROWS} rows"
+    )
+
+
+def design_outcome(build, n_cols, l, seed):
+    try:
+        return build(n_cols, l, seed)
+    except DesignSearchError as exc:
+        return str(exc)
+
+
+# Budgets: none; 5 rows, not a power of two, where the last length is tried
+# even with too few rows (40 columns at l = 2); and the default.
+@pytest.mark.parametrize("max_rows, n_designs",
+                         [(0, 0), (5, 27), (twostage.MAX_DESIGN_ROWS, 90)])
+def test_block_design_matches_per_length_draws(monkeypatch, max_rows, n_designs):
+    monkeypatch.setattr(twostage, "MAX_DESIGN_ROWS", max_rows)
+    designs = 0
+    for n_cols in (1, 2, 3, 5, 12, 40, 130):
+        for l in range(1, min(3, n_cols) + 1):
+            for seed in range(5):
+                want = design_outcome(design_by_per_length_draws, n_cols, l, seed)
+                assert design_outcome(build_block_design, n_cols, l, seed) == want
+                designs += isinstance(want, BinaryCode)
+    assert designs == n_designs
 
 
 @pytest.mark.parametrize("l", [1, 2])
