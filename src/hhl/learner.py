@@ -265,11 +265,10 @@ def learn_detailed(
     """Run the full adaptive search and return the result with statistics.
 
     The first next-query search degenerates to the single probe of the whole
-    vertex set, so an edgeless hidden hypergraph costs exactly one query.
+    vertex set, so an edgeless hidden hypergraph costs exactly one query. A
+    universe mismatch fails at that probe: the oracle raises ValueError.
     """
     t = params.t
-    if oracle.hidden.t != t:
-        raise ValueError(f"universe mismatch: oracle has t={oracle.hidden.t}")
     stats = SearchStats()
     found: list[int] = []
     found_vertices = VertexSet(t, found)

@@ -117,27 +117,28 @@ def _mask_text_size(mask: int) -> int:
 
 @dataclass(frozen=True)
 class QueryRecord:
+    """One log entry, (query, answer), with its position in the log."""
+
     index: int  # 1-based position in the transcript
     query: VertexSet
     answer: bool
-    tag: str | None = None
 
 
 class Oracle:
     """Answers edge-detecting queries over a hidden hypergraph.
 
     Queries are answered strictly sequentially into an append-only log of
-    (query, answer, tag) tuples, one per answered query. The query is the
-    VertexSet the caller passed, an immutable value, and the tag is query's
-    second argument. Both codes are answered from one table of the hidden
-    edges' member positions: a run-coded query with one bisect per tested
-    edge member, so a learner run, whose queries are all run-coded, does no
-    t-bit work per query; a mask-coded one with one bit test per tested
-    member. An optional budget caps the number of answered queries so
-    worst-case bounds can be enforced by the oracle itself. A transcript
-    writes each query by one rule per code: a run-coded query as one slice
-    per run of a decimal text, a mask-coded one as its member list
-    (_jsonl_lines).
+    (query, answer) pairs: the VertexSet the caller passed, an immutable
+    value, and its answer. A set over another universe raises ValueError
+    before anything is logged, the one universe check the drivers meet.
+    Both codes are answered from one table of the hidden edges' member
+    positions: a run-coded query with one bisect per tested edge member, so
+    a learner run, whose queries are all run-coded, does no t-bit work per
+    query; a mask-coded one with one bit test per tested member. An
+    optional budget caps the number of answered queries so worst-case
+    bounds are enforced by the oracle itself. A transcript writes each
+    query by one rule per code: a run-coded query as one slice per run of a
+    decimal text, a mask-coded one as its member list (_jsonl_lines).
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -146,7 +147,7 @@ class Oracle:
         self.hidden = hidden
         self.budget = budget
         self._edge_positions = _member_positions(hidden)
-        self._log: list[tuple[VertexSet, bool, str | None]] = []
+        self._log: list[tuple[VertexSet, bool]] = []
 
     @property
     def count(self) -> int:
@@ -157,7 +158,7 @@ class Oracle:
         """Every answered query in order, built from the log on each read."""
         return tuple(QueryRecord(i, *entry) for i, entry in enumerate(self._log, 1))
 
-    def query(self, s: VertexSet, tag: str | None = None) -> bool:
+    def query(self, s: VertexSet) -> bool:
         if s._t != self.hidden.t:
             raise ValueError(f"universe mismatch: {s._t} != {self.hidden.t}")
         log = self._log
@@ -168,7 +169,7 @@ class Oracle:
             answer = _runs_contain_edge(self._edge_positions, runs)
         else:
             answer = _mask_contains_edge(self._edge_positions, s._mask)
-        log.append((s, answer, tag))
+        log.append((s, answer))
         return answer
 
     def _jsonl_lines(self) -> Iterator[bytes]:
@@ -196,7 +197,7 @@ class Oracle:
         offset = _Offsets()
         codes = []  # per query: the toggles to slice by, or None to list it
         top = size = 0
-        for query, _, _ in log:
+        for query, _ in log:
             mask = query._mask
             if mask is None:
                 code = query._toggles()
@@ -217,7 +218,7 @@ class Oracle:
         text = memoryview(_decimal_text(top))
 
         def lines() -> Iterator[bytes]:
-            for i, ((query, answer, _), code) in enumerate(zip(log, codes), 1):
+            for i, ((query, answer), code) in enumerate(zip(log, codes), 1):
                 if code is None:
                     members = str(list(query)).encode()
                     yield b'{"i": %d, "q": %b, "a": %d}\n' % (i, members, answer)

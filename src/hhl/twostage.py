@@ -97,15 +97,14 @@ def find_good_layer(matrix: LayerMatrix, oracle: Oracle) -> tuple[VertexSet, ...
     layer_partition blocks of the first layer whose s block queries all
     answered 1, or None if no layer did.
 
-    Every query is issued, and tagged "stage1", whatever the earlier answers
-    were, so the batch is fixed in advance and costs exactly s * n_layers.
+    Every query is issued whatever the earlier answers were, so the batch
+    is fixed in advance and costs exactly s * n_layers. An oracle over
+    another universe refuses the first block, before logging it.
     """
-    if matrix.t != oracle.hidden.t:
-        raise ValueError(f"universe mismatch: {matrix.t} != {oracle.hidden.t}")
     good = None
     for i in range(matrix.n_layers):
         blocks = layer_partition(matrix, i)
-        answers = [oracle.query(block, "stage1") for block in blocks]
+        answers = [oracle.query(block) for block in blocks]
         if good is None and all(answers):
             good = blocks
     return good
@@ -302,8 +301,9 @@ def two_stage_trial(
     Stage one always issues the full fixed batch of s*N block queries and
     then picks the first good layer. No good layer, an exhausted design
     search or a block whose answers do not decode to exactly one candidate
-    is a declared failure, never a fallback. Each query is tagged as it is
-    issued: "stage1" by find_good_layer, "stage2" here.
+    is a declared failure, never a fallback. Stage one is committed before
+    any stage-two query, so of the log entries a trial adds, the first
+    stage1_queries are its blocks, layer by layer, and the rest its rows.
     """
     t, s, l = params.t, params.s, params.l
     if not 0 < epsilon < 1:
@@ -328,8 +328,7 @@ def two_stage_trial(
                 rows = np.zeros((design.n_rows, t), dtype=bool)
                 rows[:, np.array(verts) - 1] = _bools_from_masks(design.rows, design.n_cols)
                 block_answers.append([
-                    oracle.query(VertexSet._from_mask(t, m), "stage2")
-                    for m in _masks_from_bools(rows)
+                    oracle.query(VertexSet._from_mask(t, m)) for m in _masks_from_bools(rows)
                 ])
             hypergraph = Hypergraph(t, [
                 tuple(verts[j - 1] for j in decode_block(design, answers, l))

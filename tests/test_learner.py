@@ -363,8 +363,11 @@ def test_learn_random_large_instances():
 
 
 def test_learn_rejects_mismatched_universe():
-    with pytest.raises(ValueError):
-        learn(Oracle(Hypergraph(5)), FamilyParams(6, 1, 1))
+    # The first probe, the whole universe, is refused before it is logged.
+    oracle = Oracle(Hypergraph(5))
+    with pytest.raises(ValueError, match=r"universe mismatch: 6 != 5"):
+        learn(oracle, FamilyParams(6, 1, 1))
+    assert oracle.count == 0
 
 
 def queries(o: Oracle) -> list[tuple[int, bool]]:

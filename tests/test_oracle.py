@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import random
@@ -353,21 +354,12 @@ def test_transcript_jsonl_holds_the_output_at_most_twice():
     assert peak < 2.2 * len(text), (peak, len(text))
 
 
-def test_tags_recorded():
-    o = Oracle(Hypergraph(3, [(1,)]))
-    o.query(VertexSet(3, [1]))
-    o.query(VertexSet(3, [2]), "stage1")
-    o.query(VertexSet(3, [3]))
-    assert [r.tag for r in o.transcript] == [None, "stage1", None]
-
-
 def test_transcript_is_tuple_of_frozen_records_built_from_the_log():
     h = Hypergraph(6, [(1, 2), (5,)])
     o = Oracle(h)
     sets = [VertexSet(6, m) for m in ([1, 2], [3], [4, 5], [], [1, 2, 3, 4, 5, 6])]
-    tags = [None, "stage1", "stage1", "stage2", None]
-    for s, tag in zip(sets, tags):
-        o.query(s, tag)
+    for s in sets:
+        o.query(s)
         assert o.count == len(o.transcript)
     tr = o.transcript
     assert type(tr) is tuple
@@ -375,7 +367,8 @@ def test_transcript_is_tuple_of_frozen_records_built_from_the_log():
     assert [r.index for r in tr] == list(range(1, o.count + 1))
     assert [r.query for r in tr] == sets
     assert [r.answer for r in tr] == [not is_independent(h, s) for s in sets]
-    assert [r.tag for r in tr] == tags
+    assert [f.name for f in dataclasses.fields(QueryRecord)] == ["index", "query", "answer"]
+    assert list(inspect.signature(Oracle.query).parameters) == ["self", "s"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         tr[0].answer = False
 
@@ -398,7 +391,7 @@ def test_log_keeps_the_mask_that_was_answered():
     o = Oracle(Hypergraph(4, [(1,)]))
     s = VertexSet._from_mask(4, 0b1)
     assert o.query(s)
-    record = (QueryRecord(1, VertexSet(4, [1]), True, None),)
+    record = (QueryRecord(1, VertexSet(4, [1]), True),)
     jsonl = '{"i": 1, "q": [1], "a": 1}\n'
     assert o.transcript == record and o.transcript_jsonl() == jsonl
     # The log keeps the caller's set, which cannot be reassigned.
@@ -415,7 +408,7 @@ def test_log_keeps_the_mask_that_was_answered():
 def test_run_coded_queries_match_mask_coded(t):
     # One oracle is asked mask-coded sets, one the same sets run-coded
     # (with empty and touching runs), one the two codes in turn: same
-    # answers, tags, transcripts and bytes.
+    # answers, transcripts and bytes.
     rng = random.Random(t)
     marks = sorted({v for v in (1, 2, 63, 64, 65, t // 2, t // 2 + 1, t - 1, t) if 1 <= v <= t})
     for _ in range(8):
@@ -433,10 +426,9 @@ def test_run_coded_queries_match_mask_coded(t):
             extra = [rng.randint(0, t) for _ in range(rng.randint(0, 3))]
             by_mask = VertexSet._from_mask(t, edge_mask(members))
             by_runs = VertexSet._from_runs(t, toggles_of(members, extra))
-            tag = rng.choice([None, "stage1"])
             want = any(set(e) <= members for e in edges)
             for o, s in zip(oracles, (by_mask, by_runs, (by_mask, by_runs)[i % 2])):
-                assert o.query(s, tag) == want
+                assert o.query(s) == want
             assert is_independent(h, by_runs) == (not want)
             assert is_independent(h, by_mask) == (not want)
         first = oracles[0].transcript
@@ -459,7 +451,7 @@ def test_log_keeps_the_toggles_that_were_answered():
     with pytest.raises(AttributeError):
         s.mask = 0b1110
     assert s.members() == (1,)
-    assert o.transcript == (QueryRecord(1, VertexSet(4, [1]), True, None),)
+    assert o.transcript == (QueryRecord(1, VertexSet(4, [1]), True),)
     assert o.transcript_jsonl() == '{"i": 1, "q": [1], "a": 1}\n'
 
 
@@ -557,12 +549,12 @@ def test_query_answers_match_plain_set_containment():
 
 def test_query_past_budget_records_nothing():
     o = Oracle(Hypergraph(4, [(1,)]), budget=1)
-    o.query(VertexSet(4, [1]), "stage1")
+    o.query(VertexSet(4, [1]))
     jsonl = o.transcript_jsonl()
     with pytest.raises(BudgetExceededError):
         o.query(VertexSet(4, [2]))
     assert o.count == len(o.transcript) == 1
-    assert o.transcript == (QueryRecord(1, VertexSet(4, [1]), True, "stage1"),)
+    assert o.transcript == (QueryRecord(1, VertexSet(4, [1]), True),)
     assert o.transcript_jsonl() == jsonl
     with pytest.raises(BudgetExceededError):
         Oracle(Hypergraph(4, [(1,)]), budget=0).query(VertexSet(4))

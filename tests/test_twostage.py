@@ -19,6 +19,7 @@ from hhl import (
     coverfree,
     decode_block,
     find_good_layer,
+    is_independent,
     layer_partition,
     layer_success_probability,
     random_disjoint_instance,
@@ -409,32 +410,64 @@ def test_two_stage_trial_success():
     assert report.success
     assert report.hypergraph == hidden
     assert report.stage1_queries == 2  # s * n_layers, the full fixed batch
-    tags = [r.tag for r in oracle.transcript]
-    assert set(tags) == {"stage1", "stage2"}
-    assert tags == sorted(tags)  # stage1 strictly precedes stage2
+    assert report.stage2_queries > 0
+    assert oracle.count == report.stage1_queries + report.stage2_queries
 
 
-def test_query_after_a_trial_is_untagged():
+def test_budget_stops_a_trial_one_query_into_stage_two():
     params = FamilyParams(16, 2, 2)
     hidden = random_disjoint_instance(params, seed=4)
-    oracle = Oracle(hidden)
-    report = two_stage_trial(oracle, params, 0.5, seed=4, n_layers=1)
+    report = two_stage_trial(Oracle(hidden), params, 0.5, seed=4, n_layers=1)
     assert report.success and report.stage2_queries > 1
-    oracle.query(VertexSet(16, range(1, 17)))
-    tags = [r.tag for r in oracle.transcript]
     n1 = report.stage1_queries
-    assert tags[:n1] == ["stage1"] * n1
-    assert tags[n1:-1] == ["stage2"] * report.stage2_queries
-    assert tags[-1] is None
-
-    # The same trial with a budget that runs out one query into stage two.
     oracle = Oracle(hidden, budget=n1 + 1)
     with pytest.raises(BudgetExceededError):
         two_stage_trial(oracle, params, 0.5, seed=4, n_layers=1)
-    assert [r.tag for r in oracle.transcript] == ["stage1"] * n1 + ["stage2"]
+    assert oracle.count == n1 + 1
+    # Lifting the budget lets the same oracle answer and log the next query.
     oracle.budget = None
-    oracle.query(VertexSet(16, range(1, 17)))
-    assert oracle.transcript[-1].tag is None
+    assert oracle.query(VertexSet(16, range(1, 17)))
+    assert oracle.count == n1 + 2
+    assert oracle.transcript[-1].query == VertexSet(16, range(1, 17))
+
+
+def stage_two_rows(hidden: Hypergraph, matrix: LayerMatrix, l: int, seed: int) -> list[int]:
+    """The masks two_stage_trial queries in stage two, from the hidden
+    hypergraph: each design row of each block of the first layer whose
+    blocks all hold an edge, mapped from block columns to its vertices."""
+    layers = [layer_partition(matrix, i) for i in range(matrix.n_layers)]
+    part = next(bs for bs in layers if not any(is_independent(hidden, b) for b in bs))
+    want = []
+    for bi, block in enumerate(part, start=1):
+        verts = block.members()
+        design = build_block_design(len(block), l, _derive_seed(seed, bi))
+        for row in design.rows:
+            local = VertexSet._from_mask(design.n_cols, row)
+            want.append(edge_mask(verts[j - 1] for j in local))
+    return want
+
+
+@pytest.mark.parametrize("n_layers", [1, 3, 8])
+def test_two_stage_queries_by_position(n_layers):
+    # A trial's stage is its place in the log: first every block of every
+    # layer in layer order, then the design rows of the good layer's blocks.
+    params = FamilyParams(64, 2, 2)
+    outcomes = set()
+    for seed in range(12):
+        hidden = random_disjoint_instance(params, seed=seed)
+        oracle = Oracle(hidden)
+        report = two_stage_trial(oracle, params, 0.5, seed=seed, n_layers=n_layers)
+        n1 = report.stage1_queries
+        assert n1 == 2 * n_layers and oracle.count == n1 + report.stage2_queries
+        matrix = sample_layer_matrix(n_layers, 64, 2, _derive_seed(seed, 0))
+        tr = oracle.transcript
+        assert [r.query for r in tr[:n1]] == [
+            b for i in range(n_layers) for b in layer_partition(matrix, i)
+        ]
+        if report.success:
+            assert [r.query.mask for r in tr[n1:]] == stage_two_rows(hidden, matrix, 2, seed)
+        outcomes.add(report.success)
+    assert outcomes == {True, False}
 
 
 def test_two_stage_trial_declared_failure():
@@ -454,7 +487,7 @@ def test_two_stage_trial_ambiguous_decode_is_declared_failure():
     oracle = Oracle(Hypergraph(16, [(2, 7, 11)]))
     report = two_stage_trial(oracle, params, 0.05, seed=0)
     design = build_block_design(16, 2, _derive_seed(0, 1))
-    answers = [r.answer for r in oracle.transcript if r.tag == "stage2"]
+    answers = [r.answer for r in oracle.transcript[report.stage1_queries:]]
     with pytest.raises(DecodeError):
         decode_block(design, answers, 2)
     assert not report.success
@@ -476,17 +509,21 @@ def test_two_stage_queries_remap_design_rows(t):
             continue
         successes += 1
         matrix = sample_layer_matrix(report.layers, t, 2, _derive_seed(seed, 0))
-        part = find_good_layer(matrix, Oracle(hidden))
-        want = []
-        for bi, block in enumerate(part, start=1):
-            verts = block.members()
-            design = build_block_design(len(block), 2, _derive_seed(seed, bi))
-            for row in design.rows:
-                local = VertexSet._from_mask(design.n_cols, row)
-                want.append(edge_mask(verts[j - 1] for j in local))
-        got = [r.query.mask for r in oracle.transcript if r.tag == "stage2"]
-        assert got == want
+        got = [r.query.mask for r in oracle.transcript[report.stage1_queries:]]
+        assert got == stage_two_rows(hidden, matrix, 2, seed)
     assert successes >= 2
+
+
+def test_universe_mismatch_fails_at_the_first_query():
+    # The oracle's own check refuses the first block, before logging it.
+    oracle = Oracle(Hypergraph(9))
+    with pytest.raises(ValueError, match=r"universe mismatch: 8 != 9"):
+        find_good_layer(sample_layer_matrix(3, 8, 2, 0), oracle)
+    assert oracle.count == 0
+    oracle = Oracle(random_disjoint_instance(FamilyParams(9, 2, 2), seed=0))
+    with pytest.raises(ValueError, match=r"universe mismatch: 8 != 9"):
+        two_stage_trial(oracle, FamilyParams(8, 2, 2), 0.05, seed=0)
+    assert oracle.count == 0
 
 
 def test_two_stage_singleton_family_always_succeeds():
