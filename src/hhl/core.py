@@ -259,27 +259,22 @@ class VertexSet:
         return f"VertexSet(t={self._t}, {{{', '.join(map(str, self))}}})"
 
 
+@dataclass(frozen=True)
 class Hypergraph:
-    """Vertex count plus a set of distinct nonempty edges."""
+    """Vertex count plus a set of distinct nonempty edges, given as any
+    iterable and kept canonical: an immutable value, equal as (t, edges)."""
 
-    __slots__ = ("t", "edges")
+    t: int
+    edges: frozenset[Edge] = frozenset()
 
-    def __init__(self, t: int, edges: Iterable[Iterable[int]] = ()) -> None:
-        if t < 1:
+    def __post_init__(self) -> None:
+        if self.t < 1:
             raise ValueError("vertex count must be positive")
-        self.t = t
-        self.edges: frozenset[Edge] = frozenset(canonical_edge(e, t) for e in edges)
+        edges = frozenset(canonical_edge(e, self.t) for e in self.edges)
+        object.__setattr__(self, "edges", edges)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return self.t == other.t and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.edges))
 
     def __repr__(self) -> str:
         return f"Hypergraph(t={self.t}, edges={self.sorted_edges()})"

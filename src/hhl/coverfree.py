@@ -18,6 +18,7 @@ from math import comb
 
 from ._numpy import np
 
+from .bounds import ceil_log2
 from .core import _bools_from_masks, edge_count
 
 # Most column sets of size <= l that cover-free checks and stage-two designs
@@ -105,6 +106,12 @@ def _signatures(colsig: np.ndarray, cand: list[np.ndarray]) -> list[np.ndarray]:
     return ands
 
 
+def _lengths(cap: int) -> list[int]:
+    """The code lengths a random search tries, shortest first: the powers
+    of two below cap, then cap; none when cap < 1."""
+    return [1 << k for k in range(ceil_log2(cap))] + [cap] if cap >= 1 else []
+
+
 def _check_params(code: BinaryCode, s: int, l: int) -> None:
     if s < 1 or l < 1:
         raise ValueError("s and l must be positive")
@@ -174,7 +181,7 @@ def search_random_cf_code(
 ) -> BinaryCode | None:
     """Randomized search for a cover-free code of size t.
 
-    Samples i.i.d. Bernoulli(l/(s+l)) codes at doubling lengths up to max_n
+    Samples i.i.d. Bernoulli(l/(s+l)) codes at the _lengths(max_n) lengths
     and returns the first verified one, or None. Raises ValueError, before
     drawing any code, when verification would exceed MAX_DESIGN_CANDIDATES.
     """
@@ -185,8 +192,7 @@ def search_random_cf_code(
     _check_candidates(t, l)
     rng = random.Random(seed)
     p = l / (s + l)
-    n = 1
-    while n <= max_n:
+    for n in _lengths(max_n):
         # One draw per column, row by row: fixed seeds must give the same codes.
         rows = tuple(
             int("".join("1" if rng.random() < p else "0" for _ in range(t))[::-1], 2)
@@ -195,9 +201,6 @@ def search_random_cf_code(
         code = BinaryCode(n, t, rows)
         if is_cover_free(code, s, l):
             return code
-        if n == max_n:
-            break
-        n = min(2 * n, max_n)
     return None
 
 

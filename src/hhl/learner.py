@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from typing import Iterable
 
+from .bounds import ceil_log2
 from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_count
 from .oracle import Oracle, is_independent
 
@@ -39,21 +40,17 @@ class SearchStats:
     edge_deletions: int = 0
 
 
-def edge_search_query_cap(s: int, l: int) -> int:
-    """Worst-case queries of one edge search: subsets of size <= l of s*l vertices."""
-    return edge_count(s * l, l)
-
-
-def query_search_query_cap(s: int, l: int) -> int:
-    """Worst-case queries of one next-query search: 2**(s*l)."""
-    return 2 ** (s * l)
-
-
 def worst_case_query_budget(params: FamilyParams) -> int:
-    """Query budget the learner never exceeds on any family member."""
+    """Query budget the learner never exceeds on any family member.
+
+    Each of the at most s*l iterations pays ceil_log2(t) for its vertex
+    search, edge_count(s*l, l) for its edge search and 2**(s*l) for its
+    next-query search, one query per subset of the found vertices. The + 1
+    pays for the search that ends the run: the k-th next-query search tries
+    at most 2**(k-1) subsets, so all s*l + 1 take <= s*l * (2**(s*l) + 1).
+    """
     t, s, l = params.t, params.s, params.l
-    log_t = (t - 1).bit_length()  # ceil(log2 t)
-    return s * l * (log_t + edge_search_query_cap(s, l) + query_search_query_cap(s, l) + 1)
+    return s * l * (ceil_log2(t) + edge_count(s * l, l) + 2 ** (s * l) + 1)
 
 
 def find_active_vertex(

@@ -144,10 +144,15 @@ class Oracle:
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
         if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative")
-        self.hidden = hidden
+        self._hidden = hidden
         self.budget = budget
         self._edge_positions = _member_positions(hidden)
         self._log: list[tuple[VertexSet, bool]] = []
+
+    @property
+    def hidden(self) -> Hypergraph:
+        """Read-only: queries are answered from its edge table, built once."""
+        return self._hidden
 
     @property
     def count(self) -> int:
@@ -159,8 +164,8 @@ class Oracle:
         return tuple(QueryRecord(i, *entry) for i, entry in enumerate(self._log, 1))
 
     def query(self, s: VertexSet) -> bool:
-        if s._t != self.hidden.t:
-            raise ValueError(f"universe mismatch: {s._t} != {self.hidden.t}")
+        if s._t != self._hidden.t:
+            raise ValueError(f"universe mismatch: {s._t} != {self._hidden.t}")
         log = self._log
         if self.budget is not None and len(log) >= self.budget:
             raise BudgetExceededError(f"query budget {self.budget} exhausted")

@@ -23,9 +23,9 @@ from typing import Sequence
 
 from ._numpy import np
 
-from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_count, edge_mask
+from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_mask
 from .core import _bools_from_masks, _masks_from_bools
-from .coverfree import BinaryCode, _candidate_indices, _packed_columns, _signatures
+from .coverfree import BinaryCode, _candidate_indices, _lengths, _packed_columns, _signatures
 from .oracle import Oracle
 
 
@@ -87,7 +87,10 @@ def sample_layer_matrix(n_layers: int, t: int, s: int, seed: int) -> LayerMatrix
 def layer_partition(matrix: LayerMatrix, layer: int) -> tuple[VertexSet, ...]:
     """The s symbol classes of one layer: block r-1 holds the vertices whose
     symbol is r. LayerMatrix holds every symbol in 1..s, so the blocks are
-    disjoint and cover {1..t}; some may be empty."""
+    disjoint and cover {1..t}; some may be empty. Raises ValueError for a
+    layer outside 0..n_layers-1."""
+    if not 0 <= layer < matrix.n_layers:
+        raise ValueError(f"layer {layer} outside 0..{matrix.n_layers - 1}")
     flags = matrix.symbols[layer] == np.arange(1, matrix.s + 1)[:, None]
     return tuple(VertexSet._from_mask(matrix.t, m) for m in _masks_from_bools(flags))
 
@@ -187,10 +190,10 @@ def build_block_design(n_cols: int, max_edge_size: int, seed: int) -> BinaryCode
     """Random search for a verified single-edge identification design.
 
     Samples the bit-complement of i.i.d. Bernoulli(1/(max_edge_size+1))
-    codes at doubling lengths and returns the first one that passes the
-    exhaustive separation check; lengths with fewer answer patterns than
-    candidates are skipped. Raises DesignSearchError when no design of at
-    most MAX_DESIGN_ROWS rows passes.
+    codes at the _lengths(MAX_DESIGN_ROWS) lengths and returns the first
+    one that passes the exhaustive separation check; lengths with fewer
+    answer patterns than candidates are skipped. Raises DesignSearchError
+    when no design of at most MAX_DESIGN_ROWS rows passes.
     """
     if max_edge_size < 1:
         raise ValueError("max_edge_size must be positive")
@@ -198,23 +201,18 @@ def build_block_design(n_cols: int, max_edge_size: int, seed: int) -> BinaryCode
         raise ValueError(f"block of {n_cols} cannot hold an edge of {max_edge_size}")
     rng = np.random.default_rng(seed)
     cand = _candidate_indices(n_cols, max_edge_size)
-    n_cand = edge_count(n_cols, max_edge_size)
+    n_cand = sum(map(len, cand))
     # n rows give at most 2**n answer columns, too few for n_cand candidates
-    # below that. Those lengths' rows are drawn in one call, which takes the
-    # same values from the stream as one draw per length.
-    n, skipped = 1, 0
-    while n < MAX_DESIGN_ROWS and (1 << n) < n_cand:
-        skipped += n
-        n = min(2 * n, MAX_DESIGN_ROWS)
-    rng.random((skipped, n_cols))
-    while n <= MAX_DESIGN_ROWS:
+    # below that. Those lengths but the last are skipped, their rows drawn in
+    # one call, which takes the same values from the stream as one per length.
+    lengths = _lengths(MAX_DESIGN_ROWS)
+    short = [n for n in lengths[:-1] if 1 << n < n_cand]
+    rng.random((sum(short), n_cols))
+    for n in lengths[len(short) :]:
         cf_style = rng.random((n, n_cols)) < 1.0 / (max_edge_size + 1)
         support = ~cf_style
         if _distinct_signatures(support, cand):
             return BinaryCode(n, n_cols, tuple(_masks_from_bools(support)))
-        if n == MAX_DESIGN_ROWS:
-            break
-        n = min(2 * n, MAX_DESIGN_ROWS)
     raise DesignSearchError(
         f"no separating design for {n_cols} columns within {MAX_DESIGN_ROWS} rows"
     )
@@ -304,10 +302,13 @@ def two_stage_trial(
     is a declared failure, never a fallback. Stage one is committed before
     any stage-two query, so of the log entries a trial adds, the first
     stage1_queries are its blocks, layer by layer, and the rest its rows.
+    A negative seed raises ValueError before any sample or query.
     """
     t, s, l = params.t, params.s, params.l
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     layers = n_layers if n_layers is not None else required_layers(epsilon, s, l)
     matrix = sample_layer_matrix(layers, t, s, _derive_seed(seed, 0))
     start = oracle.count

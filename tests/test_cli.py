@@ -265,6 +265,13 @@ def test_bench_bad_sweep_is_usage_failure(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_twostage_negative_seed_names_the_seed(capsys):
+    assert main(["twostage", "--t", "16", "--s", "2", "--l", "2", "--seed", "-1",
+                 "--trials", "1"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: seed must be non-negative, got -1\n")
+
+
 @pytest.mark.parametrize("cpus, trials, pool_sizes", [
     pytest.param(3, 8, [3], id="capped-at-cpus"),
     pytest.param(64, 2, [2], id="capped-at-tasks"),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -338,6 +340,18 @@ def test_hypergraph_canonicalization():
     assert h.sorted_edges() == [(1, 2), (3,)]
     assert h == Hypergraph(5, [(1, 2), (3,)])
     assert h != Hypergraph(6, [(1, 2), (3,)])
+
+
+def test_hypergraph_is_an_immutable_value():
+    h = Hypergraph(6, [(4, 5), (1, 3)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.t = 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.edges = frozenset()
+    assert (h.t, h.edges) == (6, frozenset({(1, 3), (4, 5)}))
+    assert hash(h) == hash((6, frozenset({(1, 3), (4, 5)})))
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and hash(back) == hash(h) and back is not h
 
 
 def test_hypergraph_rejects_bad_edges():

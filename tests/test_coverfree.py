@@ -171,6 +171,14 @@ def test_cf_rate_bounds_values():
         cf_rate_bounds(1, 1)
 
 
+@pytest.mark.parametrize("cap, lengths", [
+    (-3, []), (0, []), (1, [1]), (4, [1, 2, 4]), (5, [1, 2, 4, 5]),
+    (12, [1, 2, 4, 8, 12]), (4096, [1 << k for k in range(13)]),
+])
+def test_lengths_double_up_to_the_cap(cap, lengths):
+    assert coverfree._lengths(cap) == lengths
+
+
 def test_search_random_cf_code():
     code = search_random_cf_code(8, 1, 1, max_n=16, seed=0)
     assert code is not None

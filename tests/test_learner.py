@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -25,13 +26,11 @@ from hhl import (
     SearchContractError,
     SearchStats,
     VertexSet,
-    edge_search_query_cap,
     find_active_vertex,
     find_edges_on,
     find_next_query,
     learn,
     learn_detailed,
-    query_search_query_cap,
     random_disjoint_instance,
     random_family_instance,
     worst_case_query_budget,
@@ -322,10 +321,20 @@ def test_learn_non_sperner_returns_minimal_antichain():
 
 
 def test_budget_formula_values():
-    assert edge_search_query_cap(2, 2) == 10
-    assert query_search_query_cap(2, 2) == 16
     assert worst_case_query_budget(FamilyParams(2**16, 2, 2)) == 172
     assert worst_case_query_budget(FamilyParams(2**14, 3, 2)) == 600
+
+
+@pytest.mark.parametrize("t", [*range(1, 65), 2**40 + 3])
+def test_budget_matches_written_out_formula(t):
+    # ceil(log2 t) per vertex search, every subset of size <= l of s*l
+    # vertices per edge search, every subset of them per next-query search.
+    for s in range(1, 5):
+        for l in range(1, 5):
+            n = s * l
+            edges = sum(comb(n, j) for j in range(1, l + 1))
+            expected = n * ((t - 1).bit_length() + edges + 2**n + 1)
+            assert worst_case_query_budget(FamilyParams(t, s, l)) == expected
 
 
 def test_learn_exhaustive_small_family():

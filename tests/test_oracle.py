@@ -404,6 +404,17 @@ def test_log_keeps_the_mask_that_was_answered():
     assert o.transcript_jsonl() == jsonl
 
 
+def test_hidden_is_read_only():
+    # The answers come from the edge table built at construction, so a new
+    # hidden hypergraph would not be the one answered from.
+    hidden = Hypergraph(8, [(1, 2)])
+    o = Oracle(hidden)
+    with pytest.raises(AttributeError):
+        o.hidden = Hypergraph(8, [(7, 8)])
+    assert o.hidden is hidden
+    assert learn_detailed(o, FamilyParams(8, 1, 2), debug_checks=True).hypergraph == hidden
+
+
 @pytest.mark.parametrize("t", [1, 2, 63, 64, 65, 130, 4097])
 def test_run_coded_queries_match_mask_coded(t):
     # One oracle is asked mask-coded sets, one the same sets run-coded

@@ -81,6 +81,14 @@ def test_layer_partition_blocks():
     assert part[1] == VertexSet(4, [3, 4])
 
 
+@pytest.mark.parametrize("layer", [-1, 2, 5])
+def test_layer_partition_refuses_a_layer_outside_the_matrix(layer):
+    # Python indexing would read layer -1 as the last one and fail at 5
+    # inside numpy; both are refused up front.
+    with pytest.raises(ValueError, match=f"layer {layer} outside 0..1"):
+        layer_partition(sample_layer_matrix(2, 4, 2, 0), layer)
+
+
 @pytest.mark.parametrize("t", [1, 63, 64, 65, 257])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_layer_partition_blocks_are_the_symbol_classes(t, s):
@@ -567,6 +575,14 @@ def test_two_stage_validates_epsilon():
     hidden = random_disjoint_instance(params, seed=1)
     with pytest.raises(ValueError):
         two_stage_trial(Oracle(hidden), params, 1.5, seed=1)
+
+
+def test_two_stage_refuses_a_negative_seed_before_any_query():
+    params = FamilyParams(16, 2, 2)
+    oracle = Oracle(random_disjoint_instance(params, seed=1))
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        two_stage_trial(oracle, params, 0.05, seed=-1)
+    assert oracle.count == 0
 
 
 def test_trial_report_dict_shape():
