@@ -64,22 +64,46 @@ def _check_candidates(n_cols: int, max_size: int) -> None:
         )
 
 
+# Size k -> read-only (C(n, k), k) array of the k-subsets of range(n) in
+# colex order, for the largest n any call has asked for at that size.
+_COLEX: dict[int, np.ndarray] = {}
+
+
+def _grow_colex(n_cols: int, size: int) -> None:
+    # The colex list of range(n_cols): for m = size-1, size, ..., each
+    # (size-1)-subset of range(m), in colex order, with m appended. So its
+    # first C(m, size) rows are the size-subsets of range(m).
+    _COLEX.pop(size, None)  # free the shorter array before building its successor
+    if size == 1:
+        idx = np.arange(n_cols).reshape(-1, 1)
+    else:
+        idx = np.empty((comb(n_cols, size), size), dtype=np.intp)
+        prev, start = _COLEX[size - 1], 0
+        for m in range(size - 1, n_cols):
+            stop = start + comb(m, size - 1)
+            idx[start:stop, :-1] = prev[: stop - start]
+            idx[start:stop, -1] = m
+            start = stop
+    idx.flags.writeable = False
+    _COLEX[size] = idx
+
+
 def _candidate_indices(n_cols: int, max_size: int) -> list[np.ndarray]:
-    """0-based column index arrays, one (count, size) array per size, each
-    listing the size-subsets of range(n_cols) in lexicographic order.
-    Raises ValueError, before allocating, above MAX_DESIGN_CANDIDATES."""
+    """0-based column index arrays, one read-only (count, size) array per
+    size, each listing the size-subsets of range(n_cols) in colex order
+    (largest member first, then the next largest, ...). Raises ValueError,
+    before allocating, above MAX_DESIGN_CANDIDATES.
+
+    The arrays are prefix views of one table per size, kept for the
+    process and grown only when a call asks for more columns than any call
+    before it, so repeated calls allocate nothing."""
     _check_candidates(n_cols, max_size)
-    idx = np.arange(n_cols).reshape(-1, 1)
-    out = [idx]
-    for _ in range(1, min(max_size, n_cols)):
-        # Extend each subset by every column above its last one.
-        last = idx[:, -1]
-        counts = n_cols - 1 - last
-        offset = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
-        idx = np.column_stack(
-            [np.repeat(idx, counts, axis=0), np.arange(counts.sum()) - offset]
-        )
-        out.append(idx)
+    out = []
+    for size in range(1, min(max_size, n_cols) + 1):
+        rows = comb(n_cols, size)
+        if len(_COLEX.get(size, ())) < rows:
+            _grow_colex(n_cols, size)
+        out.append(_COLEX[size][:rows])
     return out
 
 
@@ -128,7 +152,8 @@ def find_violation(
     code is not cover-free, or None if it is.
 
     The witness means: no row is all-zero on zero_cols and all-one on
-    one_cols; it is the lexicographically first such pair. Raises ValueError,
+    one_cols; it is the lexicographically first such pair (zero_cols first),
+    whatever order the candidate l-sets are scanned in. Raises ValueError,
     before allocating, above MAX_DESIGN_CANDIDATES column sets of size <= l.
     """
     _check_params(code, s, l)
@@ -150,7 +175,10 @@ def find_violation(
         hits = np.flatnonzero(~(ones_and & ~zero_or).any(axis=1))
         hits = hits[~(ones[hits, :, None] == zero_cols).any(axis=(1, 2))]
         if len(hits):
-            return tuple(c + 1 for c in zero_cols), tuple((ones[hits[0]] + 1).tolist())
+            # ones is in colex order; the witness is the lex-first hit.
+            found = ones[hits]
+            first = found[np.lexsort(found.T[::-1])[0]]
+            return tuple(c + 1 for c in zero_cols), tuple((first + 1).tolist())
     return None
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 from typing import Sequence
@@ -47,9 +48,15 @@ class DecodeError(RuntimeError):
     """Block answers are consistent with zero or several candidate edges."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LayerMatrix:
-    """N x t matrix over symbols {1..s}; each row induces one query layer."""
+    """N x t matrix over symbols {1..s}; each row induces one query layer.
+
+    Immutable: symbols is kept as a read-only view of the given array. The
+    block masks of every layer are computed together on first use, one
+    symbol at a time: s comparisons of the whole (N, t) matrix, so each
+    temporary holds N*t bools and no (N, s, t) array is built.
+    """
 
     s: int
     symbols: np.ndarray  # shape (n_layers, t), entries in 1..s
@@ -61,6 +68,9 @@ class LayerMatrix:
             raise ValueError("symbols must be a nonempty 2-d array")
         if self.symbols.min() < 1 or self.symbols.max() > self.s:
             raise ValueError("symbol entries must lie in {1..s}")
+        symbols = self.symbols.view()
+        symbols.flags.writeable = False
+        object.__setattr__(self, "symbols", symbols)
 
     @property
     def n_layers(self) -> int:
@@ -70,11 +80,20 @@ class LayerMatrix:
     def t(self) -> int:
         return int(self.symbols.shape[1])
 
+    @cached_property
+    def _block_masks(self) -> list[tuple[int, ...]]:
+        # [layer][r - 1]: the int mask of the vertices whose symbol is r.
+        by_symbol = [_masks_from_bools(self.symbols == r) for r in range(1, self.s + 1)]
+        return list(zip(*by_symbol))
+
 
 def sample_layer_matrix(n_layers: int, t: int, s: int, seed: int) -> LayerMatrix:
-    """Sample every entry i.i.d. uniform on {1..s}; deterministic in seed."""
+    """Sample every entry i.i.d. uniform on {1..s}; deterministic in seed.
+    A negative seed raises ValueError before any draw."""
     if n_layers < 1 or t < 1 or s < 1:
         raise ValueError("n_layers, t and s must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if n_layers * t > MAX_LAYER_ENTRIES:
         raise ValueError(
             f"{n_layers} layers of {t} symbols exceed {MAX_LAYER_ENTRIES} entries"
@@ -86,13 +105,12 @@ def sample_layer_matrix(n_layers: int, t: int, s: int, seed: int) -> LayerMatrix
 
 def layer_partition(matrix: LayerMatrix, layer: int) -> tuple[VertexSet, ...]:
     """The s symbol classes of one layer: block r-1 holds the vertices whose
-    symbol is r. LayerMatrix holds every symbol in 1..s, so the blocks are
-    disjoint and cover {1..t}; some may be empty. Raises ValueError for a
-    layer outside 0..n_layers-1."""
+    symbol is r, read from the matrix's block masks. LayerMatrix holds every
+    symbol in 1..s, so the blocks are disjoint and cover {1..t}; some may be
+    empty. Raises ValueError for a layer outside 0..n_layers-1."""
     if not 0 <= layer < matrix.n_layers:
         raise ValueError(f"layer {layer} outside 0..{matrix.n_layers - 1}")
-    flags = matrix.symbols[layer] == np.arange(1, matrix.s + 1)[:, None]
-    return tuple(VertexSet._from_mask(matrix.t, m) for m in _masks_from_bools(flags))
+    return tuple(VertexSet._from_mask(matrix.t, m) for m in matrix._block_masks[layer])
 
 
 def find_good_layer(matrix: LayerMatrix, oracle: Oracle) -> tuple[VertexSet, ...] | None:
@@ -193,12 +211,15 @@ def build_block_design(n_cols: int, max_edge_size: int, seed: int) -> BinaryCode
     codes at the _lengths(MAX_DESIGN_ROWS) lengths and returns the first
     one that passes the exhaustive separation check; lengths with fewer
     answer patterns than candidates are skipped. Raises DesignSearchError
-    when no design of at most MAX_DESIGN_ROWS rows passes.
+    when no design of at most MAX_DESIGN_ROWS rows passes, and ValueError
+    for a negative seed before any draw.
     """
     if max_edge_size < 1:
         raise ValueError("max_edge_size must be positive")
     if n_cols < max_edge_size:
         raise ValueError(f"block of {n_cols} cannot hold an edge of {max_edge_size}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     cand = _candidate_indices(n_cols, max_edge_size)
     n_cand = sum(map(len, cand))

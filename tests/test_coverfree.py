@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -223,6 +225,52 @@ def test_column_set_cap(monkeypatch):
     # with 10 one-sets verify under the same cap.
     assert is_cover_free(identity_code(10), 9, 1)
     assert find_violation(identity_code(10), 8, 1) is None
+
+
+def test_first_witness_is_lex_first_where_colex_disagrees():
+    # Rows are the pairs of columns 2..5 but {2, 5} and {3, 4}, so with
+    # column 1 at zero both pairs are unseparated: (2, 5) comes first in
+    # lex order, (3, 4) in the colex order the candidates are scanned in.
+    pairs = [(2, 3), (2, 4), (3, 5), (4, 5)]
+    code = BinaryCode(4, 5, tuple(sum(1 << (c - 1) for c in p) for p in pairs))
+    assert find_violation(code, 1, 2) == ((1,), (2, 5))
+    assert brute_force_first_violation(code_bits(code), 1, 2) == ((1,), (2, 5))
+
+
+def colex(n: int, k: int) -> list[tuple[int, ...]]:
+    return sorted(combinations(range(n), k), key=lambda c: c[::-1])
+
+
+def test_candidate_indices_list_each_subset_once_in_colex_order(monkeypatch):
+    monkeypatch.setattr(coverfree, "_COLEX", {})
+    for n in range(1, 13):
+        cand = coverfree._candidate_indices(n, 4)
+        assert [idx.shape for idx in cand] == [(comb(n, k), k) for k in range(1, min(4, n) + 1)]
+        for k, idx in enumerate(cand, start=1):
+            assert list(map(tuple, idx.tolist())) == colex(n, k)
+
+
+def test_candidate_indices_after_a_larger_call_match_a_fresh_call(monkeypatch):
+    monkeypatch.setattr(coverfree, "_COLEX", {})
+    fresh = [idx.copy() for idx in coverfree._candidate_indices(9, 3)]
+    coverfree._candidate_indices(40, 3)
+    assert coverfree._COLEX[3].shape == (comb(40, 3), 3)
+    again = coverfree._candidate_indices(9, 3)
+    assert [idx.tolist() for idx in again] == [idx.tolist() for idx in fresh]
+    # A size the larger call did not reach is built at the smaller size.
+    four = coverfree._candidate_indices(9, 4)
+    assert list(map(tuple, four[3].tolist())) == colex(9, 4)
+    for idx in again + four:
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0, 0] = 1
+
+
+def test_column_set_cap_holds_after_the_table_grew(monkeypatch):
+    coverfree._candidate_indices(40, 2)
+    monkeypatch.setattr(coverfree, "MAX_DESIGN_CANDIDATES", 10)
+    assert sum(len(idx) for idx in coverfree._candidate_indices(4, 2)) == 10
+    with pytest.raises(ValueError, match="candidate edges"):
+        coverfree._candidate_indices(5, 2)
 
 
 def test_code_file_round_trip(tmp_path):

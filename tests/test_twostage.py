@@ -90,12 +90,15 @@ def test_layer_partition_refuses_a_layer_outside_the_matrix(layer):
 
 
 @pytest.mark.parametrize("t", [1, 63, 64, 65, 257])
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
 def test_layer_partition_blocks_are_the_symbol_classes(t, s):
     # Block r-1 is {v : symbol of v is r}, so the blocks are disjoint and
-    # cover {1..t}, as a plain-Python scan of each layer says.
+    # cover {1..t}, as a plain-Python scan of each layer says. The last
+    # layer never uses symbol s, so its last block is empty when s > 1.
     rng = random.Random(t * 10 + s)
-    matrix = LayerMatrix(s, np.array([[rng.randint(1, s) for _ in range(t)] for _ in range(3)]))
+    rows = [[rng.randint(1, s) for _ in range(t)] for _ in range(3)]
+    rows.append([rng.randint(1, max(1, s - 1)) for _ in range(t)])
+    matrix = LayerMatrix(s, np.array(rows))
     for layer, symbols in enumerate(matrix.symbols.tolist()):
         blocks = layer_partition(matrix, layer)
         assert len(blocks) == s
@@ -104,6 +107,33 @@ def test_layer_partition_blocks_are_the_symbol_classes(t, s):
         assert set().union(*(b.members() for b in blocks)) == set(range(1, t + 1))
         for r, block in enumerate(blocks, start=1):
             assert set(block) == {v for v in range(1, t + 1) if symbols[v - 1] == r}
+    assert s == 1 or len(layer_partition(matrix, 3)[-1]) == 0
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.symbols[0, 0] = 1
+
+
+@pytest.mark.parametrize("t", [1, 63, 64, 65, 257])
+@pytest.mark.parametrize("s", [1, 2, 3, 5])
+def test_layer_partition_matches_the_per_layer_comparison(t, s):
+    # The reference compares one layer's symbols with each of 1..s.
+    matrix = sample_layer_matrix(6, t, s, seed=t + s)
+    for layer in range(matrix.n_layers):
+        flags = matrix.symbols[layer] == np.arange(1, s + 1)[:, None]
+        want = tuple(VertexSet(t, (np.flatnonzero(f) + 1).tolist()) for f in flags)
+        assert layer_partition(matrix, layer) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_layer_matrix(2, 4, 2, -1),
+    lambda: build_block_design(4, 1, -1),
+], ids=["sample_layer_matrix", "build_block_design"])
+def test_negative_seed_is_refused_before_any_draw(monkeypatch, call):
+    def no_draw(*args):
+        raise AssertionError("drew from a negative seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        call()
 
 
 def test_find_good_layer_examples():
