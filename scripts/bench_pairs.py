@@ -11,8 +11,10 @@ upwards), the script runs ``perfbench/run.py`` for the benchmark's
 ``run_seconds`` once in each checkout, one process at a time, alternating
 which checkout goes first. It records, for every
 end-to-end metric, each checkout's median and quartiles over the pairs and
-the number of pairs the change won. Then it runs one traced pass per
-checkout (``--trace 1``, first seed) and keeps its per-layer metrics.
+the number of pairs the change won. Then it runs three traced passes per
+checkout (``--trace 1``, first seed), again alternating which checkout goes
+first, and keeps each per-layer metric's median over a checkout's passes,
+so that machine drift during one pass does not read as a layer's change.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from pathlib import Path
 
 # Pairs per workload: the benchmark's rule for a claimed gain asks for ten.
 PAIRS = 10
+# Traced passes per checkout and workload; each per-layer metric keeps the median.
+TRACED = 3
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -84,10 +88,13 @@ def main(argv=None) -> int:
         end_to_end = {m["name"]: compare(runs["base"], runs["change"], m["name"],
                                          m["better"])
                       for m in bench["end_to_end"]}
-        traced = {}
-        for side in ("base", "change"):
-            result = run(getattr(args, side), workload, seeds[0], seconds, 1)
-            traced[side] = {k: v["value"] for k, v in result["metrics"].items()}
+        passes = {"base": [], "change": []}
+        for i in range(TRACED):
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                result = run(getattr(args, side), workload, seeds[0], seconds, 1)
+                passes[side].append(result["metrics"])
+        traced = {side: {k: statistics.median(r[k]["value"] for r in runs) for k in runs[0]}
+                  for side, runs in passes.items()}
         report["workloads"][workload] = {"end_to_end": end_to_end, "traced": traced}
     report["env"] = {k: env[k] for k in ("python", "numpy", "nproc", "cpu_model")}
     report["env"]["machine"] = platform.machine()

@@ -140,25 +140,22 @@ def find_edges_on(
 
     Candidates and found edges are masks over the indices of f's members,
     which the main loop keeps to at most s*l, so the skip test costs O(1)
-    word work. An issued candidate is run-coded: one toggle pair per member.
+    word work. A candidate is asked as a query of one frame, an empty base
+    plus f's members (Oracle.frame): its mask is the query, answered with
+    one word AND per hidden edge inside f.
     """
-    t = f.t
     members = f.members()
-    items = [(1 << i, (v - 1, v)) for i, v in enumerate(members)]
+    frame = oracle.frame(VertexSet(f.t), members)
+    bits = [1 << i for i in range(len(members))]
     found: list[int] = []
     for size in range(1, min(max_edge_size, len(members)) + 1):
-        for cand in combinations(items, size):
-            cmask = 0
-            for ib, _ in cand:
-                cmask |= ib
+        for cand in combinations(bits, size):
+            cmask = sum(cand)
             for fm in found:
                 if fm & cmask == fm:
                     break
             else:
-                runs: tuple[int, ...] = ()
-                for _, pair in cand:
-                    runs += pair
-                if oracle.query(VertexSet._from_runs(t, runs)):
+                if oracle.query((frame, cmask)):
                     # Strict supersets of a fresh positive cannot be present
                     # when enumerating smallest-first; the branch stays for
                     # fidelity.
@@ -174,21 +171,6 @@ def find_edges_on(
     )
 
 
-class _Gaps(dict):
-    """Run toggles of vertices minus the ones whose index bit is set in a
-    key: a toggle pair (v-1, v) per vertex v left, between head and tail.
-    Built on first use of a key."""
-
-    def __init__(self, vertices: list[int], head: tuple[int, ...], tail: tuple[int, ...]):
-        super().__init__()
-        self.vertices, self.head, self.tail = vertices, head, tail
-
-    def __missing__(self, bits: int) -> tuple[int, ...]:
-        pairs = [x for i, v in enumerate(self.vertices) if not bits >> i & 1 for x in (v - 1, v)]
-        runs = self[bits] = (*self.head, *pairs, *self.tail)
-        return runs
-
-
 def find_next_query(
     oracle: Oracle, found_edges: Iterable[Edge], t: int
 ) -> VertexSet | None:
@@ -201,19 +183,17 @@ def find_next_query(
 
     D and the known edges are masks over the indices of the at most s*l
     covered vertices, so enumeration and the skip test cost O(1) word work.
-    An issued query is run-coded: V minus the covered vertices outside D,
-    that is the toggles 0 and t around a pair (v-1, v) per such vertex. The
-    pairs of the lower and the upper half of the covered vertices are looked
-    up by D's bits in that half, so a query costs two lookups and, the
-    first time a half's bits occur, O(s*l) to build its part.
+    A candidate is asked as a query of one frame, base B plus the covered
+    vertices (Oracle.frame): D's mask is the query, answered with one word
+    AND per hidden edge that can lie in the candidates. Only the positive
+    candidate returned is built as a run-coded set.
     """
     edges = list(found_edges)
     covered = sorted({v for e in edges for v in e})
     index_bit = {v: 1 << i for i, v in enumerate(covered)}
     e_masks = [sum(index_bit[v] for v in e) for e in edges]
-    half = len(covered) // 2
-    low_bits = (1 << half) - 1
-    low, high = _Gaps(covered[:half], (0,), ()), _Gaps(covered[half:], (), (t,))
+    outside = VertexSet._from_runs(t, (0, *[x for v in covered for x in (v - 1, v)], t))
+    frame = oracle.frame(outside, covered)
     for size in range(len(covered) + 1):
         for d in combinations(index_bit.values(), size):
             dmask = sum(d)
@@ -222,9 +202,8 @@ def find_next_query(
                 if em & dmask == em:
                     break
             else:
-                cand = VertexSet._from_runs(t, low[dmask & low_bits] + high[dmask >> half])
-                if oracle.query(cand):
-                    return cand
+                if oracle.query((frame, dmask)):
+                    return frame.vertex_set(dmask)
     return None
 
 

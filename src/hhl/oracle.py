@@ -2,13 +2,17 @@
 
 A query on a vertex set answers 1 iff the set contains at least one entire
 edge of the hidden hypergraph. The oracle records every answered query; it
-never memoizes, so repeated queries are counted separately.
+never memoizes, so repeated queries are counted separately. A query is a
+VertexSet, or (frame, m): the set base | {vertices[i] : bit i of m} of a
+frame the oracle made (Oracle.frame), answered with one word AND per hidden
+edge that can lie in base | vertices and logged as that pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator
 
 from .core import Hypergraph, VertexSet
@@ -115,6 +119,31 @@ def _mask_text_size(mask: int) -> int:
     return size
 
 
+class Frame:
+    """The queries base | {vertices[i] : bit i of m} for index masks m, made
+    and answered by one oracle (Oracle.frame).
+
+    It keeps its oracle's key, so another oracle refuses it; the index mask
+    of each hidden edge that can lie in base | vertices, its members among
+    the vertices, so a query holds the edge iff m holds the mask; and, to
+    rebuild a query's set, base's toggles and the toggle pair (v-1, v) of
+    each vertex v by its index bit.
+    """
+
+    __slots__ = ("_key", "_t", "_base", "_pairs", "_edges", "_limit")
+
+    def vertex_set(self, m: int) -> VertexSet:
+        """The run-coded set of query (self, m): base's toggles merged with
+        the toggle pair of each vertex whose bit m holds, none in base."""
+        toggles, pairs = list(self._base), self._pairs
+        while m:
+            low = m & -m
+            toggles += pairs[low]
+            m ^= low
+        toggles.sort()
+        return VertexSet._from_runs(self._t, tuple(toggles))
+
+
 @dataclass(frozen=True)
 class QueryRecord:
     """One log entry, (query, answer), with its position in the log."""
@@ -128,15 +157,20 @@ class Oracle:
     """Answers edge-detecting queries over a hidden hypergraph.
 
     Queries are answered strictly sequentially into an append-only log of
-    (query, answer) pairs: the VertexSet the caller passed, an immutable
-    value, and its answer. A set over another universe raises ValueError
-    before anything is logged, the one universe check the drivers meet.
-    Both codes are answered from one table of the hidden edges' member
-    positions: a run-coded query with one bisect per tested edge member, so
-    a learner run, whose queries are all run-coded, does no t-bit work per
-    query; a mask-coded one with one bit test per tested member. An
-    optional budget caps the number of answered queries so worst-case
-    bounds are enforced by the oracle itself. A transcript writes each
+    (query, answer) pairs: the query the caller passed, an immutable
+    VertexSet or a (frame, m) pair of O(1) ints, and its answer. A set over
+    another universe, or a frame another oracle made, raises ValueError
+    before anything is logged; a frame's base and vertices are checked once,
+    when frame() makes it. Sets are answered from one table of the hidden
+    edges' member positions: a run-coded query with one bisect per tested
+    edge member, a mask-coded one with one bit test per tested member. A
+    frame query costs one word AND per hidden edge that can lie in the
+    frame, whatever t is; the learner's vertex search issues run-coded sets
+    and its two exhaustive searches frame queries, so a learner run does no
+    t-bit work per query. An optional budget caps the number of answered
+    queries so worst-case bounds are enforced by the oracle itself.
+    transcript, transcript_jsonl and write_transcript rebuild a frame
+    query's run-coded set when they are read. A transcript writes each
     query by one rule per code: a run-coded query as one slice per run of a
     decimal text, a mask-coded one as its member list (_jsonl_lines).
     """
@@ -147,7 +181,8 @@ class Oracle:
         self._hidden = hidden
         self.budget = budget
         self._edge_positions = _member_positions(hidden)
-        self._log: list[tuple[VertexSet, bool]] = []
+        self._key = object()  # held by the frames this oracle makes
+        self._log: list[tuple[VertexSet | tuple[Frame, int], bool]] = []
 
     @property
     def hidden(self) -> Hypergraph:
@@ -161,19 +196,81 @@ class Oracle:
     @property
     def transcript(self) -> tuple[QueryRecord, ...]:
         """Every answered query in order, built from the log on each read."""
-        return tuple(QueryRecord(i, *entry) for i, entry in enumerate(self._log, 1))
+        return tuple(QueryRecord(i, *entry) for i, entry in enumerate(self._sets(), 1))
 
-    def query(self, s: VertexSet) -> bool:
-        if s._t != self._hidden.t:
+    def _sets(self) -> Iterator[tuple[VertexSet, bool]]:
+        """The log's (set, answer) pairs, a frame query's set rebuilt."""
+        for query, answer in self._log:
+            if type(query) is tuple:
+                frame, m = query
+                query = frame.vertex_set(m)
+            yield query, answer
+
+    def frame(self, base: VertexSet, vertices: Iterable[int]) -> Frame:
+        """The queries base | {vertices[i] : bit i of m}, asked as
+        oracle.query((frame, m)) for 0 <= m < 2**len(vertices).
+
+        vertices must be strictly increasing vertices of 1..t outside base;
+        ValueError otherwise, or when base is over another universe. The
+        hidden edges are read once: an edge can lie in such a set iff each
+        member is in base or among the vertices, and then it lies in the
+        set iff m holds its index mask, the bits of its members among the
+        vertices. Base is read through its toggles, one bisect per vertex and
+        per tested edge member, so a run-coded base costs O(runs + (|vertices|
+        + edges * l) * log runs), whatever t is.
+        """
+        t = self._hidden.t
+        if base._t != t:
+            raise ValueError(f"universe mismatch: {base._t} != {t}")
+        toggles = base._toggles()
+        bit: dict[int, int] = {}  # position v-1 of each vertex v: its index bit
+        last = 0
+        for v in map(index, vertices):
+            if not 1 <= v <= t:
+                raise ValueError(f"vertex {v} outside universe of size {t}")
+            if v <= last:
+                raise ValueError(f"frame vertices must increase: {v} after {last}")
+            if bisect_right(toggles, v - 1) & 1:
+                raise ValueError(f"frame vertex {v} is in the base")
+            bit[v - 1] = 1 << len(bit)
+            last = v
+        edges = []
+        for x, rest in self._edge_positions:
+            em = 0
+            for x in (x, *rest):
+                if x in bit:
+                    em |= bit[x]
+                elif not bisect_right(toggles, x) & 1:
+                    break
+            else:
+                edges.append(em)
+        frame = object.__new__(Frame)
+        frame._key, frame._t, frame._base = self._key, t, toggles
+        frame._pairs = {b: (x, x + 1) for x, b in bit.items()}
+        frame._edges, frame._limit = tuple(edges), 1 << len(bit)
+        return frame
+
+    def query(self, s: VertexSet | tuple[Frame, int]) -> bool:
+        if type(s) is tuple:
+            frame, m = s
+            if frame._key is not self._key:
+                raise ValueError("the frame was made by another oracle")
+            if not 0 <= m < frame._limit:
+                raise ValueError(f"index mask {m} outside the frame's vertices")
+            answer = False
+            for em in frame._edges:
+                if em & m == em:
+                    answer = True
+                    break
+        elif s._t != self._hidden.t:
             raise ValueError(f"universe mismatch: {s._t} != {self._hidden.t}")
+        elif s._runs is not None:
+            answer = _runs_contain_edge(self._edge_positions, s._runs)
+        else:
+            answer = _mask_contains_edge(self._edge_positions, s._mask)
         log = self._log
         if self.budget is not None and len(log) >= self.budget:
             raise BudgetExceededError(f"query budget {self.budget} exhausted")
-        runs = s._runs
-        if runs is not None:
-            answer = _runs_contain_edge(self._edge_positions, runs)
-        else:
-            answer = _mask_contains_edge(self._edge_positions, s._mask)
         log.append((s, answer))
         return answer
 
@@ -187,22 +284,23 @@ class Oracle:
         by _mask_text_size, a run-coded one's from the text offsets its
         runs take as slices.
 
-        A query's code fixes how its line is written. A run-coded query's
-        line joins one memoryview slice per run of a decimal text of
-        1..top, top the largest member of any run-coded query (the text
-        cap counts no other). A mask-coded query's line holds the repr of
-        its member list. So the cost is O(top) once, O(runs) per run-coded
-        query, O(t/64 + |S|) per mask-coded one and O(output bytes). The
-        generator holds the text, a memo of at most one offset per
-        distinct run-coded toggle (no more than the log holds) and one line.
+        A query's code fixes how its line is written; a frame query is
+        rebuilt as its run-coded set, once. A run-coded query's line joins
+        one memoryview slice per run of a decimal text of 1..top, top the
+        largest member of any run-coded query (the text cap counts no
+        other). A mask-coded query's line holds the repr of its member list.
+        So the cost is O(top) once, O(runs) per run-coded query, O(t/64 +
+        |S|) per mask-coded one and O(output bytes). The generator holds the
+        text, each query's toggles or mask-coded set, a memo of at most one
+        offset per distinct toggle and one line.
         """
         log = self._log
         # Run a..b is the text from a's offset to b+1's, the ", " after b
         # included; a line's last run drops it.
         offset = _Offsets()
-        codes = []  # per query: the toggles to slice by, or None to list it
+        codes = []  # per query: the toggles to slice by, or the mask-coded set to list
         top = size = 0
-        for query, _ in log:
+        for query, _ in self._sets():
             mask = query._mask
             if mask is None:
                 code = query._toggles()
@@ -211,7 +309,7 @@ class Oracle:
                     size += (sum(map(offset.__getitem__, code[1::2]))
                              - sum(map(offset.__getitem__, code[0::2])) - 2)
             else:
-                code = None
+                code = query
                 size += _mask_text_size(mask)
             codes.append(code)
         if _decimal_offset(top + 1) - 2 > MAX_TRANSCRIPT_BYTES:  # the length of text
@@ -223,9 +321,9 @@ class Oracle:
         text = memoryview(_decimal_text(top))
 
         def lines() -> Iterator[bytes]:
-            for i, ((query, answer), code) in enumerate(zip(log, codes), 1):
-                if code is None:
-                    members = str(list(query)).encode()
+            for i, ((_, answer), code) in enumerate(zip(log, codes), 1):
+                if type(code) is not tuple:
+                    members = str(list(code)).encode()
                     yield b'{"i": %d, "q": %b, "a": %d}\n' % (i, members, answer)
                     continue
                 off = list(map(offset.__getitem__, code))

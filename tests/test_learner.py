@@ -36,6 +36,7 @@ from hhl import (
     worst_case_query_budget,
 )
 from hhl.core import edge_mask
+from hhl.oracle import Frame
 
 
 def test_find_active_vertex_bisection():
@@ -285,6 +286,30 @@ def test_find_next_query_no_known_edges():
     s = find_next_query(o, [], 3)
     assert s == VertexSet(3, range(1, 4))
     assert o.count == 1
+
+
+def test_exhaustive_searches_ask_one_frame_each(monkeypatch):
+    # Every query of the edge search and the next-query search is a
+    # (frame, index mask) pair of one frame per search, and the next-query
+    # search builds a set only for the positive candidate it returns.
+    t = 64
+    hidden = Hypergraph(t, [(1,), (3, 4), (10, 40, 64)])
+    built = []
+    vertex_set = Frame.vertex_set
+    monkeypatch.setattr(Frame, "vertex_set", lambda frame, m: built.append(m) or vertex_set(frame, m))
+    o = Oracle(hidden)
+    assert find_edges_on(o, VertexSet(t, [1, 3, 4, 10, 40, 64]), 3) == hidden.edges
+    ends = [o.count]
+    assert find_next_query(o, [(1,), (3, 4)], t) == VertexSet(t, set(range(1, t + 1)) - {1, 3, 4})
+    ends.append(o.count)
+    assert built == [0]
+    assert find_next_query(o, hidden.sorted_edges(), t) is None
+    assert built == [0]
+    assert all(type(q) is tuple for q, _ in o._log)
+    frames = [q[0] for q, _ in o._log]
+    searches = [frames[: ends[0]], frames[ends[0] : ends[1]], frames[ends[1] :]]
+    assert all(len(set(search)) == 1 for search in searches)
+    assert len(set(frames)) == 3
 
 
 def test_learn_empty_hypergraph():

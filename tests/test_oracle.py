@@ -585,3 +585,124 @@ def test_monotonicity_bulk_random():
         o = Oracle(h)
         if o.query(VertexSet(t, sub)):
             assert o.query(VertexSet(t, sup))
+
+
+# Frames: the queries base | {vertices[i] : bit i of m} of Oracle.frame,
+# asked as oracle.query((frame, m)) and answered from index masks.
+
+
+@st.composite
+def frame_cases(draw):
+    """(hidden, base members, frame vertices): the vertices may hold 1, t,
+    word boundaries and touching pairs, the base touches them, and hidden
+    edges draw members from both and from the rest of the universe."""
+    t = draw(st.sampled_from([1, 2, 63, 64, 65, 4097]))
+    marks = sorted({v for v in (1, 2, 63, 64, 65, 66, t // 2, t // 2 + 1, t - 1, t)
+                    if 1 <= v <= t})
+    vertex = st.one_of(st.sampled_from(marks), st.integers(1, t))
+    vertices = draw(st.sets(vertex, max_size=5))
+    vertices |= draw(st.sets(st.sampled_from(sorted({1, t}))))
+    for a in draw(st.lists(st.integers(1, t), max_size=2)):
+        vertices |= {a, min(a + 1, t)}  # a touching pair
+    base = draw(st.sets(vertex, max_size=12))
+    base |= {v + d for v in vertices for d in draw(st.sets(st.sampled_from((-1, 1))))}
+    base = {v for v in base if 1 <= v <= t} - vertices
+    member = st.one_of(st.sampled_from(sorted(vertices | base | {1})), st.integers(1, t))
+    edges = draw(st.lists(st.sets(member, min_size=1, max_size=3), max_size=4))
+    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), base, sorted(vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(frame_cases())
+def test_frame_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
+    hidden, base, vertices = case
+    t = hidden.t
+    for base_set in (VertexSet(t, base), VertexSet._from_mask(t, edge_mask(base))):
+        o = Oracle(hidden)
+        frame = o.frame(base_set, vertices)
+        sets = []
+        for m in range(1 << len(vertices)):
+            s = frame.vertex_set(m)
+            chosen = [v for i, v in enumerate(vertices) if m >> i & 1]
+            assert s._runs is not None
+            assert s == VertexSet._from_mask(t, edge_mask(base) | edge_mask(chosen))
+            assert o.query((frame, m)) == Oracle(hidden).query(s)
+            sets.append(s)
+        assert [r.query for r in o.transcript] == sets
+        assert_reference_bytes(o)
+
+
+def test_frame_refuses_a_bad_base_or_bad_vertices():
+    o = Oracle(Hypergraph(10, [(2, 3)]))
+    base = VertexSet(10, [5, 6])
+    for b, vertices, message in [
+        (VertexSet(11, [5]), [1], r"universe mismatch: 11 != 10"),
+        (base, [1, 5], r"frame vertex 5 is in the base"),
+        (VertexSet._from_mask(10, edge_mask([5, 6])), [6], r"frame vertex 6 is in the base"),
+        (base, [0, 1], r"vertex 0 outside universe of size 10"),
+        (base, [1, 11], r"vertex 11 outside universe of size 10"),
+        (base, [2, 2], r"frame vertices must increase: 2 after 2"),
+        (base, [3, 2], r"frame vertices must increase: 2 after 3"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            o.frame(b, vertices)
+    with pytest.raises(TypeError):
+        o.frame(base, [1.5])
+    assert o.count == 0
+
+
+def test_query_refuses_a_frame_of_another_oracle():
+    # Edgeless oracles read equal (empty) edge tables; their frames are
+    # still their own.
+    for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
+        mine, other = Oracle(h), Oracle(h)
+        frame = other.frame(VertexSet(8), [1, 2])
+        with pytest.raises(ValueError, match="another oracle"):
+            mine.query((frame, 0b11))
+        for m in (-1, 0b100):
+            with pytest.raises(ValueError, match=f"index mask {m} outside"):
+                other.query((frame, m))
+        assert mine.count == other.count == 0
+        assert mine.transcript == other.transcript == ()
+        assert mine.query((mine.frame(VertexSet(8), [1, 2]), 0b11)) == bool(h.edges)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5])
+def test_budget_stops_frame_queries_at_the_same_index_as_sets(budget):
+    h = Hypergraph(16, [(2, 9), (4,)])
+    by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
+    frame = by_frame.frame(VertexSet(16, [9, 10]), [2, 3, 4])
+
+    def stop(ask) -> tuple[int, str] | None:
+        for m in range(8):
+            try:
+                ask(m)
+            except BudgetExceededError as e:
+                return m, str(e)
+        return None
+
+    got = stop(lambda m: by_frame.query((frame, m)))
+    want = stop(lambda m: by_set.query(frame.vertex_set(m)))
+    assert got == want == (budget, f"query budget {budget} exhausted")
+    assert by_frame.count == by_set.count == budget
+    assert by_frame.transcript == by_set.transcript
+    assert by_frame.transcript_jsonl() == by_set.transcript_jsonl()
+
+
+def test_frame_query_records_hold_run_coded_sets(tmp_path):
+    o = Oracle(Hypergraph(70, [(3, 64)]))
+    frame = o.frame(VertexSet(70, [64, 65]), [3, 63, 66])
+    assert o.query((frame, 0b001))
+    assert not o.query((frame, 0b110))
+    # The log keeps the pair, O(1) ints; a read rebuilds the set.
+    assert [q for q, _ in o._log] == [(frame, 0b001), (frame, 0b110)]
+    assert o.transcript == (QueryRecord(1, VertexSet(70, [3, 64, 65]), True),
+                            QueryRecord(2, VertexSet(70, [63, 64, 65, 66]), False))
+    assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
+    # perfbench/tracing.py sums sys.getsizeof(rec.query.mask) over the records.
+    assert [r.query.mask for r in o.transcript] == [edge_mask([3, 64, 65]),
+                                                    edge_mask([63, 64, 65, 66])]
+    jsonl = '{"i": 1, "q": [3, 64, 65], "a": 1}\n{"i": 2, "q": [63, 64, 65, 66], "a": 0}\n'
+    assert o.transcript_jsonl() == jsonl
+    o.write_transcript(str(tmp_path / "t.jsonl"))
+    assert (tmp_path / "t.jsonl").read_text() == jsonl
