@@ -140,12 +140,12 @@ def find_edges_on(
 
     Candidates and found edges are masks over the indices of f's members,
     which the main loop keeps to at most s*l, so the skip test costs O(1)
-    word work. A candidate is asked as a query of one frame, an empty base
-    plus f's members (Oracle.frame): its mask is the query, answered with
-    one word AND per hidden edge inside f.
+    word work. A candidate is asked as a query of one frame over f
+    (Oracle.frame): its mask, below the frame's rest bit, is the query,
+    answered with one word AND per hidden edge.
     """
     members = f.members()
-    frame = oracle.frame(VertexSet(f.t), members)
+    frame = oracle.frame(f)
     bits = [1 << i for i in range(len(members))]
     found: list[int] = []
     for size in range(1, min(max_edge_size, len(members)) + 1):
@@ -183,20 +183,20 @@ def find_next_query(
 
     D and the known edges are masks over the indices of the at most s*l
     covered vertices, so enumeration and the skip test cost O(1) word work.
-    A candidate is asked as a query of one frame, base B plus the covered
-    vertices (Oracle.frame): D's mask is the query, answered with one word
-    AND per hidden edge that can lie in the candidates. Only the positive
-    candidate returned is built as a run-coded set.
+    A candidate is asked as a query of one frame over the covered vertices
+    (Oracle.frame): D's mask plus the frame's rest bit, which asks for B,
+    is the query, answered with one word AND per hidden edge. Only the
+    positive candidate returned is built as a run-coded set.
     """
     edges = list(found_edges)
     covered = sorted({v for e in edges for v in e})
     index_bit = {v: 1 << i for i, v in enumerate(covered)}
     e_masks = [sum(index_bit[v] for v in e) for e in edges]
-    outside = VertexSet._from_runs(t, (0, *[x for v in covered for x in (v - 1, v)], t))
-    frame = oracle.frame(outside, covered)
+    frame = oracle.frame(VertexSet(t, covered))
+    rest = 1 << len(covered)
     for size in range(len(covered) + 1):
         for d in combinations(index_bit.values(), size):
-            dmask = sum(d)
+            dmask = sum(d, rest)
             # Known edges live inside the covered set, so e <= B|D iff e <= D.
             for em in e_masks:
                 if em & dmask == em:

@@ -3,16 +3,16 @@
 A query on a vertex set answers 1 iff the set contains at least one entire
 edge of the hidden hypergraph. The oracle records every answered query; it
 never memoizes, so repeated queries are counted separately. A query is a
-VertexSet, or (frame, m): the set base | {vertices[i] : bit i of m} of a
-frame the oracle made (Oracle.frame), answered with one word AND per hidden
-edge that can lie in base | vertices and logged as that pair.
+VertexSet, or (frame, m) for a frame the oracle made (Oracle.frame) over a
+vertex set: bit i of m asks for the i-th smallest of its vertices and the
+rest bit above them for every other vertex. It is answered with one word
+AND per hidden edge and logged as that pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import index
 from typing import Iterable, Iterator
 
 from .core import Hypergraph, VertexSet
@@ -120,28 +120,38 @@ def _mask_text_size(mask: int) -> int:
 
 
 class Frame:
-    """The queries base | {vertices[i] : bit i of m} for index masks m, made
-    and answered by one oracle (Oracle.frame).
+    """The queries of index masks over one vertex set, made and answered by
+    one oracle (Oracle.frame).
 
     It keeps its oracle's key, so another oracle refuses it; the index mask
-    of each hidden edge that can lie in base | vertices, its members among
-    the vertices, so a query holds the edge iff m holds the mask; and, to
-    rebuild a query's set, base's toggles and the toggle pair (v-1, v) of
-    each vertex v by its index bit.
+    of each hidden edge, so a query holds the edge iff m holds the mask;
+    and, to rebuild a query's set, the vertices in increasing order.
     """
 
-    __slots__ = ("_key", "_t", "_base", "_pairs", "_edges", "_limit")
+    __slots__ = ("_key", "_t", "_vertices", "_edges", "_limit")
+
+    def _toggles(self, m: int) -> tuple[int, ...]:
+        """The strictly increasing toggles of query (self, m): the toggle
+        pair (v-1, v) of each chosen vertex v; with the rest bit, 0, the
+        pair of each unchosen vertex and t. Touching pairs merge, and equal
+        toggles at 0 or t cancel. One pass over the bits of m, O(|vertices|)."""
+        rest = m >> len(self._vertices)
+        if rest:
+            m ^= self._limit - 1  # the unchosen vertices
+        out = [0] if rest else []
+        for v, bit in zip(self._vertices, bin(m)[:1:-1]):
+            if bit == "1":
+                if out and out[-1] == v - 1:
+                    out[-1] = v
+                else:
+                    out += (v - 1, v)
+        if rest:
+            out = out[:-1] if out[-1] == self._t else [*out, self._t]
+        return tuple(out)
 
     def vertex_set(self, m: int) -> VertexSet:
-        """The run-coded set of query (self, m): base's toggles merged with
-        the toggle pair of each vertex whose bit m holds, none in base."""
-        toggles, pairs = list(self._base), self._pairs
-        while m:
-            low = m & -m
-            toggles += pairs[low]
-            m ^= low
-        toggles.sort()
-        return VertexSet._from_runs(self._t, tuple(toggles))
+        """The run-coded set of query (self, m)."""
+        return VertexSet._from_runs(self._t, self._toggles(m))
 
 
 @dataclass(frozen=True)
@@ -160,19 +170,20 @@ class Oracle:
     (query, answer) pairs: the query the caller passed, an immutable
     VertexSet or a (frame, m) pair of O(1) ints, and its answer. A set over
     another universe, or a frame another oracle made, raises ValueError
-    before anything is logged; a frame's base and vertices are checked once,
-    when frame() makes it. Sets are answered from one table of the hidden
+    before anything is logged; a frame's universe is checked once, when
+    frame() makes it. Sets are answered from one table of the hidden
     edges' member positions: a run-coded query with one bisect per tested
     edge member, a mask-coded one with one bit test per tested member. A
-    frame query costs one word AND per hidden edge that can lie in the
-    frame, whatever t is; the learner's vertex search issues run-coded sets
-    and its two exhaustive searches frame queries, so a learner run does no
-    t-bit work per query. An optional budget caps the number of answered
-    queries so worst-case bounds are enforced by the oracle itself.
-    transcript, transcript_jsonl and write_transcript rebuild a frame
-    query's run-coded set when they are read. A transcript writes each
-    query by one rule per code: a run-coded query as one slice per run of a
-    decimal text, a mask-coded one as its member list (_jsonl_lines).
+    frame query costs one word AND per hidden edge, whatever t is; the
+    learner's vertex search issues run-coded sets and its two exhaustive
+    searches frame queries, so a learner run does no t-bit work per query.
+    An optional budget caps the number of answered queries so worst-case
+    bounds are enforced by the oracle itself. transcript rebuilds a frame
+    query's run-coded set when it is read, and transcript_jsonl and
+    write_transcript read its toggles from the frame. A transcript writes
+    each query by one rule per code: a run-coded or frame query as one
+    slice per run of a decimal text, a mask-coded one as its member list
+    (_jsonl_lines).
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -195,59 +206,38 @@ class Oracle:
 
     @property
     def transcript(self) -> tuple[QueryRecord, ...]:
-        """Every answered query in order, built from the log on each read."""
-        return tuple(QueryRecord(i, *entry) for i, entry in enumerate(self._sets(), 1))
+        """Every answered query in order, built from the log on each read,
+        a frame query's set rebuilt."""
+        return tuple(QueryRecord(i, q[0].vertex_set(q[1]) if type(q) is tuple else q, a)
+                     for i, (q, a) in enumerate(self._log, 1))
 
-    def _sets(self) -> Iterator[tuple[VertexSet, bool]]:
-        """The log's (set, answer) pairs, a frame query's set rebuilt."""
-        for query, answer in self._log:
-            if type(query) is tuple:
-                frame, m = query
-                query = frame.vertex_set(m)
-            yield query, answer
+    def frame(self, vertices: VertexSet) -> Frame:
+        """The queries of index masks 0 <= m < 2**(len(vertices) + 1),
+        asked as oracle.query((frame, m)): bit i of m asks for the i-th
+        smallest member of vertices, the rest bit 1 << len(vertices) for
+        every vertex outside them.
 
-    def frame(self, base: VertexSet, vertices: Iterable[int]) -> Frame:
-        """The queries base | {vertices[i] : bit i of m}, asked as
-        oracle.query((frame, m)) for 0 <= m < 2**len(vertices).
-
-        vertices must be strictly increasing vertices of 1..t outside base;
-        ValueError otherwise, or when base is over another universe. The
-        hidden edges are read once: an edge can lie in such a set iff each
-        member is in base or among the vertices, and then it lies in the
-        set iff m holds its index mask, the bits of its members among the
-        vertices. Base is read through its toggles, one bisect per vertex and
-        per tested edge member, so a run-coded base costs O(runs + (|vertices|
-        + edges * l) * log runs), whatever t is.
+        ValueError when vertices is over another universe. The hidden edges
+        are read once: a query holds an edge iff m holds its index mask, the
+        bits of its members plus the rest bit if a member is outside
+        vertices. A frame costs O(runs + |vertices| + edges * l) time and
+        O(|vertices|) memory, whatever t is.
         """
         t = self._hidden.t
-        if base._t != t:
-            raise ValueError(f"universe mismatch: {base._t} != {t}")
-        toggles = base._toggles()
-        bit: dict[int, int] = {}  # position v-1 of each vertex v: its index bit
-        last = 0
-        for v in map(index, vertices):
-            if not 1 <= v <= t:
-                raise ValueError(f"vertex {v} outside universe of size {t}")
-            if v <= last:
-                raise ValueError(f"frame vertices must increase: {v} after {last}")
-            if bisect_right(toggles, v - 1) & 1:
-                raise ValueError(f"frame vertex {v} is in the base")
-            bit[v - 1] = 1 << len(bit)
-            last = v
+        if vertices._t != t:
+            raise ValueError(f"universe mismatch: {vertices._t} != {t}")
+        members = vertices.members()
+        n = len(members)
+        at = {v - 1: i for i, v in enumerate(members)}  # position v-1: index of v
         edges = []
         for x, rest in self._edge_positions:
             em = 0
             for x in (x, *rest):
-                if x in bit:
-                    em |= bit[x]
-                elif not bisect_right(toggles, x) & 1:
-                    break
-            else:
-                edges.append(em)
+                em |= 1 << at.get(x, n)
+            edges.append(em)
         frame = object.__new__(Frame)
-        frame._key, frame._t, frame._base = self._key, t, toggles
-        frame._pairs = {b: (x, x + 1) for x, b in bit.items()}
-        frame._edges, frame._limit = tuple(edges), 1 << len(bit)
+        frame._key, frame._t, frame._vertices = self._key, t, members
+        frame._edges, frame._limit = tuple(edges), 2 << n
         return frame
 
     def query(self, s: VertexSet | tuple[Frame, int]) -> bool:
@@ -256,7 +246,7 @@ class Oracle:
             if frame._key is not self._key:
                 raise ValueError("the frame was made by another oracle")
             if not 0 <= m < frame._limit:
-                raise ValueError(f"index mask {m} outside the frame's vertices")
+                raise ValueError(f"index mask {m} outside 0..{frame._limit - 1}")
             answer = False
             for em in frame._edges:
                 if em & m == em:
@@ -281,15 +271,16 @@ class Oracle:
         before write_transcript creates its file: ValueError when the text
         or the members would take more than MAX_TRANSCRIPT_BYTES. Members
         are counted, not listed, by one rule per code: a mask-coded query's
-        by _mask_text_size, a run-coded one's from the text offsets its
-        runs take as slices.
+        by _mask_text_size, a run-coded or frame one's from the text offsets
+        its runs take as slices.
 
-        A query's code fixes how its line is written; a frame query is
-        rebuilt as its run-coded set, once. A run-coded query's line joins
-        one memoryview slice per run of a decimal text of 1..top, top the
-        largest member of any run-coded query (the text cap counts no
-        other). A mask-coded query's line holds the repr of its member list.
-        So the cost is O(top) once, O(runs) per run-coded query, O(t/64 +
+        A query's code fixes how its line is written; a frame query's
+        toggles are read from its frame (Frame._toggles), once. A run-coded
+        or frame query's line joins one memoryview slice per run of a
+        decimal text of 1..top, top the largest member of any such query
+        (the text cap counts no other). A mask-coded query's line holds the
+        repr of its member list. So the cost is O(top) once, O(runs) per
+        run-coded query, O(frame vertices + runs) per frame query, O(t/64 +
         |S|) per mask-coded one and O(output bytes). The generator holds the
         text, each query's toggles or mask-coded set, a memo of at most one
         offset per distinct toggle and one line.
@@ -300,17 +291,20 @@ class Oracle:
         offset = _Offsets()
         codes = []  # per query: the toggles to slice by, or the mask-coded set to list
         top = size = 0
-        for query, _ in self._sets():
-            mask = query._mask
-            if mask is None:
+        for query, _ in log:
+            if type(query) is tuple:
+                frame, m = query
+                code = frame._toggles(m)
+            elif query._mask is None:
                 code = query._toggles()
-                if code:  # the text its runs take, from the offsets its slices reuse
-                    top = max(top, code[-1])
-                    size += (sum(map(offset.__getitem__, code[1::2]))
-                             - sum(map(offset.__getitem__, code[0::2])) - 2)
             else:
-                code = query
-                size += _mask_text_size(mask)
+                size += _mask_text_size(query._mask)
+                codes.append(query)
+                continue
+            if code:  # the text its runs take, from the offsets its slices reuse
+                top = max(top, code[-1])
+                size += (sum(map(offset.__getitem__, code[1::2]))
+                         - sum(map(offset.__getitem__, code[0::2])) - 2)
             codes.append(code)
         if _decimal_offset(top + 1) - 2 > MAX_TRANSCRIPT_BYTES:  # the length of text
             raise ValueError(f"transcript lists vertex {top}, more than the cap of "

@@ -302,10 +302,17 @@ def test_exhaustive_searches_ask_one_frame_each(monkeypatch):
     ends = [o.count]
     assert find_next_query(o, [(1,), (3, 4)], t) == VertexSet(t, set(range(1, t + 1)) - {1, 3, 4})
     ends.append(o.count)
-    assert built == [0]
+    assert built == [0b1000]
     assert find_next_query(o, hidden.sorted_edges(), t) is None
-    assert built == [0]
+    assert built == [0b1000]
     assert all(type(q) is tuple for q, _ in o._log)
+    # The edge search's masks stay below its frame's rest bit, 1 << 6 over
+    # f's six members; each next-query mask holds its frame's rest bit,
+    # 1 << 3 over the covered {1, 3, 4}, then 1 << 6.
+    masks = [m for (_, m), _ in o._log]
+    assert all(m < 1 << 6 for m in masks[: ends[0]])
+    assert all(m >> 3 == 1 for m in masks[ends[0] : ends[1]])
+    assert all(m >> 6 == 1 for m in masks[ends[1] :])
     frames = [q[0] for q, _ in o._log]
     searches = [frames[: ends[0]], frames[ends[0] : ends[1]], frames[ends[1] :]]
     assert all(len(set(search)) == 1 for search in searches)

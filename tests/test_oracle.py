@@ -5,10 +5,12 @@ import inspect
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hhl.oracle
@@ -27,7 +29,7 @@ from hhl import (
 from hhl.core import edge_mask
 from hhl.oracle import _decimal_text, _mask_text_size
 
-from conftest import toggles_of
+from conftest import limit_address_space, toggles_of
 
 
 def test_is_independent():
@@ -587,98 +589,97 @@ def test_monotonicity_bulk_random():
             assert o.query(VertexSet(t, sup))
 
 
-# Frames: the queries base | {vertices[i] : bit i of m} of Oracle.frame,
-# asked as oracle.query((frame, m)) and answered from index masks.
+# Frames: the queries of index masks m over one vertex set (Oracle.frame),
+# bit i for its i-th smallest vertex and the rest bit above them for every
+# other vertex, asked as oracle.query((frame, m)).
 
 
 @st.composite
 def frame_cases(draw):
-    """(hidden, base members, frame vertices): the vertices may hold 1, t,
-    word boundaries and touching pairs, the base touches them, and hidden
-    edges draw members from both and from the rest of the universe."""
-    t = draw(st.sampled_from([1, 2, 63, 64, 65, 4097]))
+    """(hidden, frame vertices): the vertices may hold 1, 2, t-1, t, word
+    boundaries and touching pairs, or nothing, and hidden edges draw members
+    from them and from the rest of the universe."""
+    t = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 100, 1001]))
     marks = sorted({v for v in (1, 2, 63, 64, 65, 66, t // 2, t // 2 + 1, t - 1, t)
                     if 1 <= v <= t})
     vertex = st.one_of(st.sampled_from(marks), st.integers(1, t))
-    vertices = draw(st.sets(vertex, max_size=5))
-    vertices |= draw(st.sets(st.sampled_from(sorted({1, t}))))
-    for a in draw(st.lists(st.integers(1, t), max_size=2)):
+    vertices = draw(st.sets(vertex, max_size=3))
+    vertices |= draw(st.sets(st.sampled_from(sorted({v for v in (1, 2, t - 1, t) if 1 <= v <= t}))))
+    for a in draw(st.lists(st.integers(1, t), max_size=1)):
         vertices |= {a, min(a + 1, t)}  # a touching pair
-    base = draw(st.sets(vertex, max_size=12))
-    base |= {v + d for v in vertices for d in draw(st.sets(st.sampled_from((-1, 1))))}
-    base = {v for v in base if 1 <= v <= t} - vertices
-    member = st.one_of(st.sampled_from(sorted(vertices | base | {1})), st.integers(1, t))
+    member = st.one_of(st.sampled_from(sorted(vertices | {1, t})), st.integers(1, t))
     edges = draw(st.lists(st.sets(member, min_size=1, max_size=3), max_size=4))
-    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), base, sorted(vertices)
+    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), sorted(vertices)
 
 
 @settings(max_examples=80, deadline=None)
 @given(frame_cases())
+@example((Hypergraph(1, [(1,)]), []))
+@example((Hypergraph(1, [(1,)]), [1]))
+@example((Hypergraph(9), []))
+@example((Hypergraph(9, [(3,)]), []))
+@example((Hypergraph(9, [(1, 9), (2, 5)]), [1, 2, 8, 9]))
+@example((Hypergraph(9, [(3, 4), (1, 6)]), [3, 4, 5]))
 def test_frame_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
-    hidden, base, vertices = case
-    t = hidden.t
-    for base_set in (VertexSet(t, base), VertexSet._from_mask(t, edge_mask(base))):
+    # Every mask, the rest bit included: the rebuilt set is the one the
+    # constructor makes from the members the mask names, toggles and all,
+    # and the frame answers as a throwaway oracle on either.
+    hidden, vertices = case
+    t, n = hidden.t, len(vertices)
+    others = [v for v in range(1, t + 1) if v not in vertices]
+    for code in (VertexSet(t, vertices), VertexSet._from_mask(t, edge_mask(vertices))):
         o = Oracle(hidden)
-        frame = o.frame(base_set, vertices)
+        frame = o.frame(code)
         sets = []
-        for m in range(1 << len(vertices)):
-            s = frame.vertex_set(m)
+        for m in range(2 << n):
             chosen = [v for i, v in enumerate(vertices) if m >> i & 1]
-            assert s._runs is not None
-            assert s == VertexSet._from_mask(t, edge_mask(base) | edge_mask(chosen))
-            assert o.query((frame, m)) == Oracle(hidden).query(s)
+            want = VertexSet(t, chosen + others if m >> n else chosen)
+            s = frame.vertex_set(m)
+            assert s._runs == want._runs
+            assert o.query((frame, m)) == Oracle(hidden).query(s) == Oracle(hidden).query(want)
             sets.append(s)
         assert [r.query for r in o.transcript] == sets
         assert_reference_bytes(o)
 
 
-def test_frame_refuses_a_bad_base_or_bad_vertices():
+def test_frame_refuses_vertices_over_another_universe():
     o = Oracle(Hypergraph(10, [(2, 3)]))
-    base = VertexSet(10, [5, 6])
-    for b, vertices, message in [
-        (VertexSet(11, [5]), [1], r"universe mismatch: 11 != 10"),
-        (base, [1, 5], r"frame vertex 5 is in the base"),
-        (VertexSet._from_mask(10, edge_mask([5, 6])), [6], r"frame vertex 6 is in the base"),
-        (base, [0, 1], r"vertex 0 outside universe of size 10"),
-        (base, [1, 11], r"vertex 11 outside universe of size 10"),
-        (base, [2, 2], r"frame vertices must increase: 2 after 2"),
-        (base, [3, 2], r"frame vertices must increase: 2 after 3"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            o.frame(b, vertices)
-    with pytest.raises(TypeError):
-        o.frame(base, [1.5])
+    for vertices in (VertexSet(11, [5]), VertexSet(9), VertexSet._from_mask(11, 0b11)):
+        with pytest.raises(ValueError, match=rf"universe mismatch: {vertices.t} != 10"):
+            o.frame(vertices)
     assert o.count == 0
 
 
 def test_query_refuses_a_frame_of_another_oracle():
     # Edgeless oracles read equal (empty) edge tables; their frames are
-    # still their own.
+    # still their own. Two vertices give masks 0..7, the rest bit 0b100.
     for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
         mine, other = Oracle(h), Oracle(h)
-        frame = other.frame(VertexSet(8), [1, 2])
+        frame = other.frame(VertexSet(8, [1, 2]))
         with pytest.raises(ValueError, match="another oracle"):
             mine.query((frame, 0b11))
-        for m in (-1, 0b100):
+        for m in (-1, 0b1000):
             with pytest.raises(ValueError, match=f"index mask {m} outside"):
                 other.query((frame, m))
         assert mine.count == other.count == 0
         assert mine.transcript == other.transcript == ()
-        assert mine.query((mine.frame(VertexSet(8), [1, 2]), 0b11)) == bool(h.edges)
+        assert mine.query((mine.frame(VertexSet(8, [1, 2])), 0b11)) == bool(h.edges)
+        assert other.query((frame, 0b111)) == bool(h.edges)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 5])
 def test_budget_stops_frame_queries_at_the_same_index_as_sets(budget):
     h = Hypergraph(16, [(2, 9), (4,)])
     by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
-    frame = by_frame.frame(VertexSet(16, [9, 10]), [2, 3, 4])
+    frame = by_frame.frame(VertexSet(16, [2, 3, 4]))
+    masks = [m for k in range(8) for m in (0b1000 | k, k)]  # rest-bit masks first
 
     def stop(ask) -> tuple[int, str] | None:
-        for m in range(8):
+        for i, m in enumerate(masks):
             try:
                 ask(m)
             except BudgetExceededError as e:
-                return m, str(e)
+                return i, str(e)
         return None
 
     got = stop(lambda m: by_frame.query((frame, m)))
@@ -691,18 +692,37 @@ def test_budget_stops_frame_queries_at_the_same_index_as_sets(budget):
 
 def test_frame_query_records_hold_run_coded_sets(tmp_path):
     o = Oracle(Hypergraph(70, [(3, 64)]))
-    frame = o.frame(VertexSet(70, [64, 65]), [3, 63, 66])
-    assert o.query((frame, 0b001))
-    assert not o.query((frame, 0b110))
+    frame = o.frame(VertexSet(70, [3, 63, 66]))
+    assert o.query((frame, 0b1001))  # vertex 3 and every vertex but 63, 66
+    assert not o.query((frame, 0b0110))
     # The log keeps the pair, O(1) ints; a read rebuilds the set.
-    assert [q for q, _ in o._log] == [(frame, 0b001), (frame, 0b110)]
-    assert o.transcript == (QueryRecord(1, VertexSet(70, [3, 64, 65]), True),
-                            QueryRecord(2, VertexSet(70, [63, 64, 65, 66]), False))
+    assert [q for q, _ in o._log] == [(frame, 0b1001), (frame, 0b0110)]
+    rest = [v for v in range(1, 71) if v not in (63, 66)]
+    assert o.transcript == (QueryRecord(1, VertexSet(70, rest), True),
+                            QueryRecord(2, VertexSet(70, [63, 66]), False))
     assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
     # perfbench/tracing.py sums sys.getsizeof(rec.query.mask) over the records.
-    assert [r.query.mask for r in o.transcript] == [edge_mask([3, 64, 65]),
-                                                    edge_mask([63, 64, 65, 66])]
-    jsonl = '{"i": 1, "q": [3, 64, 65], "a": 1}\n{"i": 2, "q": [63, 64, 65, 66], "a": 0}\n'
+    assert [r.query.mask for r in o.transcript] == [edge_mask(rest), edge_mask([63, 66])]
+    jsonl = (json.dumps({"i": 1, "q": rest, "a": 1}) + "\n"
+             + '{"i": 2, "q": [63, 66], "a": 0}\n')
     assert o.transcript_jsonl() == jsonl
     o.write_transcript(str(tmp_path / "t.jsonl"))
     assert (tmp_path / "t.jsonl").read_text() == jsonl
+
+
+def test_frame_over_every_vertex_of_a_wide_universe():
+    # A frame keeps one index per vertex and shifts only for edge members,
+    # so 2^20 vertices fit under a 4 GiB address limit; one int of up to
+    # i bits per vertex i would take about 64 GiB.
+    code = (
+        "from hhl import Hypergraph, Oracle, VertexSet\n"
+        "t = 2**20\n"
+        "o = Oracle(Hypergraph(t, [(1, t), (5, 6)]))\n"
+        "frame = o.frame(VertexSet(t, range(1, t + 1)))\n"
+        "print(o.query((frame, 1 | 1 << (t - 1))), o.query((frame, 1 << t | 0b10000)),\n"
+        "      [r.query for r in o.transcript] == [VertexSet(t, [1, t]), VertexSet(t, [5])])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False True\n"
