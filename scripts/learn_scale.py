@@ -22,9 +22,10 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# s*l = 6 vertices need t >= 8. The vertex search's queries are run-coded
-# and the two exhaustive searches ask frame queries over the found vertices,
-# so neither time nor memory grows with t. random_disjoint_instance samples
+# s*l = 6 vertices need t >= 8. The vertex search asks its queries through
+# a prefix frame over run-coded sets and the two exhaustive searches through
+# index frames over the found vertices, so neither time nor memory grows
+# with t. random_disjoint_instance samples
 # from range(1, t + 1), whose length must fit in sys.maxsize = 2**63 - 1, so
 # t = 2**63 cannot be drawn.
 MIN_K, MAX_K = 3, 62

@@ -12,9 +12,9 @@ model can distinguish.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterable
 
 from .bounds import ceil_log2
@@ -68,61 +68,47 @@ def find_active_vertex(
     known edges. Uses at most ceil(log2 |s - f|) queries.
 
     The search runs on ranks in the pool s - f: the pool left is its members
-    lo+1..lo+size, and the kept set is s & f plus members 1..lo. The pool's
-    run code is s's toggles merged with a toggle pair (v-1, v) per member v
-    of s & f, which takes v out. It is kept as run starts and cumulative
-    sizes, so the position p of member lo+k is one bisect. Equal toggles
-    stay in: the sorted merge read pairwise already holds s - f, and the
-    bisect skips the empty runs they make. upto(p) is s through p plus the
-    members of s & f above p: s's toggles up to p, a toggle closing the run
-    at p, and a toggle pair per member of s & f above p. At member lo+k it
-    is the query; at member lo+size it is the pool left plus the kept set,
-    which debug_checks requires to be positive and the kept set (s & f, then
-    the last negative query) to be negative. With run-coded s and f, as the
-    main loop passes them, a step, checks included, costs O(s*l) whatever t is.
+    lo+1..lo+size, and the kept set is s & f plus members 1..lo. Its queries
+    are ranks of one prefix frame (Oracle.prefixes) with base s & f and the
+    pool: rank r asks for s & f plus pool members 1..r. The pool's run code
+    is s's toggles merged with a toggle pair (v-1, v) per member v of s & f,
+    which takes v out; equal toggles stay in, as the frame skips the empty
+    runs they make. Rank lo+k is the query; rank lo+size is the pool left
+    plus the kept set, which debug_checks requires to be positive, and rank
+    lo the kept set, which it requires to be negative, each through a
+    throwaway oracle on the frame's rebuilt set. With run-coded s and f, as
+    the main loop passes them, the frame costs O(s*l * log(s*l)) whatever t
+    is, and a query one comparison; a step with its checks costs O(s*l).
     """
     s._check(f)
     t = s.t
     toggles = s._toggles()
     inside = [v for v in f.members() if bisect_right(toggles, v - 1) & 1]  # s & f
     pairs = tuple(x for v in inside for x in (v - 1, v))
-    pool = sorted(toggles + pairs)  # run code of s - f, empty runs left in
-    starts = pool[0::2]  # position of each pool run's first member
-    ranks = list(accumulate(b - a for a, b in zip(starts, pool[1::2])))
-    n = ranks[-1] if ranks else 0  # ranks[i]: pool members in runs 0..i
+    pool = VertexSet._from_runs(t, tuple(sorted(toggles + pairs)))  # s - f, empty runs left in
+    frame = oracle.prefixes(VertexSet._from_runs(t, pairs), pool)
+    n = frame.size
     if n == 0:
         raise SearchContractError("no candidate vertices: S - F is empty")
-
-    def select(rank: int) -> int:
-        # 0-based position of pool member rank (from 1).
-        i = bisect_left(ranks, rank)
-        return starts[i] + rank - (ranks[i - 1] if i else 0) - 1
-
-    def upto(p: int) -> VertexSet:
-        # s through position p, plus the members of s & f above p.
-        above = pairs[2 * bisect_right(inside, p + 1) :]
-        return VertexSet._from_runs(t, toggles[: bisect_right(toggles, p)] + (p + 1,) + above)
-
-    size, lo, kept = n, 0, VertexSet._from_runs(t, pairs)
+    size, lo = n, 0
     before = oracle.count
     while True:
         if debug_checks:
             # Ground truth from the hidden hypergraph; no counted queries.
-            if not is_independent(oracle.hidden, kept):
+            if not is_independent(oracle.hidden, frame.vertex_set(lo)):
                 raise SearchContractError("bisection invariant broken: kept set is positive")
-            if is_independent(oracle.hidden, upto(select(lo + size))):
+            if is_independent(oracle.hidden, frame.vertex_set(lo + size)):
                 raise SearchContractError("bisection invariant broken: pool query is negative")
         if size == 1:
             break
         k = (size + 1) // 2
-        query = upto(select(lo + k))
-        if oracle.query(query):
+        if oracle.query((frame, lo + k)):
             size = k
         else:
-            lo, size, kept = lo + k, size - k, query
+            lo, size = lo + k, size - k
     if stats is not None:
         stats.vertex_search_log.append((n, oracle.count - before))
-    return select(lo + 1) + 1
+    return frame.vertex(lo + 1)
 
 
 def find_edges_on(

@@ -36,7 +36,7 @@ from hhl import (
     worst_case_query_budget,
 )
 from hhl.core import edge_mask
-from hhl.oracle import Frame
+from hhl.oracle import Frame, Prefixes
 
 
 def test_find_active_vertex_bisection():
@@ -317,6 +317,23 @@ def test_exhaustive_searches_ask_one_frame_each(monkeypatch):
     searches = [frames[: ends[0]], frames[ends[0] : ends[1]], frames[ends[1] :]]
     assert all(len(set(search)) == 1 for search in searches)
     assert len(set(frames)) == 3
+
+
+def test_vertex_search_asks_one_prefix_frame():
+    # Every query of a vertex search is a (frame, rank) pair of one prefix
+    # frame with base s & f and pool s - f: rank r asks for s & f plus the
+    # r smallest pool members, and the search returns the member of the
+    # rank it ends on.
+    t = 64
+    o = Oracle(Hypergraph(t, [(3, 40)]))
+    f = VertexSet(t, [3, 10, 50])
+    assert find_active_vertex(o, VertexSet(t, range(1, 50)), f) == 40
+    frames = {q[0] for q, _ in o._log}
+    assert len(frames) == 1 and type(frames.pop()) is Prefixes
+    ranks = [r for (_, r), _ in o._log]
+    assert ranks == [24, 36, 42, 39, 38, 37]  # 40 has rank 38
+    pool = [v for v in range(1, 50) if v not in (3, 10)]
+    assert [r.query for r in o.transcript] == [VertexSet(t, [3, 10, *pool[:r]]) for r in ranks]
 
 
 def test_learn_empty_hypergraph():

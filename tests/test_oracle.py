@@ -726,3 +726,147 @@ def test_frame_over_every_vertex_of_a_wide_universe():
                           text=True, preexec_fn=limit_address_space)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True False True\n"
+
+
+# Prefix frames: the queries of ranks r over a base set and a pool
+# (Oracle.prefixes), each asking for the base plus the r smallest members of
+# the pool, asked as oracle.query((frame, r)).
+
+
+@st.composite
+def prefix_cases(draw):
+    """(hidden, base, pool, extra): disjoint sorted base and pool that may
+    hold 1, 2, t-1, t, word boundaries, touching pairs and a longer run, or
+    nothing; extra lists positions the pool's run code doubles, which makes
+    empty runs or splits a run into touching ones. Hidden edges draw
+    members from base, pool and the rest of the universe."""
+    t = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 100, 1001]))
+    marks = sorted({v for v in (1, 2, 63, 64, 65, 66, t // 2, t // 2 + 1, t - 1, t)
+                    if 1 <= v <= t})
+    vertex = st.one_of(st.sampled_from(marks), st.integers(1, t))
+    held = draw(st.sets(vertex, max_size=6))
+    for a in draw(st.lists(st.integers(1, t), max_size=2)):
+        held |= {a, min(a + 1, t)}  # a touching pair
+    for a in draw(st.lists(st.integers(1, t), max_size=1)):
+        held |= set(range(a, min(a + draw(st.integers(2, 40)), t + 1)))
+    held = sorted(held)
+    in_base = draw(st.lists(st.booleans(), min_size=len(held), max_size=len(held)))
+    base = [v for v, b in zip(held, in_base) if b]
+    pool = [v for v, b in zip(held, in_base) if not b]
+    extra = draw(st.lists(st.one_of(st.sampled_from([0, t, *held]), st.integers(0, t)),
+                          max_size=3))
+    member = st.one_of(st.sampled_from(sorted({*held, 1, t})), st.integers(1, t))
+    edges = draw(st.lists(st.sets(member, min_size=1, max_size=3), max_size=4))
+    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), base, pool, extra
+
+
+@settings(max_examples=80, deadline=None)
+@given(prefix_cases())
+@example((Hypergraph(1, [(1,)]), [], [1], [0, 1]))
+@example((Hypergraph(1, [(1,)]), [1], [], []))
+@example((Hypergraph(9), [], [], [4]))
+@example((Hypergraph(9, [(3,)]), [], [1, 2, 8, 9], [1, 9]))
+@example((Hypergraph(9, [(1, 9), (2, 5)]), [2, 9], [1, 3, 4, 5, 8], [3, 4]))
+@example((Hypergraph(9, [(3, 4), (1, 6)]), [5, 6], [3, 4, 7], [0, 9]))
+def test_prefix_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
+    # Every rank: the rebuilt set is the one the constructor makes from the
+    # base and the pool's r smallest members, toggles and all, the frame
+    # answers as a throwaway oracle on either, and rank r names the r-th
+    # smallest pool member. The base and pool come run-coded, the pool's
+    # code with extra's empty or touching runs, and mask-coded.
+    hidden, base, pool, extra = case
+    t = hidden.t
+    codes = ((VertexSet(t, base), VertexSet._from_runs(t, toggles_of(pool, extra))),
+             (VertexSet._from_mask(t, edge_mask(base)), VertexSet._from_mask(t, edge_mask(pool))))
+    for base_code, pool_code in codes:
+        o = Oracle(hidden)
+        frame = o.prefixes(base_code, pool_code)
+        assert frame.size == len(pool)
+        sets = []
+        for r in range(len(pool) + 1):
+            want = VertexSet(t, base + pool[:r])
+            s = frame.vertex_set(r)
+            assert s._runs == want._toggles()
+            assert o.query((frame, r)) == Oracle(hidden).query(s) == Oracle(hidden).query(want)
+            assert r == 0 or frame.vertex(r) == pool[r - 1]
+            sets.append(s)
+        assert [rec.query for rec in o.transcript] == sets
+        assert_reference_bytes(o)
+
+
+def test_prefixes_refuse_another_universe_or_a_shared_vertex():
+    o = Oracle(Hypergraph(10, [(2, 3)]))
+    for base, pool in ((VertexSet(11, [5]), VertexSet(10, [1])),
+                       (VertexSet(10), VertexSet(9, [1])),
+                       (VertexSet(10), VertexSet._from_mask(11, 0b11))):
+        bad = base.t if base.t != 10 else pool.t
+        with pytest.raises(ValueError, match=rf"universe mismatch: {bad} != 10"):
+            o.prefixes(base, pool)
+    for base, pool in ((VertexSet(10, [3, 4]), VertexSet(10, [4, 5])),
+                       (VertexSet(10, [1]), VertexSet._from_runs(10, (0, 1, 1, 1))),
+                       (VertexSet(10, [10]), VertexSet._from_mask(10, 1 << 9))):
+        with pytest.raises(ValueError, match="base and pool share a vertex"):
+            o.prefixes(base, pool)
+    assert o.count == 0
+
+
+def test_query_refuses_a_prefix_frame_of_another_oracle_or_a_rank_out_of_range():
+    # Edgeless oracles read equal (empty) edge tables; their frames are
+    # still their own. A pool of two gives ranks 0..2.
+    for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
+        mine, other = Oracle(h), Oracle(h)
+        frame = other.prefixes(VertexSet(8, [1]), VertexSet(8, [2, 5]))
+        with pytest.raises(ValueError, match="another oracle"):
+            mine.query((frame, 1))
+        for r in (-1, 3):
+            with pytest.raises(ValueError, match=rf"rank {r} outside 0\.\.2"):
+                other.query((frame, r))
+        assert mine.count == other.count == 0
+        assert mine.transcript == other.transcript == ()
+        mine_frame = mine.prefixes(VertexSet(8, [1]), VertexSet(8, [2, 5]))
+        assert mine.query((mine_frame, 1)) == bool(h.edges)
+        assert not other.query((frame, 0))
+        assert other.query((frame, 2)) == bool(h.edges)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5])
+def test_budget_stops_prefix_queries_at_the_same_index_as_sets(budget):
+    h = Hypergraph(16, [(2, 9), (4, 12)])
+    by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
+    frame = by_frame.prefixes(VertexSet(16, [2, 3]), VertexSet(16, [4, 9, 10, 12]))
+    ranks = [4, 0, 2, 1, 3, 2, 4, 0]
+
+    def stop(ask) -> tuple[int, str] | None:
+        for i, r in enumerate(ranks):
+            try:
+                ask(r)
+            except BudgetExceededError as e:
+                return i, str(e)
+        return None
+
+    got = stop(lambda r: by_frame.query((frame, r)))
+    want = stop(lambda r: by_set.query(frame.vertex_set(r)))
+    assert got == want == (budget, f"query budget {budget} exhausted")
+    assert by_frame.count == by_set.count == budget
+    assert by_frame.transcript == by_set.transcript
+    assert by_frame.transcript_jsonl() == by_set.transcript_jsonl()
+
+
+def test_prefix_query_records_hold_run_coded_sets(tmp_path):
+    o = Oracle(Hypergraph(70, [(3, 64)]))
+    # Base {3}, pool 63..66 with an empty run at 64 and vertex 70.
+    pool = VertexSet._from_runs(70, (62, 64, 64, 64, 64, 66, 69, 70))
+    frame = o.prefixes(VertexSet(70, [3]), pool)
+    assert not o.query((frame, 1))  # 3, 63
+    assert o.query((frame, 4))  # 3, 63..66
+    # The log keeps the pair, O(1) ints; a read rebuilds the set.
+    assert [q for q, _ in o._log] == [(frame, 1), (frame, 4)]
+    assert o.transcript == (QueryRecord(1, VertexSet(70, [3, 63]), False),
+                            QueryRecord(2, VertexSet(70, [3, 63, 64, 65, 66]), True))
+    assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
+    assert [frame.vertex(r) for r in range(1, 6)] == [63, 64, 65, 66, 70]
+    jsonl = ('{"i": 1, "q": [3, 63], "a": 0}\n'
+             '{"i": 2, "q": [3, 63, 64, 65, 66], "a": 1}\n')
+    assert o.transcript_jsonl() == jsonl
+    o.write_transcript(str(tmp_path / "t.jsonl"))
+    assert (tmp_path / "t.jsonl").read_text() == jsonl
