@@ -190,6 +190,8 @@ class VertexSet:
         return tuple(out)
 
     def __len__(self) -> int:
+        """The member count. len() refuses counts above sys.maxsize with
+        OverflowError; self.__len__() returns any count, as repr uses it."""
         r = self._runs
         if r is None:
             return self._mask.bit_count()
@@ -253,7 +255,7 @@ class VertexSet:
         return hash((self._t, self._toggles()))
 
     def __repr__(self) -> str:
-        n = len(self)
+        n = self.__len__()
         if n > 20:
             return f"VertexSet(t={self._t}, |S|={n})"
         return f"VertexSet(t={self._t}, {{{', '.join(map(str, self))}}})"

@@ -12,14 +12,14 @@ model can distinguish.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
 from .bounds import ceil_log2
 from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_count
-from .oracle import Oracle, is_independent
+from .oracle import Frame, Oracle, is_independent
 
 
 class SearchContractError(RuntimeError):
@@ -55,83 +55,75 @@ def worst_case_query_budget(params: FamilyParams) -> int:
 
 def find_active_vertex(
     oracle: Oracle,
-    s: VertexSet,
-    f: VertexSet,
+    frame: Frame,
+    m: int,
     *,
     debug_checks: bool = False,
     stats: SearchStats | None = None,
 ) -> int:
-    """Binary-search a positive query s for one active vertex outside f.
+    """Binary-search the positive query (frame, m) for one active vertex
+    outside the frame's vertices F.
 
-    Requires that s contains an edge not already confined to f, which the
-    main loop guarantees by only passing positive queries that avoid all
-    known edges. Uses at most ceil(log2 |s - f|) queries.
+    Requires that the query contains an edge not already confined to F,
+    which the main loop guarantees by only passing positive queries that
+    avoid all known edges. Uses at most ceil(log2 (m >> n)) queries, n = |F|.
 
-    The search runs on ranks in the pool s - f: the pool left is its members
-    lo+1..lo+size, and the kept set is s & f plus members 1..lo. Its queries
-    are ranks of one prefix frame (Oracle.prefixes) with base s & f and the
-    pool: rank r asks for s & f plus pool members 1..r. The pool's run code
-    is s's toggles merged with a toggle pair (v-1, v) per member v of s & f,
-    which takes v out; equal toggles stay in, as the frame skips the empty
-    runs they make. Rank lo+k is the query; rank lo+size is the pool left
-    plus the kept set, which debug_checks requires to be positive, and rank
-    lo the kept set, which it requires to be negative, each through a
-    throwaway oracle on the frame's rebuilt set. With run-coded s and f, as
-    the main loop passes them, the frame costs O(s*l * log(s*l)) whatever t
-    is, and a query one comparison; a step with its checks costs O(s*l).
+    The search runs on ranks in the pool, the query's vertices outside F:
+    with the low n bits of m, its members of F, held fixed, rank r asks for
+    them plus the r smallest vertices outside F. The pool left is ranks
+    lo+1..lo+size, and rank lo+k is the query. The main loop's pool is all
+    of V - F: a next query is s = (V - covered) | D with D within covered,
+    and covered within F, so s - F = V - F, m >> n = t - n, and s & F is
+    the low bits. Rank lo+size is the pool left plus the kept set, which
+    debug_checks requires to be positive, and rank lo the kept set, which it
+    requires to be negative, each through a throwaway oracle on the frame's
+    rebuilt set. A query costs one word AND and one comparison per hidden
+    edge whatever t is, and a step with its checks O(s*l).
     """
-    s._check(f)
-    t = s.t
-    toggles = s._toggles()
-    inside = [v for v in f.members() if bisect_right(toggles, v - 1) & 1]  # s & f
-    pairs = tuple(x for v in inside for x in (v - 1, v))
-    pool = VertexSet._from_runs(t, tuple(sorted(toggles + pairs)))  # s - f, empty runs left in
-    frame = oracle.prefixes(VertexSet._from_runs(t, pairs), pool)
-    n = frame.size
-    if n == 0:
+    n = len(frame.vertices)
+    low, size = m & ((1 << n) - 1), m >> n
+    if size == 0:
         raise SearchContractError("no candidate vertices: S - F is empty")
-    size, lo = n, 0
+    lo = 0
     before = oracle.count
     while True:
         if debug_checks:
             # Ground truth from the hidden hypergraph; no counted queries.
-            if not is_independent(oracle.hidden, frame.vertex_set(lo)):
+            if not is_independent(oracle.hidden, frame.vertex_set(lo << n | low)):
                 raise SearchContractError("bisection invariant broken: kept set is positive")
-            if is_independent(oracle.hidden, frame.vertex_set(lo + size)):
+            if is_independent(oracle.hidden, frame.vertex_set((lo + size) << n | low)):
                 raise SearchContractError("bisection invariant broken: pool query is negative")
         if size == 1:
             break
         k = (size + 1) // 2
-        if oracle.query((frame, lo + k)):
+        if oracle.query((frame, (lo + k) << n | low)):
             size = k
         else:
             lo, size = lo + k, size - k
     if stats is not None:
-        stats.vertex_search_log.append((n, oracle.count - before))
+        stats.vertex_search_log.append((m >> n, oracle.count - before))
     return frame.vertex(lo + 1)
 
 
 def find_edges_on(
     oracle: Oracle,
-    f: VertexSet,
+    frame: Frame,
     max_edge_size: int,
     *,
     stats: SearchStats | None = None,
 ) -> frozenset[Edge]:
-    """Find all inclusion-minimal positive subsets of f with size <= max_edge_size.
+    """Find all inclusion-minimal positive subsets of the frame's vertices F
+    with size <= max_edge_size.
 
     Enumerates subsets by increasing cardinality (lexicographic within each),
     skipping any set that already contains a found edge. For a Sperner hidden
-    hypergraph the result is exactly the set of hidden edges inside f.
+    hypergraph the result is exactly the set of hidden edges inside F.
 
-    Candidates and found edges are masks over the indices of f's members,
+    Candidates and found edges are masks over the indices of F's members,
     which the main loop keeps to at most s*l, so the skip test costs O(1)
-    word work. A candidate is asked as a query of one frame over f
-    (Oracle.frame): its mask, below the frame's rest bit, is the query,
-    answered with one word AND per hidden edge.
+    word work. A candidate's mask, with rank 0 above it, is its query.
     """
-    members = f.members()
-    frame = oracle.frame(f)
+    members = frame.vertices
     bits = [1 << i for i in range(len(members))]
     found: list[int] = []
     for size in range(1, min(max_edge_size, len(members)) + 1):
@@ -158,38 +150,37 @@ def find_edges_on(
 
 
 def find_next_query(
-    oracle: Oracle, found_edges: Iterable[Edge], t: int
-) -> VertexSet | None:
+    oracle: Oracle, frame: Frame, found_edges: Iterable[Edge]
+) -> int | None:
     """Search for a positive query containing no known edge.
 
     Candidates are B union D where B is everything outside the known edges'
     vertices and D runs over subsets of those vertices, smallest first.
-    Returns the first positive candidate, or None when all answer 0, which
-    for a Sperner hidden hypergraph certifies that every edge is known.
+    Returns the first positive candidate's mask, or None when all answer 0,
+    which for a Sperner hidden hypergraph certifies that every edge is known.
 
-    D and the known edges are masks over the indices of the at most s*l
-    covered vertices, so enumeration and the skip test cost O(1) word work.
-    A candidate is asked as a query of one frame over the covered vertices
-    (Oracle.frame): D's mask plus the frame's rest bit, which asks for B,
-    is the query, answered with one word AND per hidden edge. Only the
-    positive candidate returned is built as a run-coded set.
+    The known edges lie within the frame's vertices F. D and the known edges
+    are masks over the indices of the covered vertices in F, at most s*l,
+    so enumeration and the skip test cost O(1) word work. A candidate's
+    query is D's mask plus B's: the bits of F's uncovered members and rank
+    t - n above them, every vertex outside F.
     """
     edges = list(found_edges)
-    covered = sorted({v for e in edges for v in e})
-    index_bit = {v: 1 << i for i, v in enumerate(covered)}
+    n = len(frame.vertices)
+    index_bit = {v: 1 << i for i, v in enumerate(frame.vertices)}
     e_masks = [sum(index_bit[v] for v in e) for e in edges]
-    frame = oracle.frame(VertexSet(t, covered))
-    rest = 1 << len(covered)
+    covered = [index_bit[v] for v in sorted({v for e in edges for v in e})]
+    base = (frame.t - n) << n | ((1 << n) - 1) ^ sum(covered)
     for size in range(len(covered) + 1):
-        for d in combinations(index_bit.values(), size):
-            dmask = sum(d, rest)
+        for d in combinations(covered, size):
+            dmask = sum(d)
             # Known edges live inside the covered set, so e <= B|D iff e <= D.
             for em in e_masks:
                 if em & dmask == em:
                     break
             else:
-                if oracle.query((frame, dmask)):
-                    return frame.vertex_set(dmask)
+                if oracle.query((frame, base | dmask)):
+                    return base | dmask
     return None
 
 
@@ -226,21 +217,24 @@ def learn_detailed(
 ) -> LearnReport:
     """Run the full adaptive search and return the result with statistics.
 
-    The first next-query search degenerates to the single probe of the whole
-    vertex set, so an edgeless hidden hypergraph costs exactly one query. A
-    universe mismatch fails at that probe: the oracle raises ValueError.
+    Each search asks its queries through one frame over the found vertices
+    (Oracle.frame), made before the loop and again after each vertex is
+    found: iterations + 1 frames. The first next-query search degenerates to
+    the single probe of the whole vertex set, so an edgeless hidden
+    hypergraph costs exactly one query. A universe mismatch fails at the
+    first frame: the oracle raises ValueError before any query.
     """
     t = params.t
     stats = SearchStats()
     found: list[int] = []
-    found_vertices = VertexSet(t, found)
+    frame = oracle.frame(VertexSet(t, found))
     found_edges: frozenset[Edge] = frozenset()
     q_vertex = q_edge = q_query = 0
     while True:
         before = oracle.count
-        s = find_next_query(oracle, found_edges, t)
+        m = find_next_query(oracle, frame, found_edges)
         q_query += oracle.count - before
-        if s is None:
+        if m is None:
             break
         if len(found) == params.s * params.l:
             raise SearchContractError(
@@ -248,13 +242,13 @@ def learn_detailed(
                 "violates the (s, l) bounds"
             )
         before = oracle.count
-        v = find_active_vertex(oracle, s, found_vertices, debug_checks=debug_checks, stats=stats)
+        v = find_active_vertex(oracle, frame, m, debug_checks=debug_checks, stats=stats)
         q_vertex += oracle.count - before
         insort(found, v)
-        found_vertices = VertexSet(t, found)
+        frame = oracle.frame(VertexSet(t, found))
 
         before = oracle.count
-        found_edges = find_edges_on(oracle, found_vertices, params.l, stats=stats)
+        found_edges = find_edges_on(oracle, frame, params.l, stats=stats)
         q_edge += oracle.count - before
 
     return LearnReport(

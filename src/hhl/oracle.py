@@ -4,19 +4,15 @@ A query on a vertex set answers 1 iff the set contains at least one entire
 edge of the hidden hypergraph. The oracle records every answered query; it
 never memoizes, so repeated queries are counted separately. A query is a
 VertexSet, or (frame, m) for a frame the oracle made, logged as that pair.
-An index frame (Oracle.frame) is over a vertex set: bit i of m asks for
-the i-th smallest of its vertices and the rest bit above them for every
-other vertex, answered with one word AND per hidden edge. A prefix frame
-(Oracle.prefixes) is over a base set and a pool: rank m asks for the base
-plus the m smallest pool members, answered with one comparison.
+A frame (Oracle.frame) is over n vertices F: the low n bits of m choose
+members of F and r = m >> n asks for the r smallest vertices outside F,
+answered with one word AND and one comparison per hidden edge.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import sub
 from typing import Iterable, Iterator
 
 from .core import Hypergraph, VertexSet
@@ -124,84 +120,63 @@ def _mask_text_size(mask: int) -> int:
 
 
 class Frame:
-    """An index frame: the queries of index masks over one vertex set, made
-    and answered by one oracle (Oracle.frame).
+    """The queries of index masks over the found vertices F, made and
+    answered by one oracle (Oracle.frame). With n = |F|, query (self, m)
+    asks for the members of F that the low n bits of m choose, bit i for
+    the i-th smallest, plus the r = m >> n smallest vertices outside F.
 
-    It keeps its oracle's key, so another oracle refuses it; the index mask
-    of each hidden edge, so a query holds the edge iff m holds the mask;
-    and, to rebuild a query's set, the vertices in increasing order.
+    It keeps its oracle's key, so another oracle refuses it; per hidden
+    edge, the mask of its members in F and its largest outside rank,
+    shifted above the low bits, so a query holds the edge iff m holds the
+    mask and is at least the shifted rank; and, to rebuild a query's set,
+    F in increasing order and the count of outside vertices below each
+    member.
     """
 
-    __slots__ = ("_key", "_t", "_vertices", "_edges", "_limit")
+    __slots__ = ("_key", "_t", "_vertices", "_gaps", "_edges", "_limit")
+
+    @property
+    def t(self) -> int:
+        return self._t
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        """F, the frame's vertices, in increasing order."""
+        return self._vertices
+
+    def vertex(self, r: int) -> int:
+        """The vertex of rank r >= 1 outside F: r plus the members of F
+        below it, those with fewer than r outside vertices below them."""
+        return r + bisect_left(self._gaps, r)
 
     def _toggles(self, m: int) -> tuple[int, ...]:
-        """The strictly increasing toggles of query (self, m): the toggle
-        pair (v-1, v) of each chosen vertex v; with the rest bit, 0, the
-        pair of each unchosen vertex and t. Touching pairs merge, and equal
-        toggles at 0 or t cancel. One pass over the bits of m, O(|vertices|)."""
-        rest = m >> len(self._vertices)
-        if rest:
-            m ^= self._limit - 1  # the unchosen vertices
-        out = [0] if rest else []
-        for v, bit in zip(self._vertices, bin(m)[:1:-1]):
+        """The strictly increasing toggles of query (self, m): the run (0, p)
+        of vertices 1..p, p the vertex of rank r = m >> n (p = 0, no run, at
+        r = 0), plus the toggle pair (v-1, v) of each member v of F with
+        (v < p) != chosen: a set bit of flip, the low bits of m XOR the p - r
+        members below p. Equal neighbouring toggles, at most two of a value,
+        cancel. One pass over F and the bits of flip, O(|F|)."""
+        vertices = self._vertices
+        n = len(vertices)
+        r = m >> n
+        p = self.vertex(r) if r else 0
+        flip = m & ((1 << n) - 1) ^ ((1 << (p - r)) - 1)
+        seq = [0]
+        for v, bit in zip(vertices, bin(flip | 1 << n)[:2:-1]):
             if bit == "1":
-                if out and out[-1] == v - 1:
-                    out[-1] = v
-                else:
-                    out += (v - 1, v)
-        if rest:
-            out = out[:-1] if out[-1] == self._t else [*out, self._t]
+                seq += (v - 1, v)
+        insort(seq, p)
+        out: list[int] = []
+        for x in seq:
+            if out and out[-1] == x:
+                out.pop()
+            else:
+                out.append(x)
         return tuple(out)
 
     def vertex_set(self, m: int) -> VertexSet:
         """The run-coded set of query (self, m)."""
         return VertexSet._from_runs(self._t, self._toggles(m))
-
-
-class Prefixes:
-    """A prefix frame: the queries of ranks 0..size over a base set and a
-    pool, made and answered by one oracle (Oracle.prefixes). Query (self, r)
-    asks for the base plus the r smallest members of the pool.
-
-    It keeps its oracle's key, so another oracle refuses it; the least rank
-    that holds a hidden edge, so query r holds one iff r >= first; and, to
-    rebuild a query's set, the base's toggles, the toggles of base | pool,
-    and the pool's run starts and cumulative sizes.
-    """
-
-    __slots__ = ("_key", "_t", "_base", "_union", "_starts", "_ranks", "_first", "_limit")
-
-    @property
-    def size(self) -> int:
-        """The pool's member count, the largest rank."""
-        return self._limit - 1
-
-    def vertex(self, rank: int) -> int:
-        """The pool member of rank (from 1): one bisect over the cumulative
-        sizes, which skips empty runs."""
-        ranks = self._ranks
-        i = bisect_left(ranks, rank)
-        return self._starts[i] + rank - (ranks[i - 1] if i else 0)
-
-    def _toggles(self, r: int) -> tuple[int, ...]:
-        """The strictly increasing toggles of query (self, r): those of
-        base | pool up to the position p of pool member r, a toggle closing
-        the run at p, and the base's toggles above p. Base runs lie wholly
-        below or above p, and one starting at p + 1 merges with the closed
-        run. Two bisects and a slice, O(runs)."""
-        base = self._base
-        if not r:
-            return base
-        p = self.vertex(r) - 1
-        union = self._union
-        below, above = union[: bisect_right(union, p)], base[bisect_right(base, p) :]
-        if above and above[0] == p + 1:
-            return below + above[1:]
-        return below + (p + 1,) + above
-
-    def vertex_set(self, r: int) -> VertexSet:
-        """The run-coded set of query (self, r)."""
-        return VertexSet._from_runs(self._t, self._toggles(r))
 
 
 @dataclass(frozen=True)
@@ -219,16 +194,15 @@ class Oracle:
     Queries are answered strictly sequentially into an append-only log of
     (query, answer) pairs: the query the caller passed, an immutable
     VertexSet or a (frame, m) pair of O(1) ints, and its answer. A set over
-    another universe, or a frame another oracle made, raises ValueError
-    before anything is logged; a frame's universe is checked once, when
-    frame() or prefixes() makes it. Sets are answered from one table of the
-    hidden edges' member positions: a run-coded query with one bisect per
-    tested edge member, a mask-coded one with one bit test per tested
-    member. An index-frame query costs one word AND per hidden edge and a
-    prefix-frame query one comparison, whatever t is. The learner asks
-    only frame queries, through a prefix frame in its vertex search and an
-    index frame in each exhaustive search, so a learner run does no t-bit
-    work per query.
+    another universe, or a frame another oracle made or a mask outside its
+    range, raises ValueError before anything is logged; a frame's universe
+    is checked once, when frame() makes it. Sets are answered from one
+    table of the hidden edges' member positions: a run-coded query with one
+    bisect per tested edge member, a mask-coded one with one bit test per
+    tested member. A frame query costs one word AND and one comparison per
+    hidden edge, whatever t is. The learner asks only frame queries, all
+    three of its searches through one frame over the vertices found so far,
+    so a learner run does no t-bit work per query.
     An optional budget caps the number of answered queries so worst-case
     bounds are enforced by the oracle itself. transcript rebuilds a frame
     query's run-coded set when it is read, and transcript_jsonl and
@@ -245,7 +219,7 @@ class Oracle:
         self.budget = budget
         self._edge_positions = _member_positions(hidden)
         self._key = object()  # held by the frames this oracle makes
-        self._log: list[tuple[VertexSet | tuple[Frame | Prefixes, int], bool]] = []
+        self._log: list[tuple[VertexSet | tuple[Frame, int], bool]] = []
 
     @property
     def hidden(self) -> Hypergraph:
@@ -264,16 +238,18 @@ class Oracle:
                      for i, (q, a) in enumerate(self._log, 1))
 
     def frame(self, vertices: VertexSet) -> Frame:
-        """The index frame of the queries of index masks
-        0 <= m < 2**(len(vertices) + 1), asked as oracle.query((frame, m)):
-        bit i of m asks for the i-th smallest member of vertices, the rest
-        bit 1 << len(vertices) for every vertex outside them.
+        """The frame of the queries of index masks 0 <= m < (t - n + 1) << n
+        over the n members of vertices, F, asked as oracle.query((frame, m)):
+        the low n bits of m choose members of F, and r = m >> n asks for the
+        r smallest vertices outside F, so m = (t - n) << n asks for all of
+        them.
 
         ValueError when vertices is over another universe. The hidden edges
-        are read once: a query holds an edge iff m holds its index mask, the
-        bits of its members plus the rest bit if a member is outside
-        vertices. A frame costs O(runs + |vertices| + edges * l) time and
-        O(|vertices|) memory, whatever t is.
+        are read once: a query holds an edge iff m holds its members' bits
+        in F and r is at least the largest outside rank of its members, v
+        minus the members of F below v for an outside member v. A frame
+        costs O(runs + |F| + edges * l * log |F|) time and O(|F|) memory,
+        whatever t is.
         """
         t = self._hidden.t
         if vertices._t != t:
@@ -283,74 +259,32 @@ class Oracle:
         at = {v - 1: i for i, v in enumerate(members)}  # position v-1: index of v
         edges = []
         for x, rest in self._edge_positions:
-            em = 0
-            for x in (x, *rest):
-                em |= 1 << at.get(x, n)
-            edges.append(em)
+            em = need = 0
+            for x in (x, *rest):  # increasing, so the last outside member has the largest rank
+                i = at.get(x)
+                if i is None:
+                    need = x + 1 - bisect_left(members, x + 1)
+                else:
+                    em |= 1 << i
+            edges.append((em, need << n))
         frame = object.__new__(Frame)
         frame._key, frame._t, frame._vertices = self._key, t, members
-        frame._edges, frame._limit = tuple(edges), 2 << n
+        frame._gaps = [v - 1 - i for i, v in enumerate(members)]
+        frame._edges, frame._limit = tuple(edges), (t - n + 1) << n
         return frame
 
-    def prefixes(self, base: VertexSet, pool: VertexSet) -> Prefixes:
-        """The queries of ranks 0 <= r <= len(pool), asked as
-        oracle.query((frame, r)): base plus the r smallest members of pool.
-
-        ValueError when base or pool is over another universe, or when they
-        share a vertex. The pool's run code may hold empty or touching runs.
-        The hidden edges are read once: an edge is held by query r iff each
-        member is in base or is a pool member of rank at most r, so the
-        frame keeps the least such r over all edges and a query costs one
-        comparison. A frame costs O((runs + edges * l) * log runs) time and
-        O(runs) memory, whatever t is.
-        """
-        t = self._hidden.t
-        for vs in (base, pool):
-            if vs._t != t:
-                raise ValueError(f"universe mismatch: {vs._t} != {t}")
-        btog = base._toggles()
-        runs = pool._toggles() if pool._runs is None else pool._runs
-        starts = runs[0::2]  # position of each pool run's first member
-        ranks = list(accumulate(map(sub, runs[1::2], starts)))
-        n = ranks[-1] if ranks else 0  # ranks[i]: pool members in runs 0..i
-        # Merged toggles code base ^ pool, which is base | pool iff it has
-        # as many members as the two.
-        union = VertexSet._from_runs(t, tuple(sorted(btog + runs)))._toggles()
-        if sum(union[1::2]) - sum(union[0::2]) != sum(btog[1::2]) - sum(btog[0::2]) + n:
-            raise ValueError("base and pool share a vertex")
-        first = n + 1  # no query holds an edge
-        for x, rest in self._edge_positions:
-            need = 0  # the largest pool rank among the edge's members
-            for x in (x, *rest):
-                if bisect_right(btog, x) & 1:
-                    continue
-                i = bisect_right(starts, x) - 1
-                if i < 0 or x >= runs[2 * i + 1]:
-                    break  # x is in neither
-                need = max(need, (ranks[i - 1] if i else 0) + x - starts[i] + 1)
-            else:
-                first = min(first, need)
-        frame = object.__new__(Prefixes)
-        frame._key, frame._t, frame._base, frame._union = self._key, t, btog, union
-        frame._starts, frame._ranks, frame._first, frame._limit = starts, ranks, first, n + 1
-        return frame
-
-    def query(self, s: VertexSet | tuple[Frame | Prefixes, int]) -> bool:
+    def query(self, s: VertexSet | tuple[Frame, int]) -> bool:
         if type(s) is tuple:
             frame, m = s
             if frame._key is not self._key:
                 raise ValueError("the frame was made by another oracle")
-            if not 0 <= m < frame._limit:
-                what = "index mask" if type(frame) is Frame else "rank"
-                raise ValueError(f"{what} {m} outside 0..{frame._limit - 1}")
-            if type(frame) is Frame:
-                answer = False
-                for em in frame._edges:
-                    if em & m == em:
-                        answer = True
-                        break
-            else:
-                answer = m >= frame._first
+            if type(m) is not int or not 0 <= m < frame._limit:
+                raise ValueError(f"index mask {m!r} outside the ints 0..{frame._limit - 1}")
+            answer = False
+            for em, need in frame._edges:
+                if em & m == em and m >= need:
+                    answer = True
+                    break
         elif s._t != self._hidden.t:
             raise ValueError(f"universe mismatch: {s._t} != {self._hidden.t}")
         elif s._runs is not None:
@@ -374,16 +308,15 @@ class Oracle:
         its runs take as slices.
 
         A query's code fixes how its line is written; a frame query's
-        toggles are read from its frame (Frame._toggles, Prefixes._toggles),
-        once. A run-coded or frame query's line joins one memoryview slice
-        per run of a decimal text of 1..top, top the largest member of any
-        such query (the text cap counts no other). A mask-coded query's line
-        holds the repr of its member list. So the cost is O(top) once,
-        O(runs) per run-coded or prefix-frame query, O(frame vertices +
-        runs) per index-frame query, O(t/64 + |S|) per mask-coded one and
-        O(output bytes). The generator holds the text, each query's toggles
-        or mask-coded set, a memo of at most one offset per distinct toggle
-        and one line.
+        toggles are read from its frame (Frame._toggles), once. A run-coded
+        or frame query's line joins one memoryview slice per run of a
+        decimal text of 1..top, top the largest member of any such query
+        (the text cap counts no other). A mask-coded query's line holds the
+        repr of its member list. So the cost is O(top) once, O(runs) per
+        run-coded query, O(frame vertices) per frame query, O(t/64 + |S|)
+        per mask-coded one and O(output bytes). The generator holds the
+        text, each query's toggles or mask-coded set, a memo of at most one
+        offset per distinct toggle and one line.
         """
         log = self._log
         # Run a..b is the text from a's offset to b+1's, the ", " after b

@@ -87,6 +87,18 @@ def test_vertex_set_basics():
     assert [VertexSet(129, [v]).members() for v in vs] == [(v,) for v in vs]
 
 
+def test_vertex_set_repr_counts_members_past_sys_maxsize():
+    # len() refuses a count above sys.maxsize; repr counts from the toggles.
+    assert repr(VertexSet(8, [3, 1, 7])) == "VertexSet(t=8, {1, 3, 7})"
+    assert repr(VertexSet._from_mask(30, (1 << 30) - 1)) == "VertexSet(t=30, |S|=30)"
+    huge = VertexSet._from_runs(2**70, (0, 2**70))
+    assert repr(huge) == f"VertexSet(t={2**70}, |S|={2**70})"
+    assert repr(VertexSet._from_runs(2**70, (2**70 - 2, 2**70))) == \
+        f"VertexSet(t={2**70}, {{{2**70 - 1}, {2**70}}})"
+    with pytest.raises(OverflowError):
+        len(huge)
+
+
 def test_vertex_set_constructor_checks_in_order_and_merges_runs():
     # Members are checked in the order given, then sorted, deduplicated and
     # merged into runs; bools count as 0 and 1, as in a mask built from them.

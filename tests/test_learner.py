@@ -17,7 +17,6 @@ from conftest import (
     reference_find_active_vertex,
     reference_find_edges_on,
     reference_find_next_query,
-    toggles_of,
 )
 from hhl import (
     FamilyParams,
@@ -35,36 +34,46 @@ from hhl import (
     random_family_instance,
     worst_case_query_budget,
 )
-from hhl.core import edge_mask
-from hhl.oracle import Frame, Prefixes
+from hhl.oracle import Frame
+
+
+def learner_query(o: Oracle, found, chosen=()) -> tuple[Frame, int]:
+    """A query as the main loop asks it: the frame over the found vertices,
+    a VertexSet or a list, and the mask of the chosen ones plus every vertex
+    outside them."""
+    if not isinstance(found, VertexSet):
+        found = VertexSet(o.hidden.t, found)
+    frame = o.frame(found)
+    n = len(frame.vertices)
+    chosen = set(chosen)
+    low = "".join("1" if v in chosen else "0" for v in reversed(frame.vertices))
+    return frame, (o.hidden.t - n) << n | int(low or "0", 2)
 
 
 def test_find_active_vertex_bisection():
     # {5} hides inside {1..8}: splits {1-4}/{5-8}, {5,6}/{7,8}, {5}/{6}
     o = Oracle(Hypergraph(8, [(5,)]))
-    v = find_active_vertex(o, VertexSet(8, range(1, 9)), VertexSet(8))
+    v = find_active_vertex(o, *learner_query(o, []))
     assert v == 5
     assert o.count == 3
 
 
 def test_find_active_vertex_singleton_pool():
     o = Oracle(Hypergraph(4, [(1, 2)]))
-    v = find_active_vertex(o, VertexSet(4, [1, 2]), VertexSet(4, [1]))
+    v = find_active_vertex(o, *learner_query(o, [1, 3, 4], [1]))
     assert v == 2
     assert o.count == 0
 
 
 def test_find_active_vertex_with_found_set():
     o = Oracle(Hypergraph(4, [(3, 4)]))
-    v = find_active_vertex(o, VertexSet(4, range(1, 5)), VertexSet(4, [3]))
+    v = find_active_vertex(o, *learner_query(o, [3], [3]))
     assert v == 4
 
 
 def test_find_active_vertex_debug_checks():
     o = Oracle(Hypergraph(8, [(5,)]))
-    v = find_active_vertex(
-        o, VertexSet(8, range(1, 9)), VertexSet(8), debug_checks=True
-    )
+    v = find_active_vertex(o, *learner_query(o, []), debug_checks=True)
     assert v == 5
     assert o.count == 3  # ground-truth checks issue no counted queries
 
@@ -72,7 +81,7 @@ def test_find_active_vertex_debug_checks():
 def test_find_active_vertex_empty_pool():
     o = Oracle(Hypergraph(4, [(1,)]))
     with pytest.raises(SearchContractError):
-        find_active_vertex(o, VertexSet(4, [1]), VertexSet(4, [1]))
+        find_active_vertex(o, *learner_query(o, [1, 2, 3, 4], [1]))
 
 
 def test_find_active_vertex_query_bound():
@@ -82,9 +91,7 @@ def test_find_active_vertex_query_bound():
         v_hidden = rng.randint(1, t)
         o = Oracle(Hypergraph(t, [(v_hidden,)]))
         stats = SearchStats()
-        v = find_active_vertex(
-            o, VertexSet(t, range(1, t + 1)), VertexSet(t), stats=stats
-        )
+        v = find_active_vertex(o, *learner_query(o, []), stats=stats)
         assert v == v_hidden
         (n, used) = stats.vertex_search_log[0]
         assert n == t
@@ -95,20 +102,16 @@ def test_find_active_vertex_debug_checks_report_broken_contracts():
     # An edge already inside s & f: the kept set is positive before any query.
     o = Oracle(Hypergraph(8, [(1, 2)]))
     with pytest.raises(SearchContractError, match="kept set is positive"):
-        find_active_vertex(
-            o, VertexSet(8, range(1, 9)), VertexSet(8, [1, 2]), debug_checks=True
-        )
+        find_active_vertex(o, *learner_query(o, [1, 2], [1, 2]), debug_checks=True)
     assert o.count == 0
     # The same with a one-member pool, where no query is issued at all.
     o = Oracle(Hypergraph(8, [(1,)]))
     with pytest.raises(SearchContractError, match="kept set is positive"):
-        find_active_vertex(o, VertexSet(8, [1, 5]), VertexSet(8, [1]), debug_checks=True)
+        find_active_vertex(o, *learner_query(o, [1, 2, 3, 4, 6, 7, 8], [1]), debug_checks=True)
     # s holds no edge: the pool query is negative.
     o = Oracle(Hypergraph(8, [(7, 8)]))
     with pytest.raises(SearchContractError, match="pool query is negative"):
-        find_active_vertex(
-            o, VertexSet(8, [1, 2, 3, 4]), VertexSet(8), debug_checks=True
-        )
+        find_active_vertex(o, *learner_query(o, [7]), debug_checks=True)
 
 
 class FlippingOracle(Oracle):
@@ -123,6 +126,12 @@ class FlippingOracle(Oracle):
         return not answer if self.count == self.flip else answer
 
 
+def frame_search(o: Oracle, s: VertexSet, f: VertexSet, **kwargs) -> int:
+    """find_active_vertex on query s, which holds every vertex outside f,
+    asked of a frame over f as the main loop asks it."""
+    return find_active_vertex(o, *learner_query(o, f, s), **kwargs)
+
+
 @pytest.mark.parametrize("t", [64, 130])
 def test_find_active_vertex_debug_checks_catch_a_wrong_answer(t):
     # A wrong negative keeps a positive half (the kept set turns positive);
@@ -135,7 +144,7 @@ def test_find_active_vertex_debug_checks_catch_a_wrong_answer(t):
         for flip in range(1, (t - 1).bit_length() + 1):
             got, want = (
                 vertex_search_outcome(search, FlippingOracle(hidden, flip), s, f, True)
-                for search in (find_active_vertex, reference_find_active_vertex)
+                for search in (frame_search, reference_find_active_vertex)
             )
             assert got == want
             if isinstance(got[0], str):
@@ -147,63 +156,51 @@ def test_find_active_vertex_debug_checks_catch_a_wrong_answer(t):
 
 
 def vertex_search_cases(t: int, rng: random.Random):
-    """(hidden, s, f) at t over pools s - f that are full, sparse, near-full,
-    single and empty, that touch vertices 1, t and 63/64/65, with f
-    overlapping s: at random, at both ends of a run of s, and holding all
-    of s. Most keep the search's contract; the last two per pool break it,
-    one with an edge inside s & f and one with no edge inside s. Each pool
-    comes mask-coded, then run-coded as the main loop passes it: s as
-    find_next_query builds it, the toggles 0 and t around the gaps of s,
-    with equal toggles (at 0 when vertex 1 is a gap, at t when t is) and
-    touching runs (each mark doubled) left in, and f from the constructor."""
+    """(hidden, s, f) at t with s as the main loop asks it: a subset of f,
+    the base, plus every vertex outside f, the pool. The found vertices f
+    are none, sparse, random, all but three, all but one, or all of them,
+    and touch vertices 1, t and 63/64/65 and both ends of the pool's runs.
+    Most hidden hypergraphs keep the search's contract, an edge of base
+    members and a pool member; the last two per f break it, one with an
+    edge inside the base and one with no edge inside s. s and f come
+    run-coded and mask-coded."""
     universe = range(1, t + 1)
     marks = sorted({v for v in (1, 2, 63, 64, 65, t // 2, t - 1, t) if 1 <= v <= t})
     mid = marks[len(marks) // 2]
     pools = [
-        (set(universe), None),
-        (set(marks), None),
-        (set(rng.sample(universe, min(t, 5))), None),
-        (set(universe) - set(rng.sample(universe, min(t - 1, 3))), None),
-        ({marks[-1]}, None),
-        ({mid}, None),
-        # f at both ends of a run of s, then at 1 and t, then holding all of s
-        ({mid}, [v for v in (mid - 1, mid + 1) if 1 <= v <= t]),
-        (set(range(2, t)), [1, t] if t > 2 else None),
-        (set(), marks),
+        list(universe),
+        [v for v in universe if v not in marks],
+        [v for v in universe if v not in rng.sample(universe, min(t, 5))],
+        sorted(rng.sample(universe, min(t, 3))),
+        [marks[-1]],
+        sorted({mid - 1, mid + 1} & set(universe)),
+        sorted({1, t}),
+        [],
     ]
     seen = []
-    for pool, inside in pools:
-        if (pool, inside) in seen:
+    for pool in pools:
+        if pool in seen:
             continue
-        seen.append((pool, inside))
-        rest = [v for v in universe if v not in pool]
-        if inside is None:
-            picks = rng.sample(rest, min(len(rest), 4))
-            inside, outside = picks[: len(picks) // 2], picks[len(picks) // 2 :]
-        else:
-            rest = [v for v in rest if v not in inside]
-            outside = rng.sample(rest, min(len(rest), 2))
-        held = pool | set(inside)
-        gaps = toggles_of([v for v in universe if v not in held], extra=marks)
-        s_runs = VertexSet._from_runs(t, (0, *gaps, t))
-        # held has few runs, so its mask is cheaper from them than from edge_mask.
-        s = VertexSet._from_mask(t, s_runs.mask)
-        f = VertexSet._from_mask(t, edge_mask(inside + outside))
-        members = sorted(pool)
+        seen.append(pool)
+        found = sorted(set(universe) - set(pool))
+        picks = rng.sample(found, min(len(found), 4))
+        inside, outside = picks[: len(picks) // 2], picks[len(picks) // 2 :]
+        s_runs = VertexSet(t, pool + inside)
+        f_runs = VertexSet(t, found)
         hiddens = []
-        for a in sorted({members[0], members[-1], rng.choice(members)} if members else ()):
+        for a in sorted({pool[0], pool[-1], rng.choice(pool)} if pool else ()):
             edges = [(a, *inside[:2])]
             if outside:
-                edges.append((members[len(members) // 2], outside[0]))
+                edges.append((pool[len(pool) // 2], outside[0]))
             hiddens.append(Hypergraph(t, edges))
         if inside:
-            hiddens.append(Hypergraph(t, [tuple(inside), *[(v,) for v in members[:1]]]))
+            hiddens.append(Hypergraph(t, [tuple(inside), *[(v,) for v in pool[:1]]]))
         if outside:
             hiddens.append(Hypergraph(t, [(outside[0],)]))
-        f_runs = VertexSet(t, f.members())
-        for codes in ((s, f), (s_runs, f_runs)):
+        for s, f in ((s_runs, f_runs), (VertexSet._from_mask(t, s_runs.mask), f_runs),
+                     (s_runs, VertexSet._from_mask(t, f_runs.mask))):
             for hidden in hiddens:
-                yield hidden, *codes
+                yield hidden, s, f
 
 
 def vertex_search_outcome(search, o, s, f, debug_checks):
@@ -223,7 +220,7 @@ def test_find_active_vertex_matches_reference(t):
         for debug_checks in (False, True):
             got, want = (
                 vertex_search_outcome(search, Oracle(hidden), s, f, debug_checks)
-                for search in (find_active_vertex, reference_find_active_vertex)
+                for search in (frame_search, reference_find_active_vertex)
             )
             assert got == want, (hidden, s, f, debug_checks)
         n_cases += 1
@@ -232,7 +229,7 @@ def test_find_active_vertex_matches_reference(t):
 
 def test_find_edges_on_trace():
     o = Oracle(Hypergraph(4, [(1, 2)]))
-    edges = find_edges_on(o, VertexSet(4, [1, 2]), 2)
+    edges = find_edges_on(o, o.frame(VertexSet(4, [1, 2])), 2)
     assert edges == frozenset({(1, 2)})
     assert [(r.query.members(), r.answer) for r in o.transcript] == [
         ((1,), False),
@@ -243,12 +240,12 @@ def test_find_edges_on_trace():
 
 def test_find_edges_on_nothing_inside():
     o = Oracle(Hypergraph(4, [(1, 2)]))
-    assert find_edges_on(o, VertexSet(4, [1]), 2) == frozenset()
+    assert find_edges_on(o, o.frame(VertexSet(4, [1])), 2) == frozenset()
 
 
 def test_find_edges_on_skips_known_supersets():
     o = Oracle(Hypergraph(4, [(1,), (2, 3)]))
-    edges = find_edges_on(o, VertexSet(4, [1, 2, 3]), 2)
+    edges = find_edges_on(o, o.frame(VertexSet(4, [1, 2, 3])), 2)
     assert edges == frozenset({(1,), (2, 3)})
     # {1,2} and {1,3} are skipped because {1} is already known
     assert o.count == 4
@@ -263,77 +260,101 @@ def test_find_edges_on_matches_bruteforce():
         pool = sorted(rng.sample(range(1, t + 1), rng.randint(1, t)))
         o = Oracle(h)
         stats = SearchStats()
-        got = find_edges_on(o, VertexSet(t, pool), p.l, stats=stats)
+        got = find_edges_on(o, o.frame(VertexSet(t, pool)), p.l, stats=stats)
         assert got == minimal_positive_subsets(h, pool, p.l)
         assert stats.edge_deletions == 0
 
 
 def test_find_next_query_all_edges_known():
     o = Oracle(Hypergraph(4, [(1, 2)]))
-    assert find_next_query(o, [(1, 2)], 4) is None
+    assert find_next_query(o, o.frame(VertexSet(4, [1, 2])), [(1, 2)]) is None
     assert o.count == 3  # the three admissible candidates all answer 0
 
 
 def test_find_next_query_finds_fresh_edge():
     o = Oracle(Hypergraph(4, [(1, 2), (3, 4)]))
-    s = find_next_query(o, [(1, 2)], 4)
-    assert s == VertexSet(4, [3, 4])
+    frame = o.frame(VertexSet(4, [1, 2]))
+    m = find_next_query(o, frame, [(1, 2)])
+    assert m == 2 << 2 and frame.vertex_set(m) == VertexSet(4, [3, 4])
+    assert o.count == 1
+    # A found vertex no known edge covers is in every candidate.
+    o = Oracle(Hypergraph(8, [(1, 2), (5, 7)]))
+    frame = o.frame(VertexSet(8, [1, 2, 5]))
+    m = find_next_query(o, frame, [(1, 2)])
+    assert m == 5 << 3 | 0b100 and frame.vertex_set(m) == VertexSet(8, range(3, 9))
     assert o.count == 1
 
 
 def test_find_next_query_no_known_edges():
     o = Oracle(Hypergraph(3, [(2,)]))
-    s = find_next_query(o, [], 3)
-    assert s == VertexSet(3, range(1, 4))
+    frame = o.frame(VertexSet(3))
+    assert find_next_query(o, frame, []) == 3
+    assert frame.vertex_set(3) == VertexSet(3, range(1, 4))
     assert o.count == 1
 
 
 def test_exhaustive_searches_ask_one_frame_each(monkeypatch):
     # Every query of the edge search and the next-query search is a
-    # (frame, index mask) pair of one frame per search, and the next-query
-    # search builds a set only for the positive candidate it returns.
+    # (frame, index mask) pair of the one frame they are given, and neither
+    # builds a set: the next-query search returns its positive mask.
     t = 64
     hidden = Hypergraph(t, [(1,), (3, 4), (10, 40, 64)])
     built = []
     vertex_set = Frame.vertex_set
     monkeypatch.setattr(Frame, "vertex_set", lambda frame, m: built.append(m) or vertex_set(frame, m))
     o = Oracle(hidden)
-    assert find_edges_on(o, VertexSet(t, [1, 3, 4, 10, 40, 64]), 3) == hidden.edges
+    frame = o.frame(VertexSet(t, [1, 3, 4, 10, 40, 64]))
+    assert find_edges_on(o, frame, 3) == hidden.edges
     ends = [o.count]
-    assert find_next_query(o, [(1,), (3, 4)], t) == VertexSet(t, set(range(1, t + 1)) - {1, 3, 4})
+    # Rank 58 asks for every vertex outside the six; 10, 40 and 64 are
+    # bits 3-5, outside the covered {1, 3, 4}.
+    assert find_next_query(o, frame, [(1,), (3, 4)]) == 58 << 6 | 0b111000
     ends.append(o.count)
-    assert built == [0b1000]
-    assert find_next_query(o, hidden.sorted_edges(), t) is None
-    assert built == [0b1000]
-    assert all(type(q) is tuple for q, _ in o._log)
-    # The edge search's masks stay below its frame's rest bit, 1 << 6 over
-    # f's six members; each next-query mask holds its frame's rest bit,
-    # 1 << 3 over the covered {1, 3, 4}, then 1 << 6.
+    assert find_next_query(o, frame, hidden.sorted_edges()) is None
+    assert built == []
+    assert {q[0] for q, _ in o._log} == {frame}
+    assert frame.vertex_set(58 << 6 | 0b111000) == VertexSet(t, set(range(1, t + 1)) - {1, 3, 4})
+    # The edge search asks rank 0 and each next-query search rank 58.
     masks = [m for (_, m), _ in o._log]
     assert all(m < 1 << 6 for m in masks[: ends[0]])
-    assert all(m >> 3 == 1 for m in masks[ends[0] : ends[1]])
-    assert all(m >> 6 == 1 for m in masks[ends[1] :])
-    frames = [q[0] for q, _ in o._log]
-    searches = [frames[: ends[0]], frames[ends[0] : ends[1]], frames[ends[1] :]]
-    assert all(len(set(search)) == 1 for search in searches)
-    assert len(set(frames)) == 3
+    assert all(m >> 6 == 58 for m in masks[ends[0] :])
 
 
-def test_vertex_search_asks_one_prefix_frame():
-    # Every query of a vertex search is a (frame, rank) pair of one prefix
-    # frame with base s & f and pool s - f: rank r asks for s & f plus the
-    # r smallest pool members, and the search returns the member of the
-    # rank it ends on.
+def test_vertex_search_asks_ranks_of_one_frame():
+    # Every query of a vertex search holds the low bits of its query, the
+    # found vertices in s, and a rank: rank r asks for those plus the r
+    # smallest vertices outside the found ones, and the search returns the
+    # vertex of the rank it ends on.
     t = 64
     o = Oracle(Hypergraph(t, [(3, 40)]))
-    f = VertexSet(t, [3, 10, 50])
-    assert find_active_vertex(o, VertexSet(t, range(1, 50)), f) == 40
-    frames = {q[0] for q, _ in o._log}
-    assert len(frames) == 1 and type(frames.pop()) is Prefixes
-    ranks = [r for (_, r), _ in o._log]
-    assert ranks == [24, 36, 42, 39, 38, 37]  # 40 has rank 38
-    pool = [v for v in range(1, 50) if v not in (3, 10)]
+    frame, m = learner_query(o, [3, 10, 50], [3, 10])
+    assert m == 61 << 3 | 0b011
+    assert find_active_vertex(o, frame, m) == 40
+    assert {q[0] for q, _ in o._log} == {frame}
+    ranks = [m >> 3 for (_, m), _ in o._log]
+    assert {m & 0b111 for (_, m), _ in o._log} == {0b011}
+    assert ranks == [31, 46, 39, 35, 37, 38]  # 40 has rank 38
+    pool = [v for v in range(1, t + 1) if v not in (3, 10, 50)]
     assert [r.query for r in o.transcript] == [VertexSet(t, [3, 10, *pool[:r]]) for r in ranks]
+
+
+def test_learn_makes_one_frame_per_found_vertex_and_one_more(monkeypatch):
+    # One frame before the loop and one after each found vertex, and every
+    # query of the run asks one of them.
+    made = []
+    frame = Oracle.frame
+    monkeypatch.setattr(Oracle, "frame", lambda o, vs: made.append(frame(o, vs)) or made[-1])
+    cases = [(Hypergraph(10), FamilyParams(10, 2, 2)),
+             (Hypergraph(64, [(1, 2, 3), (1, 32, 64), (2, 33, 63)]), FamilyParams(64, 3, 3)),
+             (random_disjoint_instance(FamilyParams(2**20, 3, 2), seed=1), FamilyParams(2**20, 3, 2))]
+    for hidden, params in cases:
+        made.clear()
+        o = Oracle(hidden)
+        report = learn_detailed(o, params)
+        assert report.hypergraph == hidden
+        assert len(made) == report.iterations + 1 == len({v for e in hidden.edges for v in e}) + 1
+        assert {q[0] for q, _ in o._log} <= set(made)
+        assert [len(f.vertices) for f in made] == list(range(report.iterations + 1))
 
 
 def test_learn_empty_hypergraph():
@@ -465,24 +486,47 @@ def structured_cases(t: int):
         yield hidden, params
 
 
+def reference_edges_on_frame(oracle: Oracle, frame: Frame, max_edge_size: int, *,
+                             stats: SearchStats | None = None) -> frozenset:
+    """The reference edge search over the frame's vertices."""
+    f = VertexSet(frame.t, frame.vertices)
+    return reference_find_edges_on(oracle, f, max_edge_size, stats=stats)
+
+
+def reference_next_query_on_frame(oracle: Oracle, frame: Frame, found_edges) -> int | None:
+    """The reference next-query search, its positive set read as a mask of
+    the frame: the found vertices in it, and its count of the rest."""
+    s = reference_find_next_query(oracle, found_edges, frame.t)
+    if s is None:
+        return None
+    low = sum(1 << i for i, v in enumerate(frame.vertices) if v in s)
+    return (len(s) - low.bit_count()) << len(frame.vertices) | low
+
+
 def assert_searches_match_reference(hidden: Hypergraph, l: int) -> None:
+    # Each search asks a frame over the found vertices: the covered ones,
+    # and those plus 1 and t, so a found vertex may lie outside every
+    # known edge.
     t = hidden.t
     edges = hidden.sorted_edges()
     covered = sorted({v for e in edges for v in e})
+    minimal = [e for e in edges if not any(set(d) < set(e) for d in edges)]
     for pool in (covered, sorted({1, t, *covered})):
         for size in range(1, l + 2):
             got, want = Oracle(hidden), Oracle(hidden)
             got_stats, want_stats = SearchStats(), SearchStats()
             f = VertexSet(t, pool)
-            got_edges = find_edges_on(got, f, size, stats=got_stats)
+            got_edges = find_edges_on(got, got.frame(f), size, stats=got_stats)
             assert got_edges == reference_find_edges_on(want, f, size, stats=want_stats)
             assert queries(got) == queries(want)
             assert got_stats == want_stats
-    minimal = [e for e in edges if not any(set(d) < set(e) for d in edges)]
-    for known in [edges[:k] for k in range(len(edges) + 1)] + [minimal]:
-        got, want = Oracle(hidden), Oracle(hidden)
-        assert find_next_query(got, known, t) == reference_find_next_query(want, known, t)
-        assert queries(got) == queries(want)
+        for known in [edges[:k] for k in range(len(edges) + 1)] + [minimal]:
+            got, want = Oracle(hidden), Oracle(hidden)
+            frame = got.frame(VertexSet(t, pool))
+            m = find_next_query(got, frame, known)
+            assert (m if m is None else frame.vertex_set(m)) == reference_find_next_query(
+                want, known, t)
+            assert queries(got) == queries(want)
 
 
 def learn_with_reference_searches(
@@ -490,8 +534,8 @@ def learn_with_reference_searches(
 ) -> tuple:
     o = Oracle(hidden)
     with monkeypatch.context() as m:
-        m.setattr(hhl.learner, "find_edges_on", reference_find_edges_on)
-        m.setattr(hhl.learner, "find_next_query", reference_find_next_query)
+        m.setattr(hhl.learner, "find_edges_on", reference_edges_on_frame)
+        m.setattr(hhl.learner, "find_next_query", reference_next_query_on_frame)
         report = learn_detailed(o, params)
     return report, queries(o)
 

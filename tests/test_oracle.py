@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -589,9 +590,40 @@ def test_monotonicity_bulk_random():
             assert o.query(VertexSet(t, sup))
 
 
-# Frames: the queries of index masks m over one vertex set (Oracle.frame),
-# bit i for its i-th smallest vertex and the rest bit above them for every
-# other vertex, asked as oracle.query((frame, m)).
+# Frames: the queries of index masks m over the found vertices F
+# (Oracle.frame), asked as oracle.query((frame, m)): with n = |F|, the low n
+# bits of m choose members of F and r = m >> n asks for the r smallest
+# vertices outside F.
+
+
+def frame_query_toggles(t: int, vertices: list[int], low: int, r: int) -> tuple[int, ...]:
+    """The strictly increasing toggles of the chosen members of sorted
+    vertices plus the r smallest vertices outside them, taken gap by gap
+    between the members, so at any t."""
+    spans = [(v - 1, v) for i, v in enumerate(vertices) if low >> i & 1]
+    prev = 0
+    for v in (*vertices, t + 1):
+        take = min(r, v - 1 - prev)
+        if take:
+            spans.append((prev, prev + take))
+        r, prev = r - take, v
+    out: list[int] = []
+    for a, b in sorted(spans):
+        if out and out[-1] == a:
+            out[-1] = b
+        else:
+            out += (a, b)
+    return tuple(out)
+
+
+def frame_ranks(t: int, vertices: list[int]) -> list[int]:
+    """Every rank 0..t-n when there are at most 2048 masks, else the ranks
+    next to where the run of outside vertices meets a member or an end."""
+    n = len(vertices)
+    if (t - n + 1) << n <= 2048:
+        return list(range(t - n + 1))
+    gaps = [v - 1 - i for i, v in enumerate(vertices)]  # outside vertices below each member
+    return sorted({x for g in (0, *gaps, t - n) for x in (g - 1, g, g + 1) if 0 <= x <= t - n})
 
 
 @st.composite
@@ -603,8 +635,9 @@ def frame_cases(draw):
     marks = sorted({v for v in (1, 2, 63, 64, 65, 66, t // 2, t // 2 + 1, t - 1, t)
                     if 1 <= v <= t})
     vertex = st.one_of(st.sampled_from(marks), st.integers(1, t))
-    vertices = draw(st.sets(vertex, max_size=3))
-    vertices |= draw(st.sets(st.sampled_from(sorted({v for v in (1, 2, t - 1, t) if 1 <= v <= t}))))
+    vertices = draw(st.sets(vertex, max_size=2))
+    ends = sorted({v for v in (1, 2, t - 1, t) if 1 <= v <= t})
+    vertices |= draw(st.sets(st.sampled_from(ends), max_size=2))
     for a in draw(st.lists(st.integers(1, t), max_size=1)):
         vertices |= {a, min(a + 1, t)}  # a touching pair
     member = st.one_of(st.sampled_from(sorted(vertices | {1, t})), st.integers(1, t))
@@ -620,26 +653,46 @@ def frame_cases(draw):
 @example((Hypergraph(9, [(3,)]), []))
 @example((Hypergraph(9, [(1, 9), (2, 5)]), [1, 2, 8, 9]))
 @example((Hypergraph(9, [(3, 4), (1, 6)]), [3, 4, 5]))
+@example((Hypergraph(9, [(1, 2, 9), (5,)]), [1, 2, 3, 9]))
+@example((Hypergraph(2**60, [(1, 2**60), (2, 2**59, 2**60 - 1), (7,)]),
+          [1, 2, 3, 2**59 + 1, 2**60 - 1, 2**60]))
 def test_frame_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
-    # Every mask, the rest bit included: the rebuilt set is the one the
-    # constructor makes from the members the mask names, toggles and all,
-    # and the frame answers as a throwaway oracle on either.
+    # Every (low, r), or every low at the ranks where the set changes
+    # shape: the rebuilt set has the toggles of the chosen members plus the
+    # r smallest outside vertices, which up to t = 1001 are the
+    # constructor's from those members; the frame answers as a throwaway
+    # oracle on either set; and rank r names the r-th smallest outside
+    # vertex. The vertices come run-coded and mask-coded.
     hidden, vertices = case
     t, n = hidden.t, len(vertices)
-    others = [v for v in range(1, t + 1) if v not in vertices]
-    for code in (VertexSet(t, vertices), VertexSet._from_mask(t, edge_mask(vertices))):
+    ranks = frame_ranks(t, vertices)
+    small = t <= 1001
+    others = [v for v in range(1, t + 1) if v not in vertices] if small else None
+    codes = [VertexSet(t, vertices)]
+    if small:
+        codes.append(VertexSet._from_mask(t, edge_mask(vertices)))
+    for code in codes:
         o = Oracle(hidden)
         frame = o.frame(code)
+        assert frame.vertices == tuple(vertices)
         sets = []
-        for m in range(2 << n):
-            chosen = [v for i, v in enumerate(vertices) if m >> i & 1]
-            want = VertexSet(t, chosen + others if m >> n else chosen)
-            s = frame.vertex_set(m)
-            assert s._runs == want._runs
-            assert o.query((frame, m)) == Oracle(hidden).query(s) == Oracle(hidden).query(want)
-            sets.append(s)
-        assert [r.query for r in o.transcript] == sets
-        assert_reference_bytes(o)
+        for r in ranks:
+            if r:
+                assert frame.vertex(r) == (others[r - 1] if small else
+                                           frame_query_toggles(t, vertices, 0, r)[-1])
+            for low in range(1 << n):
+                want = VertexSet._from_runs(t, frame_query_toggles(t, vertices, low, r))
+                if small:
+                    chosen = [v for i, v in enumerate(vertices) if low >> i & 1]
+                    assert VertexSet(t, chosen + others[:r])._runs == want._runs
+                s = frame.vertex_set(r << n | low)
+                assert s._runs == want._runs
+                assert (o.query((frame, r << n | low)) == Oracle(hidden).query(s)
+                        == Oracle(hidden).query(want))
+                sets.append(s)
+        assert [rec.query for rec in o.transcript] == sets
+        if small:
+            assert_reference_bytes(o)
 
 
 def test_frame_refuses_vertices_over_another_universe():
@@ -652,19 +705,25 @@ def test_frame_refuses_vertices_over_another_universe():
 
 def test_query_refuses_a_frame_of_another_oracle():
     # Edgeless oracles read equal (empty) edge tables; their frames are
-    # still their own. Two vertices give masks 0..7, the rest bit 0b100.
+    # still their own. Two vertices of eight give masks 0..27: the low two
+    # bits and ranks 0..6 above them. A mask that is no int is refused
+    # like one out of range, before anything is logged.
     for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
         mine, other = Oracle(h), Oracle(h)
         frame = other.frame(VertexSet(8, [1, 2]))
         with pytest.raises(ValueError, match="another oracle"):
             mine.query((frame, 0b11))
-        for m in (-1, 0b1000):
-            with pytest.raises(ValueError, match=f"index mask {m} outside"):
+        for m in (-1, 28, 1 << 70, 1.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match=rf"index mask {re.escape(repr(m))} outside"):
                 other.query((frame, m))
         assert mine.count == other.count == 0
         assert mine.transcript == other.transcript == ()
+        assert other.transcript_jsonl() == ""
         assert mine.query((mine.frame(VertexSet(8, [1, 2])), 0b11)) == bool(h.edges)
-        assert other.query((frame, 0b111)) == bool(h.edges)
+        assert not other.query((frame, 0b10 | 6 << 2))
+        assert other.query((frame, 27)) == bool(h.edges)
+        assert [r.query for r in other.transcript] == [VertexSet(8, range(2, 9)),
+                                                       VertexSet(8, range(1, 9))]
 
 
 @pytest.mark.parametrize("budget", [0, 1, 5])
@@ -672,7 +731,8 @@ def test_budget_stops_frame_queries_at_the_same_index_as_sets(budget):
     h = Hypergraph(16, [(2, 9), (4,)])
     by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
     frame = by_frame.frame(VertexSet(16, [2, 3, 4]))
-    masks = [m for k in range(8) for m in (0b1000 | k, k)]  # rest-bit masks first
+    # Every vertex outside first, then ranks 0 and 5 (vertex 9 is rank 6).
+    masks = [r << 3 | k for k in range(8) for r in (13, 0, 5)]
 
     def stop(ask) -> tuple[int, str] | None:
         for i, m in enumerate(masks):
@@ -693,33 +753,40 @@ def test_budget_stops_frame_queries_at_the_same_index_as_sets(budget):
 def test_frame_query_records_hold_run_coded_sets(tmp_path):
     o = Oracle(Hypergraph(70, [(3, 64)]))
     frame = o.frame(VertexSet(70, [3, 63, 66]))
-    assert o.query((frame, 0b1001))  # vertex 3 and every vertex but 63, 66
-    assert not o.query((frame, 0b0110))
+    # 64 is the 62nd vertex outside {3, 63, 66}, after 1, 2 and 4..62.
+    assert [frame.vertex(r) for r in (1, 2, 3, 61, 62, 63, 64, 67)] == [1, 2, 4, 62, 64, 65,
+                                                                          67, 70]
+    assert o.query((frame, 67 << 3 | 0b001))  # vertex 3 and every vertex but 63, 66
+    assert not o.query((frame, 0b110))
+    assert not o.query((frame, 61 << 3 | 0b001))  # 1..62
+    assert o.query((frame, 62 << 3 | 0b101))  # 1..62, 64 and 66
     # The log keeps the pair, O(1) ints; a read rebuilds the set.
-    assert [q for q, _ in o._log] == [(frame, 0b1001), (frame, 0b0110)]
+    assert [q for q, _ in o._log] == [(frame, 67 << 3 | 1), (frame, 0b110), (frame, 61 << 3 | 1),
+                                      (frame, 62 << 3 | 0b101)]
     rest = [v for v in range(1, 71) if v not in (63, 66)]
-    assert o.transcript == (QueryRecord(1, VertexSet(70, rest), True),
-                            QueryRecord(2, VertexSet(70, [63, 66]), False))
+    want = [rest, [63, 66], list(range(1, 63)), [*range(1, 63), 64, 66]]
+    assert o.transcript == tuple(QueryRecord(i, VertexSet(70, q), a) for i, q, a in
+                                 zip(range(1, 5), want, (True, False, False, True)))
     assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
     # perfbench/tracing.py sums sys.getsizeof(rec.query.mask) over the records.
-    assert [r.query.mask for r in o.transcript] == [edge_mask(rest), edge_mask([63, 66])]
-    jsonl = (json.dumps({"i": 1, "q": rest, "a": 1}) + "\n"
-             + '{"i": 2, "q": [63, 66], "a": 0}\n')
+    assert [r.query.mask for r in o.transcript] == list(map(edge_mask, want))
+    jsonl = "".join(json.dumps({"i": i, "q": q, "a": a}) + "\n"
+                    for i, q, a in zip(range(1, 5), want, (1, 0, 0, 1)))
     assert o.transcript_jsonl() == jsonl
     o.write_transcript(str(tmp_path / "t.jsonl"))
     assert (tmp_path / "t.jsonl").read_text() == jsonl
 
 
 def test_frame_over_every_vertex_of_a_wide_universe():
-    # A frame keeps one index per vertex and shifts only for edge members,
-    # so 2^20 vertices fit under a 4 GiB address limit; one int of up to
-    # i bits per vertex i would take about 64 GiB.
+    # A frame keeps one index and one gap count per vertex and shifts only
+    # for edge members, so 2^20 vertices fit under a 4 GiB address limit;
+    # one int of up to i bits per vertex i would take about 64 GiB.
     code = (
         "from hhl import Hypergraph, Oracle, VertexSet\n"
         "t = 2**20\n"
         "o = Oracle(Hypergraph(t, [(1, t), (5, 6)]))\n"
         "frame = o.frame(VertexSet(t, range(1, t + 1)))\n"
-        "print(o.query((frame, 1 | 1 << (t - 1))), o.query((frame, 1 << t | 0b10000)),\n"
+        "print(o.query((frame, 1 | 1 << (t - 1))), o.query((frame, 0b10000)),\n"
         "      [r.query for r in o.transcript] == [VertexSet(t, [1, t]), VertexSet(t, [5])])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -728,67 +795,70 @@ def test_frame_over_every_vertex_of_a_wide_universe():
     assert proc.stdout == "True False True\n"
 
 
-# Prefix frames: the queries of ranks r over a base set and a pool
-# (Oracle.prefixes), each asking for the base plus the r smallest members of
-# the pool, asked as oracle.query((frame, r)).
+# Prefix queries: with the low bits of m held fixed, choosing a base among
+# the members of F, the ranks r = m >> n of a frame ask for that base plus
+# the r smallest vertices outside F.
 
 
 @st.composite
 def prefix_cases(draw):
-    """(hidden, base, pool, extra): disjoint sorted base and pool that may
-    hold 1, 2, t-1, t, word boundaries, touching pairs and a longer run, or
-    nothing; extra lists positions the pool's run code doubles, which makes
-    empty runs or splits a run into touching ones. Hidden edges draw
-    members from base, pool and the rest of the universe."""
+    """(hidden, vertices, low, extra): sorted frame vertices that may hold 1,
+    2, t-1, t, word boundaries, touching pairs and a longer run, or nothing;
+    low bits choosing the base among them; and extra, positions the
+    vertices' run code doubles, which makes empty runs or splits a run into
+    touching ones. Hidden edges draw members from the vertices and the rest
+    of the universe."""
     t = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 100, 1001]))
     marks = sorted({v for v in (1, 2, 63, 64, 65, 66, t // 2, t // 2 + 1, t - 1, t)
                     if 1 <= v <= t})
     vertex = st.one_of(st.sampled_from(marks), st.integers(1, t))
-    held = draw(st.sets(vertex, max_size=6))
-    for a in draw(st.lists(st.integers(1, t), max_size=2)):
+    held = draw(st.sets(vertex, max_size=4))
+    for a in draw(st.lists(st.integers(1, t), max_size=1)):
         held |= {a, min(a + 1, t)}  # a touching pair
     for a in draw(st.lists(st.integers(1, t), max_size=1)):
-        held |= set(range(a, min(a + draw(st.integers(2, 40)), t + 1)))
+        held |= set(range(a, min(a + draw(st.integers(2, 6)), t + 1)))
     held = sorted(held)
-    in_base = draw(st.lists(st.booleans(), min_size=len(held), max_size=len(held)))
-    base = [v for v, b in zip(held, in_base) if b]
-    pool = [v for v, b in zip(held, in_base) if not b]
+    low = draw(st.integers(0, (1 << len(held)) - 1))
     extra = draw(st.lists(st.one_of(st.sampled_from([0, t, *held]), st.integers(0, t)),
                           max_size=3))
     member = st.one_of(st.sampled_from(sorted({*held, 1, t})), st.integers(1, t))
     edges = draw(st.lists(st.sets(member, min_size=1, max_size=3), max_size=4))
-    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), base, pool, extra
+    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), held, low, extra
 
 
 @settings(max_examples=80, deadline=None)
 @given(prefix_cases())
-@example((Hypergraph(1, [(1,)]), [], [1], [0, 1]))
-@example((Hypergraph(1, [(1,)]), [1], [], []))
-@example((Hypergraph(9), [], [], [4]))
-@example((Hypergraph(9, [(3,)]), [], [1, 2, 8, 9], [1, 9]))
-@example((Hypergraph(9, [(1, 9), (2, 5)]), [2, 9], [1, 3, 4, 5, 8], [3, 4]))
-@example((Hypergraph(9, [(3, 4), (1, 6)]), [5, 6], [3, 4, 7], [0, 9]))
+@example((Hypergraph(1, [(1,)]), [], 0, [0, 1]))
+@example((Hypergraph(1, [(1,)]), [1], 1, []))
+@example((Hypergraph(9), [], 0, [4]))
+@example((Hypergraph(9, [(3,)]), [3], 0, [1, 9]))
+@example((Hypergraph(9, [(1, 9), (2, 5)]), [2, 3, 4, 9], 0b1001, [3, 4]))
+@example((Hypergraph(9, [(3, 4), (1, 6)]), [5, 6, 7], 0b011, [0, 9]))
 def test_prefix_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
-    # Every rank: the rebuilt set is the one the constructor makes from the
-    # base and the pool's r smallest members, toggles and all, the frame
-    # answers as a throwaway oracle on either, and rank r names the r-th
-    # smallest pool member. The base and pool come run-coded, the pool's
-    # code with extra's empty or touching runs, and mask-coded.
-    hidden, base, pool, extra = case
-    t = hidden.t
-    codes = ((VertexSet(t, base), VertexSet._from_runs(t, toggles_of(pool, extra))),
-             (VertexSet._from_mask(t, edge_mask(base)), VertexSet._from_mask(t, edge_mask(pool))))
-    for base_code, pool_code in codes:
+    # Every rank, or the ranks where the set changes shape: the rebuilt set
+    # is the one the constructor makes from the base and the r smallest
+    # vertices outside F, toggles and all, the frame answers as a throwaway
+    # oracle on either, and rank r names the r-th smallest vertex outside F.
+    # The vertices come run-coded, with extra's empty or touching runs, and
+    # mask-coded.
+    hidden, vertices, low, extra = case
+    t, n = hidden.t, len(vertices)
+    base = [v for i, v in enumerate(vertices) if low >> i & 1]
+    others = [v for v in range(1, t + 1) if v not in vertices]
+    ranks = frame_ranks(t, vertices)
+    for code in (VertexSet._from_runs(t, toggles_of(vertices, extra)),
+                 VertexSet._from_mask(t, edge_mask(vertices))):
         o = Oracle(hidden)
-        frame = o.prefixes(base_code, pool_code)
-        assert frame.size == len(pool)
+        frame = o.frame(code)
+        assert frame.vertices == tuple(vertices)
         sets = []
-        for r in range(len(pool) + 1):
-            want = VertexSet(t, base + pool[:r])
-            s = frame.vertex_set(r)
-            assert s._runs == want._toggles()
-            assert o.query((frame, r)) == Oracle(hidden).query(s) == Oracle(hidden).query(want)
-            assert r == 0 or frame.vertex(r) == pool[r - 1]
+        for r in ranks:
+            want = VertexSet(t, base + others[:r])
+            s = frame.vertex_set(r << n | low)
+            assert s._runs == want._runs
+            assert (o.query((frame, r << n | low)) == Oracle(hidden).query(s)
+                    == Oracle(hidden).query(want))
+            assert r == 0 or frame.vertex(r) == others[r - 1]
             sets.append(s)
         assert [rec.query for rec in o.transcript] == sets
         assert_reference_bytes(o)
@@ -796,56 +866,66 @@ def test_prefix_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
 
 def test_prefixes_refuse_another_universe_or_a_shared_vertex():
     o = Oracle(Hypergraph(10, [(2, 3)]))
-    for base, pool in ((VertexSet(11, [5]), VertexSet(10, [1])),
-                       (VertexSet(10), VertexSet(9, [1])),
-                       (VertexSet(10), VertexSet._from_mask(11, 0b11))):
-        bad = base.t if base.t != 10 else pool.t
-        with pytest.raises(ValueError, match=rf"universe mismatch: {bad} != 10"):
-            o.prefixes(base, pool)
-    for base, pool in ((VertexSet(10, [3, 4]), VertexSet(10, [4, 5])),
-                       (VertexSet(10, [1]), VertexSet._from_runs(10, (0, 1, 1, 1))),
-                       (VertexSet(10, [10]), VertexSet._from_mask(10, 1 << 9))):
-        with pytest.raises(ValueError, match="base and pool share a vertex"):
-            o.prefixes(base, pool)
+    for vertices in (VertexSet(11, [5]), VertexSet(9, [1]), VertexSet._from_mask(11, 0b11)):
+        with pytest.raises(ValueError, match=rf"universe mismatch: {vertices.t} != 10"):
+            o.frame(vertices)
+    # Ranks count only the vertices outside F, so no rank names a member
+    # again: with every member chosen, rank r adds r more vertices, and the
+    # rank past the last vertex outside F is refused.
+    for vertices in (VertexSet(10, [3, 4]), VertexSet._from_runs(10, (0, 1, 1, 1)),
+                     VertexSet._from_mask(10, 1 << 9)):
+        frame = o.frame(vertices)
+        n = len(frame.vertices)
+        for r in range(1, 11 - n):
+            assert frame.vertex(r) not in frame.vertices
+            s = frame.vertex_set(r << n | (1 << n) - 1)
+            assert s.members() == tuple(sorted({*frame.vertices,
+                                                *map(frame.vertex, range(1, r + 1))}))
+            assert len(s.members()) == n + r
+        m = (11 - n) << n
+        with pytest.raises(ValueError, match=rf"index mask {m} outside the ints 0\.\.{m - 1}"):
+            o.query((frame, m))
     assert o.count == 0
 
 
 def test_query_refuses_a_prefix_frame_of_another_oracle_or_a_rank_out_of_range():
     # Edgeless oracles read equal (empty) edge tables; their frames are
-    # still their own. A pool of two gives ranks 0..2.
+    # still their own. One vertex of eight gives ranks 0..7 above the low
+    # bit, masks 0..15.
     for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
         mine, other = Oracle(h), Oracle(h)
-        frame = other.prefixes(VertexSet(8, [1]), VertexSet(8, [2, 5]))
+        frame = other.frame(VertexSet(8, [1]))
         with pytest.raises(ValueError, match="another oracle"):
-            mine.query((frame, 1))
-        for r in (-1, 3):
-            with pytest.raises(ValueError, match=rf"rank {r} outside 0\.\.2"):
-                other.query((frame, r))
+            mine.query((frame, 1 << 1 | 1))
+        for m in (-1 << 1 | 1, 8 << 1 | 1):  # ranks -1 and 8
+            with pytest.raises(ValueError, match=rf"index mask {m} outside the ints 0\.\.15"):
+                other.query((frame, m))
         assert mine.count == other.count == 0
         assert mine.transcript == other.transcript == ()
-        mine_frame = mine.prefixes(VertexSet(8, [1]), VertexSet(8, [2, 5]))
-        assert mine.query((mine_frame, 1)) == bool(h.edges)
-        assert not other.query((frame, 0))
-        assert other.query((frame, 2)) == bool(h.edges)
+        mine_frame = mine.frame(VertexSet(8, [1]))
+        assert mine.query((mine_frame, 1 << 1 | 1)) == bool(h.edges)
+        assert not other.query((frame, 1))
+        assert other.query((frame, 7 << 1 | 1)) == bool(h.edges)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 5])
 def test_budget_stops_prefix_queries_at_the_same_index_as_sets(budget):
     h = Hypergraph(16, [(2, 9), (4, 12)])
     by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
-    frame = by_frame.prefixes(VertexSet(16, [2, 3]), VertexSet(16, [4, 9, 10, 12]))
-    ranks = [4, 0, 2, 1, 3, 2, 4, 0]
+    # Base {2, 3}; outside F, 4 is rank 2, 9 rank 7 and 12 rank 10.
+    frame = by_frame.frame(VertexSet(16, [2, 3]))
+    ranks = [10, 0, 7, 2, 14, 7, 10, 0]
 
     def stop(ask) -> tuple[int, str] | None:
         for i, r in enumerate(ranks):
             try:
-                ask(r)
+                ask(r << 2 | 0b11)
             except BudgetExceededError as e:
                 return i, str(e)
         return None
 
-    got = stop(lambda r: by_frame.query((frame, r)))
-    want = stop(lambda r: by_set.query(frame.vertex_set(r)))
+    got = stop(lambda m: by_frame.query((frame, m)))
+    want = stop(lambda m: by_set.query(frame.vertex_set(m)))
     assert got == want == (budget, f"query budget {budget} exhausted")
     assert by_frame.count == by_set.count == budget
     assert by_frame.transcript == by_set.transcript
@@ -854,19 +934,26 @@ def test_budget_stops_prefix_queries_at_the_same_index_as_sets(budget):
 
 def test_prefix_query_records_hold_run_coded_sets(tmp_path):
     o = Oracle(Hypergraph(70, [(3, 64)]))
-    # Base {3}, pool 63..66 with an empty run at 64 and vertex 70.
-    pool = VertexSet._from_runs(70, (62, 64, 64, 64, 64, 66, 69, 70))
-    frame = o.prefixes(VertexSet(70, [3]), pool)
-    assert not o.query((frame, 1))  # 3, 63
-    assert o.query((frame, 4))  # 3, 63..66
+    # F = {3, 63..66}, run-coded with an empty run at 64; outside F, ranks
+    # 1..61 are 1, 2 and 4..62, and ranks 62..65 are 67..70.
+    frame = o.frame(VertexSet._from_runs(70, (2, 3, 62, 64, 64, 64, 64, 66)))
+    assert frame.vertices == (3, 63, 64, 65, 66)
+    assert [frame.vertex(r) for r in (1, 2, 3, 61, 62, 65)] == [1, 2, 4, 62, 67, 70]
+    asked = [(0b00011, False),  # 3, 63
+             (0b11111, True),  # 3, 63..66
+             (2 << 5 | 0b00001, False),  # 1..3
+             (62 << 5 | 0b00010, False),  # 1, 2, 4..63, 67
+             (65 << 5 | 0b00101, True)]  # 1..62, 64, 67..70
+    assert [o.query((frame, m)) for m, _ in asked] == [a for _, a in asked]
     # The log keeps the pair, O(1) ints; a read rebuilds the set.
-    assert [q for q, _ in o._log] == [(frame, 1), (frame, 4)]
-    assert o.transcript == (QueryRecord(1, VertexSet(70, [3, 63]), False),
-                            QueryRecord(2, VertexSet(70, [3, 63, 64, 65, 66]), True))
+    assert [q for q, _ in o._log] == [(frame, m) for m, _ in asked]
+    want = [[3, 63], [3, 63, 64, 65, 66], [1, 2, 3], [1, 2, *range(4, 64), 67],
+            [*range(1, 63), 64, *range(67, 71)]]
+    assert o.transcript == tuple(QueryRecord(i, VertexSet(70, q), a) for i, q, (_, a) in
+                                 zip(range(1, 6), want, asked))
     assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
-    assert [frame.vertex(r) for r in range(1, 6)] == [63, 64, 65, 66, 70]
-    jsonl = ('{"i": 1, "q": [3, 63], "a": 0}\n'
-             '{"i": 2, "q": [3, 63, 64, 65, 66], "a": 1}\n')
+    jsonl = "".join(json.dumps({"i": i, "q": q, "a": int(a)}) + "\n"
+                    for i, q, (_, a) in zip(range(1, 6), want, asked))
     assert o.transcript_jsonl() == jsonl
     o.write_transcript(str(tmp_path / "t.jsonl"))
     assert (tmp_path / "t.jsonl").read_text() == jsonl
