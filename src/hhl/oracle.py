@@ -11,8 +11,10 @@ answered with one word AND and one comparison per hidden edge.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .core import Hypergraph, VertexSet
@@ -20,6 +22,12 @@ from .core import Hypergraph, VertexSet
 
 # Largest transcript, in bytes of member text, that the oracle builds or writes.
 MAX_TRANSCRIPT_BYTES = 1 << 30
+
+# Built bytes that write_transcript gathers before it writes them: the first
+# buffer of each line, a listed line whole or a sliced line's prefix. A
+# sliced line's runs are views of the text, held anyway, so only SC_IOV_MAX
+# bounds a batch of them.
+_WRITE_BATCH = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -119,6 +127,20 @@ def _mask_text_size(mask: int) -> int:
     return size
 
 
+def _write_all(fd: int, bufs: list[bytes | memoryview], most: int) -> None:
+    """Write the buffers to fd in order by os.writev, at most `most` a
+    call, and empty the list. After a short write the next call starts at
+    the first byte not written, a view into its buffer."""
+    while bufs:
+        chunk = bufs[:most]
+        ends = list(accumulate(map(len, chunk)))
+        n = os.writev(fd, chunk)
+        whole = bisect_right(ends, n)  # buffers written to their end
+        del bufs[:whole]
+        if whole < len(ends):
+            bufs[0] = memoryview(bufs[0])[n - (ends[whole - 1] if whole else 0):]
+
+
 class Frame:
     """The queries of index masks over the found vertices F, made and
     answered by one oracle (Oracle.frame). With n = |F|, query (self, m)
@@ -153,25 +175,32 @@ class Frame:
         """The strictly increasing toggles of query (self, m): the run (0, p)
         of vertices 1..p, p the vertex of rank r = m >> n (p = 0, no run, at
         r = 0), plus the toggle pair (v-1, v) of each member v of F with
-        (v < p) != chosen: a set bit of flip, the low bits of m XOR the p - r
-        members below p. Equal neighbouring toggles, at most two of a value,
-        cancel. One pass over F and the bits of flip, O(|F|)."""
+        (v < p) != chosen: a set bit of flip, the low bits of m XOR the
+        k = p - r members below p. The pairs come in increasing order, p
+        placed between those below it and those above, and a pair that
+        starts at the last toggle merges into it. One scan of bin(flip) for
+        its set bits, O(|F|)."""
         vertices = self._vertices
         n = len(vertices)
         r = m >> n
         p = self.vertex(r) if r else 0
-        flip = m & ((1 << n) - 1) ^ ((1 << (p - r)) - 1)
-        seq = [0]
-        for v, bit in zip(vertices, bin(flip | 1 << n)[:2:-1]):
-            if bit == "1":
-                seq += (v - 1, v)
-        insort(seq, p)
-        out: list[int] = []
-        for x in seq:
-            if out and out[-1] == x:
-                out.pop()
+        k = p - r
+        bits = bin(m & ((1 << n) - 1) ^ ((1 << k) - 1))[:1:-1]  # bit i of flip at bits[i]
+        out = [0] if p else []
+        end = p  # the run's end, placed before the first pair above it
+        i = bits.find("1")
+        while i >= 0:
+            v = vertices[i]
+            if i >= k and end:
+                out.append(end)
+                end = 0
+            if out and out[-1] == v - 1:
+                out[-1] = v
             else:
-                out.append(x)
+                out += (v - 1, v)
+            i = bits.find("1", i + 1)
+        if end:
+            out.append(end)
         return tuple(out)
 
     def vertex_set(self, m: int) -> VertexSet:
@@ -205,11 +234,12 @@ class Oracle:
     so a learner run does no t-bit work per query.
     An optional budget caps the number of answered queries so worst-case
     bounds are enforced by the oracle itself. transcript rebuilds a frame
-    query's run-coded set when it is read, and transcript_jsonl and
-    write_transcript read its toggles from the frame. A transcript writes
-    each query by one rule per code: a run-coded or frame query as one
-    slice per run of a decimal text, a mask-coded one as its member list
-    (_jsonl_lines).
+    query's run-coded set when it is read; transcript_jsonl and
+    write_transcript read its toggles from the frame once and keep only
+    their text offsets. A transcript writes each query by one rule per
+    code: a run-coded or frame query as one slice per run of a decimal
+    text, a mask-coded one as its member list (_jsonl_lines).
+    write_transcript hands the slices to os.writev without joining them.
     """
 
     def __init__(self, hidden: Hypergraph, budget: int | None = None) -> None:
@@ -297,8 +327,9 @@ class Oracle:
         log.append((s, answer))
         return answer
 
-    def _jsonl_lines(self) -> Iterator[bytes]:
-        """The lines of transcript_jsonl as ASCII bytes, from a generator.
+    def _jsonl_lines(self) -> Iterator[list[bytes | memoryview]]:
+        """The lines of transcript_jsonl as lists of ASCII buffers, from a
+        generator.
 
         The checks run in this call, not in the generator, so they refuse
         before write_transcript creates its file: ValueError when the text
@@ -309,36 +340,40 @@ class Oracle:
 
         A query's code fixes how its line is written; a frame query's
         toggles are read from its frame (Frame._toggles), once. A run-coded
-        or frame query's line joins one memoryview slice per run of a
-        decimal text of 1..top, top the largest member of any such query
-        (the text cap counts no other). A mask-coded query's line holds the
-        repr of its member list. So the cost is O(top) once, O(runs) per
-        run-coded query, O(frame vertices) per frame query, O(t/64 + |S|)
-        per mask-coded one and O(output bytes). The generator holds the
-        text, each query's toggles or mask-coded set, a memo of at most one
-        offset per distinct toggle and one line.
+        or frame query's line is the list of its prefix, one memoryview
+        slice per run of a decimal text of 1..top, top the largest member of
+        any such query (the text cap counts no other), and its suffix. The
+        size check looks up each run's text offsets once and keeps them,
+        the last run's ", " already dropped, so a line only slices at them.
+        A mask-coded query's line is one bytes object holding the repr of
+        its member list. So the cost is O(top) once, O(runs) per run-coded
+        query, O(frame vertices) per frame query, O(t/64 + |S|) per
+        mask-coded one, and O(output bytes) only for mask-coded lines. The
+        generator holds the text, each run-coded or frame query's offsets
+        (not its toggles) and each mask-coded set; it joins no sliced line.
         """
         log = self._log
         # Run a..b is the text from a's offset to b+1's, the ", " after b
         # included; a line's last run drops it.
         offset = _Offsets()
-        codes = []  # per query: the toggles to slice by, or the mask-coded set to list
+        codes = []  # per query: the offsets to slice at, or the mask-coded set to list
         top = size = 0
         for query, _ in log:
             if type(query) is tuple:
                 frame, m = query
-                code = frame._toggles(m)
+                toggles = frame._toggles(m)
             elif query._mask is None:
-                code = query._toggles()
+                toggles = query._toggles()
             else:
                 size += _mask_text_size(query._mask)
                 codes.append(query)
                 continue
-            if code:  # the text its runs take, from the offsets its slices reuse
-                top = max(top, code[-1])
-                size += (sum(map(offset.__getitem__, code[1::2]))
-                         - sum(map(offset.__getitem__, code[0::2])) - 2)
-            codes.append(code)
+            off = list(map(offset.__getitem__, toggles))
+            if off:
+                top = max(top, toggles[-1])
+                off[-1] -= 2
+                size += sum(off[1::2]) - sum(off[0::2])
+            codes.append(off)
         if _decimal_offset(top + 1) - 2 > MAX_TRANSCRIPT_BYTES:  # the length of text
             raise ValueError(f"transcript lists vertex {top}, more than the cap of "
                              f"{MAX_TRANSCRIPT_BYTES} bytes of decimal text")
@@ -346,19 +381,17 @@ class Oracle:
             raise ValueError(f"transcript members take {size} bytes, more than the cap "
                              f"of {MAX_TRANSCRIPT_BYTES}")
         text = memoryview(_decimal_text(top))
+        ends = (b'], "a": 0}\n', b'], "a": 1}\n')  # a sliced line's suffix, by answer
 
-        def lines() -> Iterator[bytes]:
+        def lines() -> Iterator[list[bytes | memoryview]]:
             for i, ((_, answer), code) in enumerate(zip(log, codes), 1):
-                if type(code) is not tuple:
+                if type(code) is not list:
                     members = str(list(code)).encode()
-                    yield b'{"i": %d, "q": %b, "a": %d}\n' % (i, members, answer)
+                    yield [b'{"i": %d, "q": %b, "a": %d}\n' % (i, members, answer)]
                     continue
-                off = list(map(offset.__getitem__, code))
-                if off:
-                    off[-1] -= 2
-                yield b"".join([b'{"i": %d, "q": [' % i,
-                                *[text[a:b] for a, b in zip(off[0::2], off[1::2])],
-                                b'], "a": %d}\n' % answer])
+                yield [b'{"i": %d, "q": [' % i,
+                       *map(text.__getitem__, map(slice, code[0::2], code[1::2])),
+                       ends[answer]]
 
         return lines()
 
@@ -366,18 +399,36 @@ class Oracle:
         """One JSON object per query: {"i": index, "q": [v,...], "a": 0|1}.
 
         The bytes are json.dumps' default form, all in one string; see
-        _jsonl_lines for the cost and the caps. Each line is decoded as it
-        comes, so the most held is the output twice, while the decoded
-        lines are joined.
+        _jsonl_lines for the cost and the caps. Each line is joined and
+        decoded as it comes, so the most held is the output twice, while
+        the decoded lines are joined.
         """
-        return "".join([line.decode() for line in self._jsonl_lines()])
+        return "".join([b"".join(line).decode() for line in self._jsonl_lines()])
 
     def write_transcript(self, path: str) -> None:
-        """Write transcript_jsonl's bytes to path a line at a time through a
-        64 KiB buffer; the file is created only after the caps have passed."""
+        """Write transcript_jsonl's bytes to path, created only after the
+        caps have passed, with no join and no copy in user space.
+
+        The file is unbuffered. The buffers of consecutive lines are
+        gathered into a batch of SC_IOV_MAX buffers or about _WRITE_BATCH
+        built bytes and handed to os.writev (POSIX only), at most
+        SC_IOV_MAX buffers a call, so a line of more runs takes several
+        calls. A short write (PEP 475 retries only an EINTR that wrote
+        nothing) is finished by the next call, from the first byte it did
+        not write. The most held is the text, the offsets and one batch,
+        whose slices of the text are views.
+        """
         lines = self._jsonl_lines()
-        with open(path, "wb", buffering=1 << 16) as f:
-            f.writelines(lines)
+        most = os.sysconf("SC_IOV_MAX")
+        with open(path, "wb", buffering=0) as f:
+            fd, batch, size = f.fileno(), [], 0
+            for line in lines:
+                batch += line
+                size += len(line[0])
+                if size >= _WRITE_BATCH or len(batch) >= most:
+                    _write_all(fd, batch, most)
+                    size = 0
+            _write_all(fd, batch, most)
 
 
 def is_independent(h: Hypergraph, s: VertexSet) -> bool:

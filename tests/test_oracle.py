@@ -8,7 +8,9 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -294,6 +296,91 @@ def test_encoder_bytes_match_json_dumps(tmp_path, t):
     empty = Oracle(Hypergraph(t, [(1,)]))
     assert_encodings_match(empty, tmp_path / "empty.jsonl")
     assert (tmp_path / "empty.jsonl").read_bytes() == b""
+
+
+IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def record_writev(monkeypatch, short: random.Random | None = None) -> list[tuple[int, int, int]]:
+    """Patch os.writev to record (buffers, bytes asked, bytes written) per
+    call. With a Random, a call asked for more than one byte writes only
+    part of it, a short write: up to a random buffer's end or a random byte."""
+    calls = []
+    writev = os.writev
+
+    def spy(fd, bufs):
+        asked = sum(map(len, bufs))
+        count, keep = len(bufs), asked
+        if short is not None and asked > 1:
+            ends = [e for e in accumulate(map(len, bufs)) if 0 < e < asked]
+            keep = short.choice(ends) if ends and short.random() < 0.5 else short.randrange(1, asked)
+        cut = []
+        for b in bufs:
+            if keep <= 0:
+                break
+            cut.append(memoryview(b)[:keep])
+            keep -= len(cut[-1])
+        written = writev(fd, cut)
+        calls.append((count, asked, written))
+        return written
+
+    monkeypatch.setattr(os, "writev", spy)
+    return calls
+
+
+def test_write_transcript_finishes_short_writes(tmp_path, monkeypatch,
+                                                learner_and_two_stage_oracles):
+    # Every os.writev call writes only part of its buffers, ending inside a
+    # buffer or at one's end; the next call starts where it stopped.
+    t = 1000
+    o = Oracle(Hypergraph(t, [(1,)]))
+    for members in encoder_cases(t):
+        o.query(VertexSet(t, members))
+        o.query(VertexSet._from_mask(t, edge_mask(members)))
+    calls = record_writev(monkeypatch, short=random.Random(7))
+    for k, oracle in enumerate([o, *learner_and_two_stage_oracles]):
+        assert_encodings_match(oracle, tmp_path / f"{k}.jsonl")
+    assert calls and all(written < asked for _, asked, written in calls if asked > 1)
+
+
+def test_write_transcript_splits_a_line_of_more_runs_than_iov_max(tmp_path, monkeypatch):
+    # One run-coded line of IOV_MAX + 4 one-member runs, so IOV_MAX + 6
+    # buffers, more than one os.writev call takes; its mask-coded twin is
+    # one built line.
+    t = 2 * IOV_MAX + 7
+    odd = range(1, t + 1, 2)
+    o = Oracle(Hypergraph(t, [(1,)]))
+    o.query(VertexSet(t, [1, 2, t]))
+    o.query(VertexSet(t, odd))
+    o.query(VertexSet._from_mask(t, edge_mask(odd)))
+    assert [len(line) for line in o._jsonl_lines()] == [4, IOV_MAX + 6, 1]
+    calls = record_writev(monkeypatch)
+    assert_encodings_match(o, tmp_path / "t.jsonl")
+    assert len(calls) >= 2
+    assert max(count for count, _, _ in calls) <= IOV_MAX
+
+
+def test_write_transcript_batches_many_small_lines(tmp_path, monkeypatch):
+    # 3 * IOV_MAX sliced lines of three or more buffers each fill several
+    # batches by buffer count; 20 mask-coded lines of about 100 KB fill
+    # more than one by bytes.
+    t = 100
+    o = Oracle(Hypergraph(t, [(3, 4)]))
+    frame = o.frame(VertexSet(t, [3, 4]))
+    for k in range(3 * IOV_MAX):
+        o.query(VertexSet(t, [k % t + 1]) if k % 2 else (frame, k % (4 * t - 4)))
+    calls = record_writev(monkeypatch)
+    assert_encodings_match(o, tmp_path / "sliced.jsonl")
+    assert len(calls) >= 3
+    assert max(count for count, _, _ in calls) <= IOV_MAX
+    t = 2**14
+    o = Oracle(Hypergraph(t, [(1,)]))
+    for k in range(20):
+        o.query(VertexSet._from_mask(t, (1 << t) - 1 >> k))
+    calls.clear()
+    assert_encodings_match(o, tmp_path / "listed.jsonl")
+    assert len(calls) >= 2
+    assert sum(asked for _, asked, _ in calls) > hhl.oracle._WRITE_BATCH
 
 
 def test_only_run_coded_queries_build_the_decimal_text(monkeypatch):
@@ -599,8 +686,9 @@ def test_monotonicity_bulk_random():
 def frame_query_toggles(t: int, vertices: list[int], low: int, r: int) -> tuple[int, ...]:
     """The strictly increasing toggles of the chosen members of sorted
     vertices plus the r smallest vertices outside them, taken gap by gap
-    between the members, so at any t."""
-    spans = [(v - 1, v) for i, v in enumerate(vertices) if low >> i & 1]
+    between the members, so at any t; the chosen bits are read from
+    bin(low), so in time linear in the vertices."""
+    spans = [(v - 1, v) for v, bit in zip(vertices, bin(low)[:1:-1]) if bit == "1"]
     prev = 0
     for v in (*vertices, t + 1):
         take = min(r, v - 1 - prev)
@@ -793,6 +881,31 @@ def test_frame_over_every_vertex_of_a_wide_universe():
                           text=True, preexec_fn=limit_address_space)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True False True\n"
+
+
+def test_toggles_of_a_wide_frame_walk_the_flipped_bits_once():
+    # 2^16 members and three vertices outside them, at 2, 2^15 + 1 and t,
+    # so the ranks put p at each and the low bits flip none, half or all of
+    # the members on either side of it: up to 2^16 toggle pairs, which
+    # nearly all merge into runs. A walk linear in |F| takes a few ms a
+    # mask; isolating each set bit on the big int (bits & -bits) is
+    # quadratic, about a quarter second a mask, so seconds over these.
+    n = 2**16
+    t = n + 3
+    outside = (2, 2**15 + 1, t)
+    vertices = [v for v in range(1, t + 1) if v not in outside]
+    frame = Oracle(Hypergraph(t, [(1, t)])).frame(VertexSet(t, vertices))
+    lows = [0, (1 << n) - 1, int("01" * (n // 2), 2), random.Random(16).getrandbits(n)]
+    masks = [r << n | low for r in range(4) for low in lows]
+    c0 = time.process_time()
+    got = [frame._toggles(m) for m in masks]
+    spent = time.process_time() - c0
+    for m, toggles in zip(masks, got):
+        assert toggles == frame_query_toggles(t, vertices, m & ((1 << n) - 1), m >> n)
+    # Rank 3, no member: 2^16 flipped pairs cut the run 1..t down to the
+    # three outside vertices.
+    assert got[12] == (1, 2, 2**15, 2**15 + 1, t - 1, t)
+    assert spent < 1.0, spent
 
 
 # Prefix queries: with the low bits of m held fixed, choosing a base among
