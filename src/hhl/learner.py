@@ -4,10 +4,11 @@ at most l.
 The main loop alternates three searches until no informative query remains:
 a binary search for a new active vertex inside a positive query, an
 exhaustive search for all minimal edges among the found active vertices,
-and an exhaustive search for the next positive query avoiding known edges.
-For Sperner (antichain) hidden hypergraphs the result is exact; otherwise
-it is the antichain of inclusion-minimal edges, which is all the query
-model can distinguish.
+and an exhaustive search for the next positive query avoiding known edges,
+all through one frame over the found vertices, with the known edges as its
+index masks until the end. For Sperner (antichain) hidden hypergraphs the
+result is exact; otherwise it is the antichain of inclusion-minimal edges,
+which is all the query model can distinguish.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
 
 from .bounds import ceil_log2
-from .core import Edge, FamilyParams, Hypergraph, VertexSet, edge_count
+from .core import FamilyParams, Hypergraph, edge_count
 from .oracle import Frame, Oracle, is_independent
 
 
@@ -111,22 +111,20 @@ def find_edges_on(
     max_edge_size: int,
     *,
     stats: SearchStats | None = None,
-) -> frozenset[Edge]:
+) -> list[int]:
     """Find all inclusion-minimal positive subsets of the frame's vertices F
-    with size <= max_edge_size.
+    with size <= max_edge_size, as index masks over F in the order found.
 
     Enumerates subsets by increasing cardinality (lexicographic within each),
     skipping any set that already contains a found edge. For a Sperner hidden
     hypergraph the result is exactly the set of hidden edges inside F.
 
-    Candidates and found edges are masks over the indices of F's members,
-    which the main loop keeps to at most s*l, so the skip test costs O(1)
-    word work. A candidate's mask, with rank 0 above it, is its query.
+    The main loop keeps F to at most s*l members, so the skip test costs
+    O(1) word work. A candidate's mask, with rank 0 above it, is its query.
     """
-    members = frame.vertices
-    bits = [1 << i for i in range(len(members))]
+    bits = [1 << i for i in range(len(frame.vertices))]
     found: list[int] = []
-    for size in range(1, min(max_edge_size, len(members)) + 1):
+    for size in range(1, min(max_edge_size, len(bits)) + 1):
         for cand in combinations(bits, size):
             cmask = sum(cand)
             for fm in found:
@@ -144,14 +142,10 @@ def find_edges_on(
                             if stats is not None:
                                 stats.edge_deletions += 1
                     found.append(cmask)
-    return frozenset(
-        tuple(v for i, v in enumerate(members) if fm >> i & 1) for fm in found
-    )
+    return found
 
 
-def find_next_query(
-    oracle: Oracle, frame: Frame, found_edges: Iterable[Edge]
-) -> int | None:
+def find_next_query(oracle: Oracle, frame: Frame, known: list[int]) -> int | None:
     """Search for a positive query containing no known edge.
 
     Candidates are B union D where B is everything outside the known edges'
@@ -159,23 +153,23 @@ def find_next_query(
     Returns the first positive candidate's mask, or None when all answer 0,
     which for a Sperner hidden hypergraph certifies that every edge is known.
 
-    The known edges lie within the frame's vertices F. D and the known edges
-    are masks over the indices of the covered vertices in F, at most s*l,
+    The known edges are index masks over the frame's vertices F, as
+    find_edges_on returns them; the covered bits are their OR, at most s*l,
     so enumeration and the skip test cost O(1) word work. A candidate's
     query is D's mask plus B's: the bits of F's uncovered members and rank
     t - n above them, every vertex outside F.
     """
-    edges = list(found_edges)
     n = len(frame.vertices)
-    index_bit = {v: 1 << i for i, v in enumerate(frame.vertices)}
-    e_masks = [sum(index_bit[v] for v in e) for e in edges]
-    covered = [index_bit[v] for v in sorted({v for e in edges for v in e})]
-    base = (frame.t - n) << n | ((1 << n) - 1) ^ sum(covered)
+    cover = 0
+    for em in known:
+        cover |= em
+    covered = [1 << i for i in range(n) if cover >> i & 1]
+    base = (frame.t - n) << n | ((1 << n) - 1) ^ cover
     for size in range(len(covered) + 1):
         for d in combinations(covered, size):
             dmask = sum(d)
             # Known edges live inside the covered set, so e <= B|D iff e <= D.
-            for em in e_masks:
+            for em in known:
                 if em & dmask == em:
                     break
             else:
@@ -219,20 +213,21 @@ def learn_detailed(
 
     Each search asks its queries through one frame over the found vertices
     (Oracle.frame), made before the loop and again after each vertex is
-    found: iterations + 1 frames. The first next-query search degenerates to
-    the single probe of the whole vertex set, so an edgeless hidden
-    hypergraph costs exactly one query. A universe mismatch fails at the
-    first frame: the oracle raises ValueError before any query.
+    found: iterations + 1 frames. The known edges stay index masks of the
+    current frame until Frame.edge reads them after the loop. The first
+    next-query search is the single probe of the whole vertex set, so an
+    edgeless hidden hypergraph costs one query. A universe mismatch fails at
+    the first frame: Oracle.frame raises ValueError before any query.
     """
     t = params.t
     stats = SearchStats()
     found: list[int] = []
-    frame = oracle.frame(VertexSet(t, found))
-    found_edges: frozenset[Edge] = frozenset()
+    frame = oracle.frame(t, ())
+    edges: list[int] = []
     q_vertex = q_edge = q_query = 0
     while True:
         before = oracle.count
-        m = find_next_query(oracle, frame, found_edges)
+        m = find_next_query(oracle, frame, edges)
         q_query += oracle.count - before
         if m is None:
             break
@@ -245,17 +240,17 @@ def learn_detailed(
         v = find_active_vertex(oracle, frame, m, debug_checks=debug_checks, stats=stats)
         q_vertex += oracle.count - before
         insort(found, v)
-        frame = oracle.frame(VertexSet(t, found))
+        frame = oracle.frame(t, tuple(found))
 
         before = oracle.count
-        found_edges = find_edges_on(oracle, frame, params.l, stats=stats)
+        edges = find_edges_on(oracle, frame, params.l, stats=stats)
         q_edge += oracle.count - before
 
     return LearnReport(
         t=t,
         s=params.s,
         l=params.l,
-        hypergraph=Hypergraph(t, found_edges),
+        hypergraph=Hypergraph(t, map(frame.edge, edges)),
         queries_total=q_vertex + q_edge + q_query,
         queries_vertex_search=q_vertex,
         queries_edge_search=q_edge,

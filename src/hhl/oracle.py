@@ -4,9 +4,9 @@ A query on a vertex set answers 1 iff the set contains at least one entire
 edge of the hidden hypergraph. The oracle records every answered query; it
 never memoizes, so repeated queries are counted separately. A query is a
 VertexSet, or (frame, m) for a frame the oracle made, logged as that pair.
-A frame (Oracle.frame) is over n vertices F: the low n bits of m choose
-members of F and r = m >> n asks for the r smallest vertices outside F,
-answered with one word AND and one comparison per hidden edge.
+A frame, Oracle.frame(t, F) for a strictly increasing tuple F of n vertices,
+asks by masks m: the low n bits choose members of F (Frame.edge), r = m >> n
+the r smallest vertices outside F, one AND and one compare per hidden edge.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .core import Hypergraph, VertexSet
+from .core import Edge, Hypergraph, VertexSet
 
 
 # Largest transcript, in bytes of member text, that the oracle builds or writes.
@@ -166,6 +166,10 @@ class Frame:
         """F, the frame's vertices, in increasing order."""
         return self._vertices
 
+    def edge(self, m: int) -> Edge:
+        """The members of F that the low n bits of m choose, in increasing order."""
+        return tuple(v for i, v in enumerate(self._vertices) if m >> i & 1)
+
     def vertex(self, r: int) -> int:
         """The vertex of rank r >= 1 outside F: r plus the members of F
         below it, those with fewer than r outside vertices below them."""
@@ -225,7 +229,7 @@ class Oracle:
     VertexSet or a (frame, m) pair of O(1) ints, and its answer. A set over
     another universe, or a frame another oracle made or a mask outside its
     range, raises ValueError before anything is logged; a frame's universe
-    is checked once, when frame() makes it. Sets are answered from one
+    and vertices are checked once, by frame(). Sets are answered from one
     table of the hidden edges' member positions: a run-coded query with one
     bisect per tested edge member, a mask-coded one with one bit test per
     tested member. A frame query costs one word AND and one comparison per
@@ -267,39 +271,40 @@ class Oracle:
         return tuple(QueryRecord(i, q[0].vertex_set(q[1]) if type(q) is tuple else q, a)
                      for i, (q, a) in enumerate(self._log, 1))
 
-    def frame(self, vertices: VertexSet) -> Frame:
-        """The frame of the queries of index masks 0 <= m < (t - n + 1) << n
-        over the n members of vertices, F, asked as oracle.query((frame, m)):
-        the low n bits of m choose members of F, and r = m >> n asks for the
-        r smallest vertices outside F, so m = (t - n) << n asks for all of
-        them.
+    def frame(self, t: int, vertices: tuple[int, ...]) -> Frame:
+        """The frame of the queries of index masks 0 <= m < (t - n + 1) << n over
+        the n vertices F, asked as oracle.query((frame, m)): the low n bits of m
+        choose members of F, and r = m >> n asks for the r smallest vertices
+        outside F, so m = (t - n) << n asks for all of them.
 
-        ValueError when vertices is over another universe. The hidden edges
-        are read once: a query holds an edge iff m holds its members' bits
-        in F and r is at least the largest outside rank of its members, v
-        minus the members of F below v for an outside member v. A frame
-        costs O(runs + |F| + edges * l * log |F|) time and O(|F|) memory,
-        whatever t is.
+        ValueError, before anything is logged, when t is not the oracle's
+        universe or vertices not a strictly increasing tuple of ints in 1..t.
+        The hidden edges are read once, one bisect into F per member: a query
+        holds an edge iff m holds its members' bits in F and r is at least the
+        largest outside rank of its members, v minus the members of F below v
+        for an outside member v. A frame costs O(|F| + edges * l * log |F|) time
+        and O(|F|) memory, whatever t is.
         """
-        t = self._hidden.t
-        if vertices._t != t:
-            raise ValueError(f"universe mismatch: {vertices._t} != {t}")
-        members = vertices.members()
-        n = len(members)
-        at = {v - 1: i for i, v in enumerate(members)}  # position v-1: index of v
+        if t != self._hidden.t:
+            raise ValueError(f"universe mismatch: {t} != {self._hidden.t}")
+        t, vertices = self._hidden.t, tuple(vertices)
+        for prev, v in zip((0, *vertices), vertices):
+            if type(v) is not int or not prev < v <= t:
+                raise ValueError(f"frame vertex {v!r} after {prev} is not an int in {prev + 1}..{t}")
+        n = len(vertices)
         edges = []
         for x, rest in self._edge_positions:
             em = need = 0
             for x in (x, *rest):  # increasing, so the last outside member has the largest rank
-                i = at.get(x)
-                if i is None:
-                    need = x + 1 - bisect_left(members, x + 1)
-                else:
+                i = bisect_right(vertices, x)  # the members below vertex x + 1
+                if i < n and vertices[i] == x + 1:
                     em |= 1 << i
+                else:
+                    need = x + 1 - i
             edges.append((em, need << n))
         frame = object.__new__(Frame)
-        frame._key, frame._t, frame._vertices = self._key, t, members
-        frame._gaps = [v - 1 - i for i, v in enumerate(members)]
+        frame._key, frame._t, frame._vertices = self._key, t, vertices
+        frame._gaps = [v - 1 - i for i, v in enumerate(vertices)]
         frame._edges, frame._limit = tuple(edges), (t - n + 1) << n
         return frame
 

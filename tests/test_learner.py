@@ -39,11 +39,9 @@ from hhl.oracle import Frame
 
 def learner_query(o: Oracle, found, chosen=()) -> tuple[Frame, int]:
     """A query as the main loop asks it: the frame over the found vertices,
-    a VertexSet or a list, and the mask of the chosen ones plus every vertex
-    outside them."""
-    if not isinstance(found, VertexSet):
-        found = VertexSet(o.hidden.t, found)
-    frame = o.frame(found)
+    a VertexSet or a sorted list, and the mask of the chosen ones plus every
+    vertex outside them."""
+    frame = o.frame(o.hidden.t, tuple(found))
     n = len(frame.vertices)
     chosen = set(chosen)
     low = "".join("1" if v in chosen else "0" for v in reversed(frame.vertices))
@@ -229,8 +227,9 @@ def test_find_active_vertex_matches_reference(t):
 
 def test_find_edges_on_trace():
     o = Oracle(Hypergraph(4, [(1, 2)]))
-    edges = find_edges_on(o, o.frame(VertexSet(4, [1, 2])), 2)
-    assert edges == frozenset({(1, 2)})
+    frame = o.frame(4, (1, 2))
+    edges = find_edges_on(o, frame, 2)
+    assert edges == [0b11] and frame.edge(0b11) == (1, 2)
     assert [(r.query.members(), r.answer) for r in o.transcript] == [
         ((1,), False),
         ((2,), False),
@@ -240,13 +239,15 @@ def test_find_edges_on_trace():
 
 def test_find_edges_on_nothing_inside():
     o = Oracle(Hypergraph(4, [(1, 2)]))
-    assert find_edges_on(o, o.frame(VertexSet(4, [1])), 2) == frozenset()
+    assert find_edges_on(o, o.frame(4, (1,)), 2) == []
 
 
 def test_find_edges_on_skips_known_supersets():
     o = Oracle(Hypergraph(4, [(1,), (2, 3)]))
-    edges = find_edges_on(o, o.frame(VertexSet(4, [1, 2, 3])), 2)
-    assert edges == frozenset({(1,), (2, 3)})
+    frame = o.frame(4, (1, 2, 3))
+    edges = find_edges_on(o, frame, 2)
+    assert edges == [0b001, 0b110]  # in the order found
+    assert list(map(frame.edge, edges)) == [(1,), (2, 3)]
     # {1,2} and {1,3} are skipped because {1} is already known
     assert o.count == 4
 
@@ -260,34 +261,36 @@ def test_find_edges_on_matches_bruteforce():
         pool = sorted(rng.sample(range(1, t + 1), rng.randint(1, t)))
         o = Oracle(h)
         stats = SearchStats()
-        got = find_edges_on(o, o.frame(VertexSet(t, pool)), p.l, stats=stats)
-        assert got == minimal_positive_subsets(h, pool, p.l)
+        frame = o.frame(t, tuple(pool))
+        got = list(map(frame.edge, find_edges_on(o, frame, p.l, stats=stats)))
+        # Found smallest first, lexicographic within a size.
+        assert got == sorted(minimal_positive_subsets(h, pool, p.l), key=lambda e: (len(e), e))
         assert stats.edge_deletions == 0
 
 
 def test_find_next_query_all_edges_known():
     o = Oracle(Hypergraph(4, [(1, 2)]))
-    assert find_next_query(o, o.frame(VertexSet(4, [1, 2])), [(1, 2)]) is None
+    assert find_next_query(o, o.frame(4, (1, 2)), [0b11]) is None
     assert o.count == 3  # the three admissible candidates all answer 0
 
 
 def test_find_next_query_finds_fresh_edge():
     o = Oracle(Hypergraph(4, [(1, 2), (3, 4)]))
-    frame = o.frame(VertexSet(4, [1, 2]))
-    m = find_next_query(o, frame, [(1, 2)])
+    frame = o.frame(4, (1, 2))
+    m = find_next_query(o, frame, [0b11])
     assert m == 2 << 2 and frame.vertex_set(m) == VertexSet(4, [3, 4])
     assert o.count == 1
     # A found vertex no known edge covers is in every candidate.
     o = Oracle(Hypergraph(8, [(1, 2), (5, 7)]))
-    frame = o.frame(VertexSet(8, [1, 2, 5]))
-    m = find_next_query(o, frame, [(1, 2)])
+    frame = o.frame(8, (1, 2, 5))
+    m = find_next_query(o, frame, [0b011])
     assert m == 5 << 3 | 0b100 and frame.vertex_set(m) == VertexSet(8, range(3, 9))
     assert o.count == 1
 
 
 def test_find_next_query_no_known_edges():
     o = Oracle(Hypergraph(3, [(2,)]))
-    frame = o.frame(VertexSet(3))
+    frame = o.frame(3, ())
     assert find_next_query(o, frame, []) == 3
     assert frame.vertex_set(3) == VertexSet(3, range(1, 4))
     assert o.count == 1
@@ -296,21 +299,24 @@ def test_find_next_query_no_known_edges():
 def test_exhaustive_searches_ask_one_frame_each(monkeypatch):
     # Every query of the edge search and the next-query search is a
     # (frame, index mask) pair of the one frame they are given, and neither
-    # builds a set: the next-query search returns its positive mask.
+    # builds a set: the edge search returns index masks, and the next-query
+    # search takes them and returns its positive mask.
     t = 64
     hidden = Hypergraph(t, [(1,), (3, 4), (10, 40, 64)])
     built = []
     vertex_set = Frame.vertex_set
     monkeypatch.setattr(Frame, "vertex_set", lambda frame, m: built.append(m) or vertex_set(frame, m))
     o = Oracle(hidden)
-    frame = o.frame(VertexSet(t, [1, 3, 4, 10, 40, 64]))
-    assert find_edges_on(o, frame, 3) == hidden.edges
+    frame = o.frame(t, (1, 3, 4, 10, 40, 64))
+    edges = find_edges_on(o, frame, 3)
+    assert edges == [0b000001, 0b000110, 0b111000]
+    assert set(map(frame.edge, edges)) == hidden.edges
     ends = [o.count]
     # Rank 58 asks for every vertex outside the six; 10, 40 and 64 are
     # bits 3-5, outside the covered {1, 3, 4}.
-    assert find_next_query(o, frame, [(1,), (3, 4)]) == 58 << 6 | 0b111000
+    assert find_next_query(o, frame, edges[:2]) == 58 << 6 | 0b111000
     ends.append(o.count)
-    assert find_next_query(o, frame, hidden.sorted_edges()) is None
+    assert find_next_query(o, frame, edges) is None
     assert built == []
     assert {q[0] for q, _ in o._log} == {frame}
     assert frame.vertex_set(58 << 6 | 0b111000) == VertexSet(t, set(range(1, t + 1)) - {1, 3, 4})
@@ -343,7 +349,8 @@ def test_learn_makes_one_frame_per_found_vertex_and_one_more(monkeypatch):
     # query of the run asks one of them.
     made = []
     frame = Oracle.frame
-    monkeypatch.setattr(Oracle, "frame", lambda o, vs: made.append(frame(o, vs)) or made[-1])
+    monkeypatch.setattr(Oracle, "frame",
+                        lambda o, t, vs: made.append(frame(o, t, vs)) or made[-1])
     cases = [(Hypergraph(10), FamilyParams(10, 2, 2)),
              (Hypergraph(64, [(1, 2, 3), (1, 32, 64), (2, 33, 63)]), FamilyParams(64, 3, 3)),
              (random_disjoint_instance(FamilyParams(2**20, 3, 2), seed=1), FamilyParams(2**20, 3, 2))]
@@ -355,6 +362,29 @@ def test_learn_makes_one_frame_per_found_vertex_and_one_more(monkeypatch):
         assert len(made) == report.iterations + 1 == len({v for e in hidden.edges for v in e}) + 1
         assert {q[0] for q, _ in o._log} <= set(made)
         assert [len(f.vertices) for f in made] == list(range(report.iterations + 1))
+
+
+def test_learn_builds_no_vertex_set_without_debug_checks(monkeypatch):
+    # The run holds its found vertices as a sorted list and its known edges
+    # as index masks of the current frame; no VertexSet is made, by the
+    # constructor or either internal code, from the first frame to the
+    # report. The debug checks rebuild the sets they test.
+    def no_set(*args):
+        raise AssertionError("a VertexSet was built")
+
+    cases = [(Hypergraph(64, [(1, 2, 3), (1, 32, 64), (2, 33, 63)]), FamilyParams(64, 3, 3)),
+             (random_disjoint_instance(FamilyParams(2**20, 3, 2), seed=1), FamilyParams(2**20, 3, 2))]
+    for hidden, params in cases:
+        o = Oracle(hidden)
+        with monkeypatch.context() as m:
+            m.setattr(VertexSet, "__init__", no_set)
+            m.setattr(VertexSet, "_from_runs", classmethod(no_set))
+            m.setattr(VertexSet, "_from_mask", classmethod(no_set))
+            report = learn_detailed(o, params)
+            with pytest.raises(AssertionError, match="a VertexSet was built"):
+                learn_detailed(Oracle(hidden), params, debug_checks=True)
+        assert report.hypergraph == hidden
+        assert report.queries_total == o.count
 
 
 def test_learn_empty_hypergraph():
@@ -486,17 +516,25 @@ def structured_cases(t: int):
         yield hidden, params
 
 
+def index_mask(frame: Frame, edge) -> int:
+    """The bits of edge's members in the frame's vertices."""
+    return sum(1 << frame.vertices.index(v) for v in edge)
+
+
 def reference_edges_on_frame(oracle: Oracle, frame: Frame, max_edge_size: int, *,
-                             stats: SearchStats | None = None) -> frozenset:
-    """The reference edge search over the frame's vertices."""
+                             stats: SearchStats | None = None) -> list[int]:
+    """The reference edge search over the frame's vertices, its edges read
+    as index masks of the frame."""
     f = VertexSet(frame.t, frame.vertices)
-    return reference_find_edges_on(oracle, f, max_edge_size, stats=stats)
+    edges = reference_find_edges_on(oracle, f, max_edge_size, stats=stats)
+    return [index_mask(frame, e) for e in edges]
 
 
-def reference_next_query_on_frame(oracle: Oracle, frame: Frame, found_edges) -> int | None:
-    """The reference next-query search, its positive set read as a mask of
-    the frame: the found vertices in it, and its count of the rest."""
-    s = reference_find_next_query(oracle, found_edges, frame.t)
+def reference_next_query_on_frame(oracle: Oracle, frame: Frame, known: list[int]) -> int | None:
+    """The reference next-query search on the known edges' vertex tuples,
+    its positive set read as a mask of the frame: the found vertices in it,
+    and its count of the rest."""
+    s = reference_find_next_query(oracle, list(map(frame.edge, known)), frame.t)
     if s is None:
         return None
     low = sum(1 << i for i, v in enumerate(frame.vertices) if v in s)
@@ -516,14 +554,19 @@ def assert_searches_match_reference(hidden: Hypergraph, l: int) -> None:
             got, want = Oracle(hidden), Oracle(hidden)
             got_stats, want_stats = SearchStats(), SearchStats()
             f = VertexSet(t, pool)
-            got_edges = find_edges_on(got, got.frame(f), size, stats=got_stats)
-            assert got_edges == reference_find_edges_on(want, f, size, stats=want_stats)
+            frame = got.frame(t, tuple(pool))
+            got_edges = find_edges_on(got, frame, size, stats=got_stats)
+            want_edges = reference_find_edges_on(want, f, size, stats=want_stats)
+            # The masks come in the order found: smallest first,
+            # lexicographic within a size.
+            assert [frame.edge(m) for m in got_edges] == sorted(want_edges,
+                                                                 key=lambda e: (len(e), e))
             assert queries(got) == queries(want)
             assert got_stats == want_stats
         for known in [edges[:k] for k in range(len(edges) + 1)] + [minimal]:
             got, want = Oracle(hidden), Oracle(hidden)
-            frame = got.frame(VertexSet(t, pool))
-            m = find_next_query(got, frame, known)
+            frame = got.frame(t, tuple(pool))
+            m = find_next_query(got, frame, [index_mask(frame, e) for e in known])
             assert (m if m is None else frame.vertex_set(m)) == reference_find_next_query(
                 want, known, t)
             assert queries(got) == queries(want)

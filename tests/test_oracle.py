@@ -366,7 +366,7 @@ def test_write_transcript_batches_many_small_lines(tmp_path, monkeypatch):
     # more than one by bytes.
     t = 100
     o = Oracle(Hypergraph(t, [(3, 4)]))
-    frame = o.frame(VertexSet(t, [3, 4]))
+    frame = o.frame(t, (3, 4))
     for k in range(3 * IOV_MAX):
         o.query(VertexSet(t, [k % t + 1]) if k % 2 else (frame, k % (4 * t - 4)))
     calls = record_writev(monkeypatch)
@@ -750,45 +750,73 @@ def test_frame_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
     # r smallest outside vertices, which up to t = 1001 are the
     # constructor's from those members; the frame answers as a throwaway
     # oracle on either set; and rank r names the r-th smallest outside
-    # vertex. The vertices come run-coded and mask-coded.
+    # vertex.
     hidden, vertices = case
     t, n = hidden.t, len(vertices)
     ranks = frame_ranks(t, vertices)
     small = t <= 1001
     others = [v for v in range(1, t + 1) if v not in vertices] if small else None
-    codes = [VertexSet(t, vertices)]
+    o = Oracle(hidden)
+    frame = o.frame(t, tuple(vertices))
+    assert frame.vertices == tuple(vertices)
+    sets = []
+    for r in ranks:
+        if r:
+            assert frame.vertex(r) == (others[r - 1] if small else
+                                       frame_query_toggles(t, vertices, 0, r)[-1])
+        for low in range(1 << n):
+            want = VertexSet._from_runs(t, frame_query_toggles(t, vertices, low, r))
+            if small:
+                chosen = [v for i, v in enumerate(vertices) if low >> i & 1]
+                assert VertexSet(t, chosen + others[:r])._runs == want._runs
+            s = frame.vertex_set(r << n | low)
+            assert s._runs == want._runs
+            assert (o.query((frame, r << n | low)) == Oracle(hidden).query(s)
+                    == Oracle(hidden).query(want))
+            sets.append(s)
+    assert [rec.query for rec in o.transcript] == sets
     if small:
-        codes.append(VertexSet._from_mask(t, edge_mask(vertices)))
-    for code in codes:
-        o = Oracle(hidden)
-        frame = o.frame(code)
-        assert frame.vertices == tuple(vertices)
-        sets = []
-        for r in ranks:
-            if r:
-                assert frame.vertex(r) == (others[r - 1] if small else
-                                           frame_query_toggles(t, vertices, 0, r)[-1])
-            for low in range(1 << n):
-                want = VertexSet._from_runs(t, frame_query_toggles(t, vertices, low, r))
-                if small:
-                    chosen = [v for i, v in enumerate(vertices) if low >> i & 1]
-                    assert VertexSet(t, chosen + others[:r])._runs == want._runs
-                s = frame.vertex_set(r << n | low)
-                assert s._runs == want._runs
-                assert (o.query((frame, r << n | low)) == Oracle(hidden).query(s)
-                        == Oracle(hidden).query(want))
-                sets.append(s)
-        assert [rec.query for rec in o.transcript] == sets
-        if small:
-            assert_reference_bytes(o)
+        assert_reference_bytes(o)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_cases())
+@example((Hypergraph(9), []))
+@example((Hypergraph(2**60, [(1, 2**60)]), [1, 2, 3, 2**59 + 1, 2**60 - 1, 2**60]))
+def test_frame_edge_is_the_chosen_members_of_the_rebuilt_set(case):
+    # Below 1 << n a mask has rank 0, so its rebuilt set holds only members
+    # of F: edge(m) lists them, and the bits above n are ignored.
+    hidden, vertices = case
+    frame = Oracle(hidden).frame(hidden.t, tuple(vertices))
+    n = len(vertices)
+    for m in range(1 << n):
+        assert frame.edge(m) == tuple(v for v in frame.vertex_set(m) if v in vertices)
+        assert frame.edge(m | 1 << n) == frame.edge(m)
 
 
 def test_frame_refuses_vertices_over_another_universe():
     o = Oracle(Hypergraph(10, [(2, 3)]))
-    for vertices in (VertexSet(11, [5]), VertexSet(9), VertexSet._from_mask(11, 0b11)):
-        with pytest.raises(ValueError, match=rf"universe mismatch: {vertices.t} != 10"):
-            o.frame(vertices)
-    assert o.count == 0
+    for t, vertices in ((11, (5,)), (9, ()), (11, (1, 2)), (10.5, ())):
+        with pytest.raises(ValueError, match=rf"universe mismatch: {t} != 10"):
+            o.frame(t, vertices)
+    assert o.count == 0 and o.transcript_jsonl() == ""
+
+
+def test_frame_refuses_members_that_are_not_increasing_ints_of_the_universe():
+    # Unsorted, repeated, out of 1..t, or not an int (bool and float
+    # included): each is refused before the frame is made or anything is
+    # logged, and the message names the first bad member.
+    o = Oracle(Hypergraph(10, [(2, 3)]))
+    bad = [((3, 2), "2 after 3", "4..10"), ((2, 2), "2 after 2", "3..10"),
+           ((0,), "0 after 0", "1..10"), ((1, 11), "11 after 1", "2..10"),
+           ((True,), "True after 0", "1..10"), ((1, 2.0), "2.0 after 1", "2..10"),
+           ((1, "3"), "'3' after 1", "2..10"), ((None,), "None after 0", "1..10")]
+    for vertices, member, span in bad:
+        with pytest.raises(ValueError, match=rf"frame vertex {member} is not an int in {span}$"):
+            o.frame(10, vertices)
+    assert o.count == 0 and o.transcript == ()
+    frame = o.frame(10, [1, 2, 3, 10])  # any iterable, kept as a tuple
+    assert frame.vertices == (1, 2, 3, 10) and o.query((frame, 0b0110))
 
 
 def test_query_refuses_a_frame_of_another_oracle():
@@ -798,7 +826,7 @@ def test_query_refuses_a_frame_of_another_oracle():
     # like one out of range, before anything is logged.
     for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
         mine, other = Oracle(h), Oracle(h)
-        frame = other.frame(VertexSet(8, [1, 2]))
+        frame = other.frame(8, (1, 2))
         with pytest.raises(ValueError, match="another oracle"):
             mine.query((frame, 0b11))
         for m in (-1, 28, 1 << 70, 1.5, 3.0, True, "3", None):
@@ -807,7 +835,7 @@ def test_query_refuses_a_frame_of_another_oracle():
         assert mine.count == other.count == 0
         assert mine.transcript == other.transcript == ()
         assert other.transcript_jsonl() == ""
-        assert mine.query((mine.frame(VertexSet(8, [1, 2])), 0b11)) == bool(h.edges)
+        assert mine.query((mine.frame(8, (1, 2)), 0b11)) == bool(h.edges)
         assert not other.query((frame, 0b10 | 6 << 2))
         assert other.query((frame, 27)) == bool(h.edges)
         assert [r.query for r in other.transcript] == [VertexSet(8, range(2, 9)),
@@ -818,7 +846,7 @@ def test_query_refuses_a_frame_of_another_oracle():
 def test_budget_stops_frame_queries_at_the_same_index_as_sets(budget):
     h = Hypergraph(16, [(2, 9), (4,)])
     by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
-    frame = by_frame.frame(VertexSet(16, [2, 3, 4]))
+    frame = by_frame.frame(16, (2, 3, 4))
     # Every vertex outside first, then ranks 0 and 5 (vertex 9 is rank 6).
     masks = [r << 3 | k for k in range(8) for r in (13, 0, 5)]
 
@@ -840,7 +868,7 @@ def test_budget_stops_frame_queries_at_the_same_index_as_sets(budget):
 
 def test_frame_query_records_hold_run_coded_sets(tmp_path):
     o = Oracle(Hypergraph(70, [(3, 64)]))
-    frame = o.frame(VertexSet(70, [3, 63, 66]))
+    frame = o.frame(70, (3, 63, 66))
     # 64 is the 62nd vertex outside {3, 63, 66}, after 1, 2 and 4..62.
     assert [frame.vertex(r) for r in (1, 2, 3, 61, 62, 63, 64, 67)] == [1, 2, 4, 62, 64, 65,
                                                                           67, 70]
@@ -873,7 +901,7 @@ def test_frame_over_every_vertex_of_a_wide_universe():
         "from hhl import Hypergraph, Oracle, VertexSet\n"
         "t = 2**20\n"
         "o = Oracle(Hypergraph(t, [(1, t), (5, 6)]))\n"
-        "frame = o.frame(VertexSet(t, range(1, t + 1)))\n"
+        "frame = o.frame(t, tuple(range(1, t + 1)))\n"
         "print(o.query((frame, 1 | 1 << (t - 1))), o.query((frame, 0b10000)),\n"
         "      [r.query for r in o.transcript] == [VertexSet(t, [1, t]), VertexSet(t, [5])])\n"
     )
@@ -894,7 +922,7 @@ def test_toggles_of_a_wide_frame_walk_the_flipped_bits_once():
     t = n + 3
     outside = (2, 2**15 + 1, t)
     vertices = [v for v in range(1, t + 1) if v not in outside]
-    frame = Oracle(Hypergraph(t, [(1, t)])).frame(VertexSet(t, vertices))
+    frame = Oracle(Hypergraph(t, [(1, t)])).frame(t, tuple(vertices))
     lows = [0, (1 << n) - 1, int("01" * (n // 2), 2), random.Random(16).getrandbits(n)]
     masks = [r << n | low for r in range(4) for low in lows]
     c0 = time.process_time()
@@ -915,12 +943,10 @@ def test_toggles_of_a_wide_frame_walk_the_flipped_bits_once():
 
 @st.composite
 def prefix_cases(draw):
-    """(hidden, vertices, low, extra): sorted frame vertices that may hold 1,
-    2, t-1, t, word boundaries, touching pairs and a longer run, or nothing;
-    low bits choosing the base among them; and extra, positions the
-    vertices' run code doubles, which makes empty runs or splits a run into
-    touching ones. Hidden edges draw members from the vertices and the rest
-    of the universe."""
+    """(hidden, vertices, low): sorted frame vertices that may hold 1, 2,
+    t-1, t, word boundaries, touching pairs and a longer run, or nothing;
+    and low bits choosing the base among them. Hidden edges draw members
+    from the vertices and the rest of the universe."""
     t = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 100, 1001]))
     marks = sorted({v for v in (1, 2, 63, 64, 65, 66, t // 2, t // 2 + 1, t - 1, t)
                     if 1 <= v <= t})
@@ -932,62 +958,55 @@ def prefix_cases(draw):
         held |= set(range(a, min(a + draw(st.integers(2, 6)), t + 1)))
     held = sorted(held)
     low = draw(st.integers(0, (1 << len(held)) - 1))
-    extra = draw(st.lists(st.one_of(st.sampled_from([0, t, *held]), st.integers(0, t)),
-                          max_size=3))
     member = st.one_of(st.sampled_from(sorted({*held, 1, t})), st.integers(1, t))
     edges = draw(st.lists(st.sets(member, min_size=1, max_size=3), max_size=4))
-    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), held, low, extra
+    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), held, low
 
 
 @settings(max_examples=80, deadline=None)
 @given(prefix_cases())
-@example((Hypergraph(1, [(1,)]), [], 0, [0, 1]))
-@example((Hypergraph(1, [(1,)]), [1], 1, []))
-@example((Hypergraph(9), [], 0, [4]))
-@example((Hypergraph(9, [(3,)]), [3], 0, [1, 9]))
-@example((Hypergraph(9, [(1, 9), (2, 5)]), [2, 3, 4, 9], 0b1001, [3, 4]))
-@example((Hypergraph(9, [(3, 4), (1, 6)]), [5, 6, 7], 0b011, [0, 9]))
+@example((Hypergraph(1, [(1,)]), [], 0))
+@example((Hypergraph(1, [(1,)]), [1], 1))
+@example((Hypergraph(9), [], 0))
+@example((Hypergraph(9, [(3,)]), [3], 0))
+@example((Hypergraph(9, [(1, 9), (2, 5)]), [2, 3, 4, 9], 0b1001))
+@example((Hypergraph(9, [(3, 4), (1, 6)]), [5, 6, 7], 0b011))
 def test_prefix_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
     # Every rank, or the ranks where the set changes shape: the rebuilt set
     # is the one the constructor makes from the base and the r smallest
     # vertices outside F, toggles and all, the frame answers as a throwaway
     # oracle on either, and rank r names the r-th smallest vertex outside F.
-    # The vertices come run-coded, with extra's empty or touching runs, and
-    # mask-coded.
-    hidden, vertices, low, extra = case
+    hidden, vertices, low = case
     t, n = hidden.t, len(vertices)
     base = [v for i, v in enumerate(vertices) if low >> i & 1]
     others = [v for v in range(1, t + 1) if v not in vertices]
     ranks = frame_ranks(t, vertices)
-    for code in (VertexSet._from_runs(t, toggles_of(vertices, extra)),
-                 VertexSet._from_mask(t, edge_mask(vertices))):
-        o = Oracle(hidden)
-        frame = o.frame(code)
-        assert frame.vertices == tuple(vertices)
-        sets = []
-        for r in ranks:
-            want = VertexSet(t, base + others[:r])
-            s = frame.vertex_set(r << n | low)
-            assert s._runs == want._runs
-            assert (o.query((frame, r << n | low)) == Oracle(hidden).query(s)
-                    == Oracle(hidden).query(want))
-            assert r == 0 or frame.vertex(r) == others[r - 1]
-            sets.append(s)
-        assert [rec.query for rec in o.transcript] == sets
-        assert_reference_bytes(o)
+    o = Oracle(hidden)
+    frame = o.frame(t, tuple(vertices))
+    assert frame.vertices == tuple(vertices)
+    sets = []
+    for r in ranks:
+        want = VertexSet(t, base + others[:r])
+        s = frame.vertex_set(r << n | low)
+        assert s._runs == want._runs
+        assert (o.query((frame, r << n | low)) == Oracle(hidden).query(s)
+                == Oracle(hidden).query(want))
+        assert r == 0 or frame.vertex(r) == others[r - 1]
+        sets.append(s)
+    assert [rec.query for rec in o.transcript] == sets
+    assert_reference_bytes(o)
 
 
 def test_prefixes_refuse_another_universe_or_a_shared_vertex():
     o = Oracle(Hypergraph(10, [(2, 3)]))
-    for vertices in (VertexSet(11, [5]), VertexSet(9, [1]), VertexSet._from_mask(11, 0b11)):
-        with pytest.raises(ValueError, match=rf"universe mismatch: {vertices.t} != 10"):
-            o.frame(vertices)
+    for t, vertices in ((11, (5,)), (9, (1,)), (11, (1, 2))):
+        with pytest.raises(ValueError, match=rf"universe mismatch: {t} != 10"):
+            o.frame(t, vertices)
     # Ranks count only the vertices outside F, so no rank names a member
     # again: with every member chosen, rank r adds r more vertices, and the
     # rank past the last vertex outside F is refused.
-    for vertices in (VertexSet(10, [3, 4]), VertexSet._from_runs(10, (0, 1, 1, 1)),
-                     VertexSet._from_mask(10, 1 << 9)):
-        frame = o.frame(vertices)
+    for vertices in ((3, 4), (1,), (10,)):
+        frame = o.frame(10, vertices)
         n = len(frame.vertices)
         for r in range(1, 11 - n):
             assert frame.vertex(r) not in frame.vertices
@@ -1007,7 +1026,7 @@ def test_query_refuses_a_prefix_frame_of_another_oracle_or_a_rank_out_of_range()
     # bit, masks 0..15.
     for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
         mine, other = Oracle(h), Oracle(h)
-        frame = other.frame(VertexSet(8, [1]))
+        frame = other.frame(8, (1,))
         with pytest.raises(ValueError, match="another oracle"):
             mine.query((frame, 1 << 1 | 1))
         for m in (-1 << 1 | 1, 8 << 1 | 1):  # ranks -1 and 8
@@ -1015,7 +1034,7 @@ def test_query_refuses_a_prefix_frame_of_another_oracle_or_a_rank_out_of_range()
                 other.query((frame, m))
         assert mine.count == other.count == 0
         assert mine.transcript == other.transcript == ()
-        mine_frame = mine.frame(VertexSet(8, [1]))
+        mine_frame = mine.frame(8, (1,))
         assert mine.query((mine_frame, 1 << 1 | 1)) == bool(h.edges)
         assert not other.query((frame, 1))
         assert other.query((frame, 7 << 1 | 1)) == bool(h.edges)
@@ -1026,7 +1045,7 @@ def test_budget_stops_prefix_queries_at_the_same_index_as_sets(budget):
     h = Hypergraph(16, [(2, 9), (4, 12)])
     by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
     # Base {2, 3}; outside F, 4 is rank 2, 9 rank 7 and 12 rank 10.
-    frame = by_frame.frame(VertexSet(16, [2, 3]))
+    frame = by_frame.frame(16, (2, 3))
     ranks = [10, 0, 7, 2, 14, 7, 10, 0]
 
     def stop(ask) -> tuple[int, str] | None:
@@ -1047,9 +1066,9 @@ def test_budget_stops_prefix_queries_at_the_same_index_as_sets(budget):
 
 def test_prefix_query_records_hold_run_coded_sets(tmp_path):
     o = Oracle(Hypergraph(70, [(3, 64)]))
-    # F = {3, 63..66}, run-coded with an empty run at 64; outside F, ranks
-    # 1..61 are 1, 2 and 4..62, and ranks 62..65 are 67..70.
-    frame = o.frame(VertexSet._from_runs(70, (2, 3, 62, 64, 64, 64, 64, 66)))
+    # F = {3, 63..66}; outside F, ranks 1..61 are 1, 2 and 4..62, and ranks
+    # 62..65 are 67..70.
+    frame = o.frame(70, (3, 63, 64, 65, 66))
     assert frame.vertices == (3, 63, 64, 65, 66)
     assert [frame.vertex(r) for r in (1, 2, 3, 61, 62, 65)] == [1, 2, 4, 62, 67, 70]
     asked = [(0b00011, False),  # 3, 63
