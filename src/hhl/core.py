@@ -87,11 +87,10 @@ class VertexSet:
     """Immutable subset of {1..t} in one of two codes, fixed at construction.
 
     Mask-coded: an int bitmask, bit v-1 for vertex v. Run-coded: a tuple of
-    sorted toggle positions in 0..t at which membership flips, so bit j is
-    in the set iff an odd number of toggles is <= j, and the run of
-    vertices a..b is the pair (a-1, b). Equal toggles (an empty run, or two
-    runs that touch) cancel; producers may leave them, and _toggles()
-    returns the strictly increasing form for either code. The constructor
+    strictly increasing toggle positions in 0..t at which membership flips,
+    so bit j is in the set iff an odd number of toggles is <= j, and the run
+    of vertices a..b is the pair (a-1, b); runs are nonempty and never
+    touch. _toggles() returns that form for either code. The constructor
     and the learner's queries are run-coded; _from_mask makes the two-stage
     blocks and stage-two rows, which have many runs, and set algebra results.
 
@@ -142,8 +141,8 @@ class VertexSet:
 
     @classmethod
     def _from_runs(cls, t: int, runs: tuple[int, ...]) -> "VertexSet":
-        # Internal fast path: trusts runs to be a tuple of even length,
-        # sorted, with every toggle in 0..t.
+        # Internal fast path: trusts runs to be a strictly increasing tuple
+        # of even length, with every toggle in 0..t.
         vs = object.__new__(cls)
         vs._t = t
         vs._mask = None
@@ -173,21 +172,12 @@ class VertexSet:
         return int.from_bytes(buf, "little")
 
     def _toggles(self) -> tuple[int, ...]:
-        """The strictly increasing run code: a run-coded set's own with equal
-        toggles cancelled in pairs, else found by one numpy scan of
-        mask ^ (mask << 1) in O(t/64)."""
+        """The strictly increasing run code: a run-coded set's own, else found
+        by one numpy scan of mask ^ (mask << 1) in O(t/64)."""
         r = self._runs
         if r is None:
             return tuple(_bit_positions(self._mask ^ (self._mask << 1)).tolist())
-        if len(set(r)) == len(r):  # sorted and distinct: already strictly increasing
-            return r
-        out: list[int] = []
-        for x in r:
-            if out and out[-1] == x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
+        return r
 
     def __len__(self) -> int:
         """The member count. len() refuses counts above sys.maxsize with
@@ -197,7 +187,11 @@ class VertexSet:
             return self._mask.bit_count()
         return sum(r[1::2]) - sum(r[0::2])
 
-    def __contains__(self, v: int) -> bool:
+    def __contains__(self, v: object) -> bool:
+        try:
+            v = index(v)
+        except TypeError:
+            return False
         if not 1 <= v <= self._t:
             return False
         r = self._runs

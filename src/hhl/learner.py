@@ -13,7 +13,6 @@ which is all the query model can distinguish.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -221,7 +220,6 @@ def learn_detailed(
     """
     t = params.t
     stats = SearchStats()
-    found: list[int] = []
     frame = oracle.frame(t, ())
     edges: list[int] = []
     q_vertex = q_edge = q_query = 0
@@ -231,7 +229,7 @@ def learn_detailed(
         q_query += oracle.count - before
         if m is None:
             break
-        if len(found) == params.s * params.l:
+        if len(frame.vertices) == params.s * params.l:
             raise SearchContractError(
                 "more active vertices than the family permits; hidden hypergraph "
                 "violates the (s, l) bounds"
@@ -239,8 +237,7 @@ def learn_detailed(
         before = oracle.count
         v = find_active_vertex(oracle, frame, m, debug_checks=debug_checks, stats=stats)
         q_vertex += oracle.count - before
-        insort(found, v)
-        frame = oracle.frame(t, tuple(found))
+        frame = oracle.frame(t, sorted((*frame.vertices, v)))
 
         before = oracle.count
         edges = find_edges_on(oracle, frame, params.l, stats=stats)
@@ -255,7 +252,7 @@ def learn_detailed(
         queries_vertex_search=q_vertex,
         queries_edge_search=q_edge,
         queries_query_search=q_query,
-        iterations=len(found),
+        iterations=len(frame.vertices),
         stats=stats,
     )
 

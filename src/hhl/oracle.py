@@ -47,9 +47,8 @@ def _runs_contain_edge(edge_positions: Iterable[_EdgePositions], runs: tuple[int
 
     A member at position x is in the set iff an odd number of toggles is
     <= x, one bisect over the toggles, so an edge costs at most l of them
-    whatever t is. Equal toggles cancel in the count, so runs need not be
-    canonical. Most edges fail on their lowest member, so its test stands
-    outside the loop over the others.
+    whatever t is. Most edges fail on their lowest member, so its test
+    stands outside the loop over the others.
     """
     for x, rest in edge_positions:
         if not bisect_right(runs, x) & 1:
@@ -166,13 +165,21 @@ class Frame:
         """F, the frame's vertices, in increasing order."""
         return self._vertices
 
+    def _check(self, m: int) -> None:
+        if type(m) is not int or not 0 <= m < self._limit:
+            raise ValueError(f"index mask {m!r} outside the ints 0..{self._limit - 1}")
+
     def edge(self, m: int) -> Edge:
         """The members of F that the low n bits of m choose, in increasing order."""
+        self._check(m)
         return tuple(v for i, v in enumerate(self._vertices) if m >> i & 1)
 
     def vertex(self, r: int) -> int:
-        """The vertex of rank r >= 1 outside F: r plus the members of F
+        """The vertex of rank r in 1..t-n outside F: r plus the members of F
         below it, those with fewer than r outside vertices below them."""
+        top = self._t - len(self._vertices)
+        if type(r) is not int or not 1 <= r <= top:
+            raise ValueError(f"rank {r!r} outside the ints 1..{top}")
         return r + bisect_left(self._gaps, r)
 
     def _toggles(self, m: int) -> tuple[int, ...]:
@@ -209,6 +216,7 @@ class Frame:
 
     def vertex_set(self, m: int) -> VertexSet:
         """The run-coded set of query (self, m)."""
+        self._check(m)
         return VertexSet._from_runs(self._t, self._toggles(m))
 
 

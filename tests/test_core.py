@@ -99,6 +99,14 @@ def test_vertex_set_repr_counts_members_past_sys_maxsize():
         len(huge)
 
 
+def test_membership_reads_vertices_as_the_constructor_does():
+    # Through operator.index in both codes: what it refuses (a float, even
+    # 1.0, a str, None) is no member, and a bool or numpy int is its int.
+    probes = (1.5, 2.5, 1.0, "2", None, True, np.int64(2), False, np.int64(3))
+    for s in (VertexSet(4, [1, 2]), VertexSet._from_mask(4, 0b11)):
+        assert [v in s for v in probes] == [False] * 5 + [True, True, False, False]
+
+
 def test_vertex_set_constructor_checks_in_order_and_merges_runs():
     # Members are checked in the order given, then sorted, deduplicated and
     # merged into runs; bools count as 0 and 1, as in a mask built from them.
@@ -223,22 +231,16 @@ def test_run_code_agrees_with_members(t, members):
     want = VertexSet._from_mask(t, edge_mask(members))
     code = toggles_of(members)
     assert_same_set(VertexSet._from_runs(t, code), want)
-    # Empty runs at 0, 64 and t, and runs cut in two where they touch.
-    noisy = toggles_of(members, extra=[0, min(64, t), t, *code])
-    assert len(noisy) == 3 * len(code) + 6
-    assert_same_set(VertexSet._from_runs(t, noisy), want)
-    assert VertexSet._from_runs(t, noisy) == VertexSet._from_runs(t, code)
-    assert hash(VertexSet._from_runs(t, noisy)) == hash(VertexSet._from_runs(t, code))
     if members:
-        fewer = VertexSet._from_runs(t, toggles_of(members[1:], extra=code))
+        fewer = VertexSet._from_runs(t, toggles_of(members[1:]))
         assert fewer != want and fewer != VertexSet._from_runs(t, code)
 
 
-@given(boundary_vertex_sets(), st.lists(st.integers(0, 2**17), max_size=6))
-def test_run_code_agrees_with_members_random(case, extra):
+@given(boundary_vertex_sets())
+def test_run_code_agrees_with_members_random(case):
     t, members = case
-    noisy = toggles_of(members, extra=[x % (t + 1) for x in extra])
-    assert_same_set(VertexSet._from_runs(t, noisy), VertexSet._from_mask(t, edge_mask(members)))
+    assert_same_set(VertexSet._from_runs(t, toggles_of(members)),
+                    VertexSet._from_mask(t, edge_mask(members)))
 
 
 def test_vertex_set_members_full_large():
@@ -257,7 +259,7 @@ def test_equality_hash_and_sperner_at_huge_t():
         "from hhl import Hypergraph, VertexSet, is_sperner\n"
         "t = 2**60\n"
         "top = VertexSet._from_runs(t, (t - 1, t))\n"
-        "same = VertexSet._from_runs(t, (0, 0, t - 1, t - 1, t - 1, t))\n"
+        "same = VertexSet(t, [t])\n"
         "low = VertexSet._from_mask(t, 1)\n"
         "print(top == same, hash(top) == hash(same), top != low, low == VertexSet._from_runs(t, (0, 1)),\n"
         "      hash(low) == hash(VertexSet._from_runs(t, (0, 1))), len({top, same, low}),\n"
@@ -317,14 +319,14 @@ def per_run_or(runs: tuple[int, ...]) -> int:
 
 @pytest.mark.parametrize("t", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 129, 4097])
 def test_run_coded_mask_matches_the_per_run_or(t):
-    # Toggles on byte and 64-bit word edges, at 0 and at t, and random ones;
-    # equal toggles make empty and touching runs.
+    # Strictly increasing toggles on byte and 64-bit word edges, at 0 and at
+    # t, and random ones: runs and gaps of one vertex where marks are next.
     rng = random.Random(t)
     marks = [x for x in (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, t - 1, t) if 0 <= x <= t]
     for _ in range(300):
-        draws = [rng.choice(marks) if rng.random() < 0.6 else rng.randint(0, t)
-                 for _ in range(2 * rng.randint(0, 8))]
-        runs = tuple(sorted(draws))
+        draws = sorted({rng.choice(marks) if rng.random() < 0.6 else rng.randint(0, t)
+                        for _ in range(2 * rng.randint(0, 8))})
+        runs = tuple(draws[: len(draws) // 2 * 2])
         assert VertexSet._from_runs(t, runs).mask == per_run_or(runs), runs
     assert VertexSet(t, range(1, t + 1)).mask == (1 << t) - 1
     half = [v for v in range(1, t + 1) if rng.random() < 0.5]

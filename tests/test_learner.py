@@ -365,8 +365,8 @@ def test_learn_makes_one_frame_per_found_vertex_and_one_more(monkeypatch):
 
 
 def test_learn_builds_no_vertex_set_without_debug_checks(monkeypatch):
-    # The run holds its found vertices as a sorted list and its known edges
-    # as index masks of the current frame; no VertexSet is made, by the
+    # The run holds its found vertices only as the current frame's vertices
+    # and its known edges as index masks of it; no VertexSet is made, by the
     # constructor or either internal code, from the first frame to the
     # report. The debug checks rebuild the sets they test.
     def no_set(*args):

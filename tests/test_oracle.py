@@ -507,9 +507,8 @@ def test_hidden_is_read_only():
 
 @pytest.mark.parametrize("t", [1, 2, 63, 64, 65, 130, 4097])
 def test_run_coded_queries_match_mask_coded(t):
-    # One oracle is asked mask-coded sets, one the same sets run-coded
-    # (with empty and touching runs), one the two codes in turn: same
-    # answers, transcripts and bytes.
+    # One oracle is asked mask-coded sets, one the same sets run-coded, one
+    # the two codes in turn: same answers, transcripts and bytes.
     rng = random.Random(t)
     marks = sorted({v for v in (1, 2, 63, 64, 65, t // 2, t // 2 + 1, t - 1, t) if 1 <= v <= t})
     for _ in range(8):
@@ -524,9 +523,8 @@ def test_run_coded_queries_match_mask_coded(t):
             start = rng.randint(1, t)
             members |= set(range(start, min(t + 1, start + rng.randint(0, 200))))
             members |= {v for v in range(1, t + 1) if rng.random() < 0.05}
-            extra = [rng.randint(0, t) for _ in range(rng.randint(0, 3))]
             by_mask = VertexSet._from_mask(t, edge_mask(members))
-            by_runs = VertexSet._from_runs(t, toggles_of(members, extra))
+            by_runs = VertexSet._from_runs(t, toggles_of(members))
             want = any(set(e) <= members for e in edges)
             for o, s in zip(oracles, (by_mask, by_runs, (by_mask, by_runs)[i % 2])):
                 assert o.query(s) == want
@@ -544,7 +542,7 @@ def test_run_coded_queries_match_mask_coded(t):
 
 def test_log_keeps_the_toggles_that_were_answered():
     o = Oracle(Hypergraph(4, [(1,)]))
-    s = VertexSet._from_runs(4, (0, 1, 1, 1))
+    s = VertexSet._from_runs(4, (0, 1))
     assert o.query(s)
     assert o.transcript[0].query is s
     with pytest.raises(AttributeError):
@@ -661,22 +659,6 @@ def test_query_past_budget_records_nothing():
         Oracle(Hypergraph(4, [(1,)]), budget=0).query(VertexSet(4))
 
 
-def test_monotonicity_bulk_random():
-    rng = random.Random(20240811)
-    for _ in range(500):
-        t = rng.randint(2, 16)
-        edges = set()
-        for _ in range(rng.randint(0, 3)):
-            size = rng.randint(1, min(3, t))
-            edges.add(tuple(sorted(rng.sample(range(1, t + 1), size))))
-        h = Hypergraph(t, edges)
-        sub = [v for v in range(1, t + 1) if rng.random() < 0.4]
-        sup = sorted(set(sub) | {v for v in range(1, t + 1) if rng.random() < 0.3})
-        o = Oracle(h)
-        if o.query(VertexSet(t, sub)):
-            assert o.query(VertexSet(t, sup))
-
-
 # Frames: the queries of index masks m over the found vertices F
 # (Oracle.frame), asked as oracle.query((frame, m)): with n = |F|, the low n
 # bits of m choose members of F and r = m >> n asks for the r smallest
@@ -714,63 +696,84 @@ def frame_ranks(t: int, vertices: list[int]) -> list[int]:
     return sorted({x for g in (0, *gaps, t - n) for x in (g - 1, g, g + 1) if 0 <= x <= t - n})
 
 
+def frame_lows(n: int, drawn: list[int]) -> list[int]:
+    """Every low mask of n bits when there are at most 64, else none, all and
+    the drawn ones."""
+    if 1 << n <= 64:
+        return list(range(1 << n))
+    return sorted({0, (1 << n) - 1, *drawn})
+
+
 @st.composite
 def frame_cases(draw):
-    """(hidden, frame vertices): the vertices may hold 1, 2, t-1, t, word
-    boundaries and touching pairs, or nothing, and hidden edges draw members
-    from them and from the rest of the universe."""
+    """(hidden, frame vertices, drawn lows): up to 14 vertices, which may hold
+    1, 2, t-1, t, word boundaries, a touching pair and a run of 2-6
+    consecutive ones, or nothing; hidden edges draw members from them and
+    from the rest of the universe; and low masks for frame_lows."""
     t = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 100, 1001]))
     marks = sorted({v for v in (1, 2, 63, 64, 65, 66, t // 2, t // 2 + 1, t - 1, t)
                     if 1 <= v <= t})
     vertex = st.one_of(st.sampled_from(marks), st.integers(1, t))
-    vertices = draw(st.sets(vertex, max_size=2))
+    vertices = draw(st.sets(vertex, max_size=4))
     ends = sorted({v for v in (1, 2, t - 1, t) if 1 <= v <= t})
     vertices |= draw(st.sets(st.sampled_from(ends), max_size=2))
     for a in draw(st.lists(st.integers(1, t), max_size=1)):
         vertices |= {a, min(a + 1, t)}  # a touching pair
-    member = st.one_of(st.sampled_from(sorted(vertices | {1, t})), st.integers(1, t))
+    for a in draw(st.lists(st.integers(1, t), max_size=1)):
+        vertices |= set(range(a, min(a + draw(st.integers(2, 6)), t + 1)))
+    vertices = sorted(vertices)
+    lows = draw(st.lists(st.integers(0, (1 << len(vertices)) - 1), max_size=4))
+    member = st.one_of(st.sampled_from(sorted({*vertices, 1, t})), st.integers(1, t))
     edges = draw(st.lists(st.sets(member, min_size=1, max_size=3), max_size=4))
-    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), sorted(vertices)
+    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), vertices, lows
 
 
 @settings(max_examples=80, deadline=None)
 @given(frame_cases())
-@example((Hypergraph(1, [(1,)]), []))
-@example((Hypergraph(1, [(1,)]), [1]))
-@example((Hypergraph(9), []))
-@example((Hypergraph(9, [(3,)]), []))
-@example((Hypergraph(9, [(1, 9), (2, 5)]), [1, 2, 8, 9]))
-@example((Hypergraph(9, [(3, 4), (1, 6)]), [3, 4, 5]))
-@example((Hypergraph(9, [(1, 2, 9), (5,)]), [1, 2, 3, 9]))
+@example((Hypergraph(1, [(1,)]), [], []))
+@example((Hypergraph(1, [(1,)]), [1], []))
+@example((Hypergraph(9), [], []))
+@example((Hypergraph(9, [(3,)]), [], []))
+@example((Hypergraph(9, [(3,)]), [3], []))
+@example((Hypergraph(9, [(1, 9), (2, 5)]), [1, 2, 8, 9], []))
+@example((Hypergraph(9, [(1, 9), (2, 5)]), [2, 3, 4, 9], []))
+@example((Hypergraph(9, [(3, 4), (1, 6)]), [3, 4, 5], []))
+@example((Hypergraph(9, [(3, 4), (1, 6)]), [5, 6, 7], []))
+@example((Hypergraph(9, [(1, 2, 9), (5,)]), [1, 2, 3, 9], []))
+@example((Hypergraph(70, [(3, 64)]), [3, 63, 64, 65, 66], []))
+@example((Hypergraph(1001, [(500, 501), (1, 1001)]), [1, *range(495, 506), 1001],
+          [0b1010101010101, 0b0111111111110]))
 @example((Hypergraph(2**60, [(1, 2**60), (2, 2**59, 2**60 - 1), (7,)]),
-          [1, 2, 3, 2**59 + 1, 2**60 - 1, 2**60]))
+          [1, 2, 3, 2**59 + 1, 2**60 - 1, 2**60], []))
 def test_frame_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
-    # Every (low, r), or every low at the ranks where the set changes
-    # shape: the rebuilt set has the toggles of the chosen members plus the
-    # r smallest outside vertices, which up to t = 1001 are the
-    # constructor's from those members; the frame answers as a throwaway
-    # oracle on either set; and rank r names the r-th smallest outside
-    # vertex.
-    hidden, vertices = case
+    # The lows of frame_lows at every rank, or at the ranks where the set
+    # changes shape: the rebuilt set has the one run-code form, the toggles
+    # of the chosen members plus the r smallest outside vertices, which up to
+    # t = 1001 are also the constructor's from those members given twice (so
+    # duplicate and touching) and a mask-coded set's _toggles(); the frame
+    # answers as a throwaway oracle on either set; and rank r names the r-th
+    # smallest outside vertex.
+    hidden, vertices, drawn = case
     t, n = hidden.t, len(vertices)
-    ranks = frame_ranks(t, vertices)
     small = t <= 1001
     others = [v for v in range(1, t + 1) if v not in vertices] if small else None
     o = Oracle(hidden)
     frame = o.frame(t, tuple(vertices))
     assert frame.vertices == tuple(vertices)
     sets = []
-    for r in ranks:
+    for r in frame_ranks(t, vertices):
         if r:
             assert frame.vertex(r) == (others[r - 1] if small else
                                        frame_query_toggles(t, vertices, 0, r)[-1])
-        for low in range(1 << n):
+        for low in frame_lows(n, drawn):
             want = VertexSet._from_runs(t, frame_query_toggles(t, vertices, low, r))
             if small:
-                chosen = [v for i, v in enumerate(vertices) if low >> i & 1]
-                assert VertexSet(t, chosen + others[:r])._runs == want._runs
+                members = [v for i, v in enumerate(vertices) if low >> i & 1] + others[:r]
+                assert VertexSet(t, members + members[::-1])._runs == want._runs
+                assert VertexSet._from_mask(t, edge_mask(members))._toggles() == want._runs
             s = frame.vertex_set(r << n | low)
             assert s._runs == want._runs
+            assert all(a < b for a, b in zip(s._runs, s._runs[1:])), s._runs
             assert (o.query((frame, r << n | low)) == Oracle(hidden).query(s)
                     == Oracle(hidden).query(want))
             sets.append(s)
@@ -781,25 +784,52 @@ def test_frame_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
 
 @settings(max_examples=60, deadline=None)
 @given(frame_cases())
-@example((Hypergraph(9), []))
-@example((Hypergraph(2**60, [(1, 2**60)]), [1, 2, 3, 2**59 + 1, 2**60 - 1, 2**60]))
+@example((Hypergraph(9), [], []))
+@example((Hypergraph(9), list(range(1, 10)), []))
+@example((Hypergraph(2**60, [(1, 2**60)]), [1, 2, 3, 2**59 + 1, 2**60 - 1, 2**60], []))
 def test_frame_edge_is_the_chosen_members_of_the_rebuilt_set(case):
     # Below 1 << n a mask has rank 0, so its rebuilt set holds only members
-    # of F: edge(m) lists them, and the bits above n are ignored.
-    hidden, vertices = case
+    # of F: edge(m) lists them, and rank bits above n, where some vertex is
+    # outside F, are ignored.
+    hidden, vertices, drawn = case
     frame = Oracle(hidden).frame(hidden.t, tuple(vertices))
     n = len(vertices)
-    for m in range(1 << n):
+    for m in frame_lows(n, drawn):
         assert frame.edge(m) == tuple(v for v in frame.vertex_set(m) if v in vertices)
-        assert frame.edge(m | 1 << n) == frame.edge(m)
+        if n < hidden.t:
+            assert frame.edge(m | 1 << n) == frame.edge(m)
 
 
 def test_frame_refuses_vertices_over_another_universe():
     o = Oracle(Hypergraph(10, [(2, 3)]))
-    for t, vertices in ((11, (5,)), (9, ()), (11, (1, 2)), (10.5, ())):
+    for t, vertices in ((11, (5,)), (9, ()), (9, (1,)), (11, (1, 2)), (10.5, ())):
         with pytest.raises(ValueError, match=rf"universe mismatch: {t} != 10"):
             o.frame(t, vertices)
     assert o.count == 0 and o.transcript_jsonl() == ""
+    # Ranks count only the vertices outside F, so no rank names a member
+    # again: with every member chosen, rank r adds r more vertices. vertex
+    # refuses a rank outside 1..t-n, and vertex_set and edge a mask outside
+    # 0..top-1, or a non-int, as query does, before they build anything: no
+    # vertex outside 1..t is named.
+    for vertices in ((3, 4), (1,), (10,)):
+        frame = o.frame(10, vertices)
+        n, top = len(vertices), (11 - len(vertices)) << len(vertices)
+        for r in range(1, 11 - n):
+            assert frame.vertex(r) not in vertices
+            s = frame.vertex_set(r << n | (1 << n) - 1)
+            assert s.members() == tuple(sorted({*vertices, *map(frame.vertex, range(1, r + 1))}))
+            assert len(s) == n + r
+        assert (frame.edge(top - 1), len(frame.vertex_set(top - 1))) == (vertices, 10)
+        for r in (-1, 0, 11 - n, 12 - n, 1.0, True, None):
+            with pytest.raises(ValueError, match=rf"rank {re.escape(repr(r))} outside the ints "
+                                                 rf"1\.\.{10 - n}$"):
+                frame.vertex(r)
+        for m in (-1, top, 20 << n, 1 << 70, 3.0, True, "3"):
+            for read in (frame.vertex_set, frame.edge, lambda m: o.query((frame, m))):
+                with pytest.raises(ValueError, match=rf"index mask {re.escape(repr(m))} outside "
+                                                     rf"the ints 0\.\.{top - 1}$"):
+                    read(m)
+    assert o.count == 0
 
 
 def test_frame_refuses_members_that_are_not_increasing_ints_of_the_universe():
@@ -821,76 +851,97 @@ def test_frame_refuses_members_that_are_not_increasing_ints_of_the_universe():
 
 def test_query_refuses_a_frame_of_another_oracle():
     # Edgeless oracles read equal (empty) edge tables; their frames are
-    # still their own. Two vertices of eight give masks 0..27: the low two
-    # bits and ranks 0..6 above them. A mask that is no int is refused
-    # like one out of range, before anything is logged.
+    # still their own. Two vertices of eight give masks 0..27, the low two
+    # bits and ranks 0..6 above them; one gives masks 0..15, ranks 0..7. A
+    # mask that is no int is refused like one out of range (rank -1 or one
+    # past the last), before anything is logged. Per frame: its vertices,
+    # its last mask, a mask asking {1, 2}, and a negative mask and its set.
+    cases = (((1, 2), 27, 0b11, 6 << 2 | 0b10, range(2, 9)),
+             ((1,), 15, 1 << 1 | 1, 0b1, [1]))
     for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
-        mine, other = Oracle(h), Oracle(h)
-        frame = other.frame(8, (1, 2))
-        with pytest.raises(ValueError, match="another oracle"):
-            mine.query((frame, 0b11))
-        for m in (-1, 28, 1 << 70, 1.5, 3.0, True, "3", None):
-            with pytest.raises(ValueError, match=rf"index mask {re.escape(repr(m))} outside"):
-                other.query((frame, m))
-        assert mine.count == other.count == 0
-        assert mine.transcript == other.transcript == ()
-        assert other.transcript_jsonl() == ""
-        assert mine.query((mine.frame(8, (1, 2)), 0b11)) == bool(h.edges)
-        assert not other.query((frame, 0b10 | 6 << 2))
-        assert other.query((frame, 27)) == bool(h.edges)
-        assert [r.query for r in other.transcript] == [VertexSet(8, range(2, 9)),
-                                                       VertexSet(8, range(1, 9))]
+        for vertices, top, pair, negative, asked in cases:
+            n = len(vertices)
+            mine, other = Oracle(h), Oracle(h)
+            frame = other.frame(8, vertices)
+            with pytest.raises(ValueError, match="another oracle"):
+                mine.query((frame, pair))
+            for m in (-1, -1 << n | 1, top + 1, 1 << 70, 1.5, 3.0, True, "3", None):
+                with pytest.raises(ValueError, match=rf"index mask {re.escape(repr(m))} "
+                                                     rf"outside the ints 0\.\.{top}$"):
+                    other.query((frame, m))
+            assert mine.count == other.count == 0
+            assert mine.transcript == other.transcript == ()
+            assert other.transcript_jsonl() == ""
+            assert mine.query((mine.frame(8, vertices), pair)) == bool(h.edges)
+            assert not other.query((frame, negative))
+            assert other.query((frame, top)) == bool(h.edges)
+            assert [r.query for r in other.transcript] == [VertexSet(8, asked),
+                                                           VertexSet(8, range(1, 9))]
 
 
 @pytest.mark.parametrize("budget", [0, 1, 5])
 def test_budget_stops_frame_queries_at_the_same_index_as_sets(budget):
-    h = Hypergraph(16, [(2, 9), (4,)])
-    by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
-    frame = by_frame.frame(16, (2, 3, 4))
-    # Every vertex outside first, then ranks 0 and 5 (vertex 9 is rank 6).
-    masks = [r << 3 | k for k in range(8) for r in (13, 0, 5)]
+    # Over F = {2, 3, 4}: every vertex outside first, then ranks 0 and 5
+    # (vertex 9 is rank 6), for each low. Over F = {2, 3}, both chosen:
+    # ranks around 4 (rank 2), 9 (rank 7) and 12 (rank 10).
+    cases = [((2, 9), (4,), (2, 3, 4), [r << 3 | k for k in range(8) for r in (13, 0, 5)]),
+             ((2, 9), (4, 12), (2, 3), [r << 2 | 0b11 for r in (10, 0, 7, 2, 14, 7, 10, 0)])]
+    for *edges, vertices, masks in cases:
+        h = Hypergraph(16, edges)
+        by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
+        frame = by_frame.frame(16, vertices)
 
-    def stop(ask) -> tuple[int, str] | None:
-        for i, m in enumerate(masks):
-            try:
-                ask(m)
-            except BudgetExceededError as e:
-                return i, str(e)
-        return None
+        def stop(ask) -> tuple[int, str] | None:
+            for i, m in enumerate(masks):
+                try:
+                    ask(m)
+                except BudgetExceededError as e:
+                    return i, str(e)
+            return None
 
-    got = stop(lambda m: by_frame.query((frame, m)))
-    want = stop(lambda m: by_set.query(frame.vertex_set(m)))
-    assert got == want == (budget, f"query budget {budget} exhausted")
-    assert by_frame.count == by_set.count == budget
-    assert by_frame.transcript == by_set.transcript
-    assert by_frame.transcript_jsonl() == by_set.transcript_jsonl()
+        got = stop(lambda m: by_frame.query((frame, m)))
+        want = stop(lambda m: by_set.query(frame.vertex_set(m)))
+        assert got == want == (budget, f"query budget {budget} exhausted")
+        assert by_frame.count == by_set.count == budget
+        assert by_frame.transcript == by_set.transcript
+        assert by_frame.transcript_jsonl() == by_set.transcript_jsonl()
 
 
 def test_frame_query_records_hold_run_coded_sets(tmp_path):
-    o = Oracle(Hypergraph(70, [(3, 64)]))
-    frame = o.frame(70, (3, 63, 66))
-    # 64 is the 62nd vertex outside {3, 63, 66}, after 1, 2 and 4..62.
-    assert [frame.vertex(r) for r in (1, 2, 3, 61, 62, 63, 64, 67)] == [1, 2, 4, 62, 64, 65,
-                                                                          67, 70]
-    assert o.query((frame, 67 << 3 | 0b001))  # vertex 3 and every vertex but 63, 66
-    assert not o.query((frame, 0b110))
-    assert not o.query((frame, 61 << 3 | 0b001))  # 1..62
-    assert o.query((frame, 62 << 3 | 0b101))  # 1..62, 64 and 66
-    # The log keeps the pair, O(1) ints; a read rebuilds the set.
-    assert [q for q, _ in o._log] == [(frame, 67 << 3 | 1), (frame, 0b110), (frame, 61 << 3 | 1),
-                                      (frame, 62 << 3 | 0b101)]
-    rest = [v for v in range(1, 71) if v not in (63, 66)]
-    want = [rest, [63, 66], list(range(1, 63)), [*range(1, 63), 64, 66]]
-    assert o.transcript == tuple(QueryRecord(i, VertexSet(70, q), a) for i, q, a in
-                                 zip(range(1, 5), want, (True, False, False, True)))
-    assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
-    # perfbench/tracing.py sums sys.getsizeof(rec.query.mask) over the records.
-    assert [r.query.mask for r in o.transcript] == list(map(edge_mask, want))
-    jsonl = "".join(json.dumps({"i": i, "q": q, "a": a}) + "\n"
-                    for i, q, a in zip(range(1, 5), want, (1, 0, 0, 1)))
-    assert o.transcript_jsonl() == jsonl
-    o.write_transcript(str(tmp_path / "t.jsonl"))
-    assert (tmp_path / "t.jsonl").read_text() == jsonl
+    # Per frame: its vertices, the vertices of some ranks, and the masks
+    # asked with their answers and sets. Outside {3, 63, 66}, 64 is the
+    # 62nd vertex, after 1, 2 and 4..62; outside {3, 63..66}, ranks 1..61
+    # are 1, 2 and 4..62, and ranks 62..65 are 67..70.
+    cases = [
+        ((3, 63, 66), {1: 1, 2: 2, 3: 4, 61: 62, 62: 64, 63: 65, 64: 67, 67: 70},
+         [(67 << 3 | 0b001, True, [v for v in range(1, 71) if v not in (63, 66)]),
+          (0b110, False, [63, 66]),
+          (61 << 3 | 0b001, False, list(range(1, 63))),
+          (62 << 3 | 0b101, True, [*range(1, 63), 64, 66])]),
+        ((3, 63, 64, 65, 66), {1: 1, 2: 2, 3: 4, 61: 62, 62: 67, 65: 70},
+         [(0b00011, False, [3, 63]),
+          (0b11111, True, [3, 63, 64, 65, 66]),
+          (2 << 5 | 0b00001, False, [1, 2, 3]),
+          (62 << 5 | 0b00010, False, [1, 2, *range(4, 64), 67]),
+          (65 << 5 | 0b00101, True, [*range(1, 63), 64, *range(67, 71)])]),
+    ]
+    for k, (vertices, ranks, asked) in enumerate(cases):
+        o = Oracle(Hypergraph(70, [(3, 64)]))
+        frame = o.frame(70, vertices)
+        assert {r: frame.vertex(r) for r in ranks} == ranks
+        assert [o.query((frame, m)) for m, _, _ in asked] == [a for _, a, _ in asked]
+        # The log keeps the pair, O(1) ints; a read rebuilds the set.
+        assert [q for q, _ in o._log] == [(frame, m) for m, _, _ in asked]
+        assert o.transcript == tuple(QueryRecord(i, VertexSet(70, q), a)
+                                     for i, (_, a, q) in enumerate(asked, 1))
+        assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
+        # perfbench/tracing.py sums sys.getsizeof(rec.query.mask) over the records.
+        assert [r.query.mask for r in o.transcript] == [edge_mask(q) for _, _, q in asked]
+        jsonl = "".join(json.dumps({"i": i, "q": q, "a": int(a)}) + "\n"
+                        for i, (_, a, q) in enumerate(asked, 1))
+        assert o.transcript_jsonl() == jsonl
+        o.write_transcript(str(tmp_path / f"{k}.jsonl"))
+        assert (tmp_path / f"{k}.jsonl").read_text() == jsonl
 
 
 def test_frame_over_every_vertex_of_a_wide_universe():
@@ -934,158 +985,3 @@ def test_toggles_of_a_wide_frame_walk_the_flipped_bits_once():
     # three outside vertices.
     assert got[12] == (1, 2, 2**15, 2**15 + 1, t - 1, t)
     assert spent < 1.0, spent
-
-
-# Prefix queries: with the low bits of m held fixed, choosing a base among
-# the members of F, the ranks r = m >> n of a frame ask for that base plus
-# the r smallest vertices outside F.
-
-
-@st.composite
-def prefix_cases(draw):
-    """(hidden, vertices, low): sorted frame vertices that may hold 1, 2,
-    t-1, t, word boundaries, touching pairs and a longer run, or nothing;
-    and low bits choosing the base among them. Hidden edges draw members
-    from the vertices and the rest of the universe."""
-    t = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 100, 1001]))
-    marks = sorted({v for v in (1, 2, 63, 64, 65, 66, t // 2, t // 2 + 1, t - 1, t)
-                    if 1 <= v <= t})
-    vertex = st.one_of(st.sampled_from(marks), st.integers(1, t))
-    held = draw(st.sets(vertex, max_size=4))
-    for a in draw(st.lists(st.integers(1, t), max_size=1)):
-        held |= {a, min(a + 1, t)}  # a touching pair
-    for a in draw(st.lists(st.integers(1, t), max_size=1)):
-        held |= set(range(a, min(a + draw(st.integers(2, 6)), t + 1)))
-    held = sorted(held)
-    low = draw(st.integers(0, (1 << len(held)) - 1))
-    member = st.one_of(st.sampled_from(sorted({*held, 1, t})), st.integers(1, t))
-    edges = draw(st.lists(st.sets(member, min_size=1, max_size=3), max_size=4))
-    return Hypergraph(t, {tuple(sorted(e)) for e in edges}), held, low
-
-
-@settings(max_examples=80, deadline=None)
-@given(prefix_cases())
-@example((Hypergraph(1, [(1,)]), [], 0))
-@example((Hypergraph(1, [(1,)]), [1], 1))
-@example((Hypergraph(9), [], 0))
-@example((Hypergraph(9, [(3,)]), [3], 0))
-@example((Hypergraph(9, [(1, 9), (2, 5)]), [2, 3, 4, 9], 0b1001))
-@example((Hypergraph(9, [(3, 4), (1, 6)]), [5, 6, 7], 0b011))
-def test_prefix_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
-    # Every rank, or the ranks where the set changes shape: the rebuilt set
-    # is the one the constructor makes from the base and the r smallest
-    # vertices outside F, toggles and all, the frame answers as a throwaway
-    # oracle on either, and rank r names the r-th smallest vertex outside F.
-    hidden, vertices, low = case
-    t, n = hidden.t, len(vertices)
-    base = [v for i, v in enumerate(vertices) if low >> i & 1]
-    others = [v for v in range(1, t + 1) if v not in vertices]
-    ranks = frame_ranks(t, vertices)
-    o = Oracle(hidden)
-    frame = o.frame(t, tuple(vertices))
-    assert frame.vertices == tuple(vertices)
-    sets = []
-    for r in ranks:
-        want = VertexSet(t, base + others[:r])
-        s = frame.vertex_set(r << n | low)
-        assert s._runs == want._runs
-        assert (o.query((frame, r << n | low)) == Oracle(hidden).query(s)
-                == Oracle(hidden).query(want))
-        assert r == 0 or frame.vertex(r) == others[r - 1]
-        sets.append(s)
-    assert [rec.query for rec in o.transcript] == sets
-    assert_reference_bytes(o)
-
-
-def test_prefixes_refuse_another_universe_or_a_shared_vertex():
-    o = Oracle(Hypergraph(10, [(2, 3)]))
-    for t, vertices in ((11, (5,)), (9, (1,)), (11, (1, 2))):
-        with pytest.raises(ValueError, match=rf"universe mismatch: {t} != 10"):
-            o.frame(t, vertices)
-    # Ranks count only the vertices outside F, so no rank names a member
-    # again: with every member chosen, rank r adds r more vertices, and the
-    # rank past the last vertex outside F is refused.
-    for vertices in ((3, 4), (1,), (10,)):
-        frame = o.frame(10, vertices)
-        n = len(frame.vertices)
-        for r in range(1, 11 - n):
-            assert frame.vertex(r) not in frame.vertices
-            s = frame.vertex_set(r << n | (1 << n) - 1)
-            assert s.members() == tuple(sorted({*frame.vertices,
-                                                *map(frame.vertex, range(1, r + 1))}))
-            assert len(s.members()) == n + r
-        m = (11 - n) << n
-        with pytest.raises(ValueError, match=rf"index mask {m} outside the ints 0\.\.{m - 1}"):
-            o.query((frame, m))
-    assert o.count == 0
-
-
-def test_query_refuses_a_prefix_frame_of_another_oracle_or_a_rank_out_of_range():
-    # Edgeless oracles read equal (empty) edge tables; their frames are
-    # still their own. One vertex of eight gives ranks 0..7 above the low
-    # bit, masks 0..15.
-    for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
-        mine, other = Oracle(h), Oracle(h)
-        frame = other.frame(8, (1,))
-        with pytest.raises(ValueError, match="another oracle"):
-            mine.query((frame, 1 << 1 | 1))
-        for m in (-1 << 1 | 1, 8 << 1 | 1):  # ranks -1 and 8
-            with pytest.raises(ValueError, match=rf"index mask {m} outside the ints 0\.\.15"):
-                other.query((frame, m))
-        assert mine.count == other.count == 0
-        assert mine.transcript == other.transcript == ()
-        mine_frame = mine.frame(8, (1,))
-        assert mine.query((mine_frame, 1 << 1 | 1)) == bool(h.edges)
-        assert not other.query((frame, 1))
-        assert other.query((frame, 7 << 1 | 1)) == bool(h.edges)
-
-
-@pytest.mark.parametrize("budget", [0, 1, 5])
-def test_budget_stops_prefix_queries_at_the_same_index_as_sets(budget):
-    h = Hypergraph(16, [(2, 9), (4, 12)])
-    by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
-    # Base {2, 3}; outside F, 4 is rank 2, 9 rank 7 and 12 rank 10.
-    frame = by_frame.frame(16, (2, 3))
-    ranks = [10, 0, 7, 2, 14, 7, 10, 0]
-
-    def stop(ask) -> tuple[int, str] | None:
-        for i, r in enumerate(ranks):
-            try:
-                ask(r << 2 | 0b11)
-            except BudgetExceededError as e:
-                return i, str(e)
-        return None
-
-    got = stop(lambda m: by_frame.query((frame, m)))
-    want = stop(lambda m: by_set.query(frame.vertex_set(m)))
-    assert got == want == (budget, f"query budget {budget} exhausted")
-    assert by_frame.count == by_set.count == budget
-    assert by_frame.transcript == by_set.transcript
-    assert by_frame.transcript_jsonl() == by_set.transcript_jsonl()
-
-
-def test_prefix_query_records_hold_run_coded_sets(tmp_path):
-    o = Oracle(Hypergraph(70, [(3, 64)]))
-    # F = {3, 63..66}; outside F, ranks 1..61 are 1, 2 and 4..62, and ranks
-    # 62..65 are 67..70.
-    frame = o.frame(70, (3, 63, 64, 65, 66))
-    assert frame.vertices == (3, 63, 64, 65, 66)
-    assert [frame.vertex(r) for r in (1, 2, 3, 61, 62, 65)] == [1, 2, 4, 62, 67, 70]
-    asked = [(0b00011, False),  # 3, 63
-             (0b11111, True),  # 3, 63..66
-             (2 << 5 | 0b00001, False),  # 1..3
-             (62 << 5 | 0b00010, False),  # 1, 2, 4..63, 67
-             (65 << 5 | 0b00101, True)]  # 1..62, 64, 67..70
-    assert [o.query((frame, m)) for m, _ in asked] == [a for _, a in asked]
-    # The log keeps the pair, O(1) ints; a read rebuilds the set.
-    assert [q for q, _ in o._log] == [(frame, m) for m, _ in asked]
-    want = [[3, 63], [3, 63, 64, 65, 66], [1, 2, 3], [1, 2, *range(4, 64), 67],
-            [*range(1, 63), 64, *range(67, 71)]]
-    assert o.transcript == tuple(QueryRecord(i, VertexSet(70, q), a) for i, q, (_, a) in
-                                 zip(range(1, 6), want, asked))
-    assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
-    jsonl = "".join(json.dumps({"i": i, "q": q, "a": int(a)}) + "\n"
-                    for i, q, (_, a) in zip(range(1, 6), want, asked))
-    assert o.transcript_jsonl() == jsonl
-    o.write_transcript(str(tmp_path / "t.jsonl"))
-    assert (tmp_path / "t.jsonl").read_text() == jsonl
