@@ -107,6 +107,22 @@ def test_monotonicity(h, data):
         assert o.query(big)
 
 
+def test_monotonicity_bulk_random():
+    rng = random.Random(20240811)
+    for _ in range(500):
+        t = rng.randint(2, 16)
+        edges = set()
+        for _ in range(rng.randint(0, 3)):
+            size = rng.randint(1, min(3, t))
+            edges.add(tuple(sorted(rng.sample(range(1, t + 1), size))))
+        h = Hypergraph(t, edges)
+        sub = [v for v in range(1, t + 1) if rng.random() < 0.4]
+        sup = sorted(set(sub) | {v for v in range(1, t + 1) if rng.random() < 0.3})
+        o = Oracle(h)
+        if o.query(VertexSet(t, sub)):
+            assert o.query(VertexSet(t, sup))
+
+
 @given(hypergraph_and_universe())
 def test_full_and_empty_queries(h):
     o = Oracle(h)
@@ -705,11 +721,12 @@ def frame_lows(n: int, drawn: list[int]) -> list[int]:
 
 
 @st.composite
-def frame_cases(draw):
+def frame_cases(draw, run_min: int = 0):
     """(hidden, frame vertices, drawn lows): up to 14 vertices, which may hold
-    1, 2, t-1, t, word boundaries, a touching pair and a run of 2-6
-    consecutive ones, or nothing; hidden edges draw members from them and
-    from the rest of the universe; and low masks for frame_lows."""
+    1, 2, t-1, t, word boundaries, a touching pair and (at least run_min
+    times) a run of 2-6 consecutive ones, or nothing; hidden edges draw
+    members from them and from the rest of the universe; and low masks for
+    frame_lows."""
     t = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 100, 1001]))
     marks = sorted({v for v in (1, 2, 63, 64, 65, 66, t // 2, t // 2 + 1, t - 1, t)
                     if 1 <= v <= t})
@@ -719,7 +736,7 @@ def frame_cases(draw):
     vertices |= draw(st.sets(st.sampled_from(ends), max_size=2))
     for a in draw(st.lists(st.integers(1, t), max_size=1)):
         vertices |= {a, min(a + 1, t)}  # a touching pair
-    for a in draw(st.lists(st.integers(1, t), max_size=1)):
+    for a in draw(st.lists(st.integers(1, t), min_size=run_min, max_size=1)):
         vertices |= set(range(a, min(a + draw(st.integers(2, 6)), t + 1)))
     vertices = sorted(vertices)
     lows = draw(st.lists(st.integers(0, (1 << len(vertices)) - 1), max_size=4))
@@ -728,31 +745,14 @@ def frame_cases(draw):
     return Hypergraph(t, {tuple(sorted(e)) for e in edges}), vertices, lows
 
 
-@settings(max_examples=80, deadline=None)
-@given(frame_cases())
-@example((Hypergraph(1, [(1,)]), [], []))
-@example((Hypergraph(1, [(1,)]), [1], []))
-@example((Hypergraph(9), [], []))
-@example((Hypergraph(9, [(3,)]), [], []))
-@example((Hypergraph(9, [(3,)]), [3], []))
-@example((Hypergraph(9, [(1, 9), (2, 5)]), [1, 2, 8, 9], []))
-@example((Hypergraph(9, [(1, 9), (2, 5)]), [2, 3, 4, 9], []))
-@example((Hypergraph(9, [(3, 4), (1, 6)]), [3, 4, 5], []))
-@example((Hypergraph(9, [(3, 4), (1, 6)]), [5, 6, 7], []))
-@example((Hypergraph(9, [(1, 2, 9), (5,)]), [1, 2, 3, 9], []))
-@example((Hypergraph(70, [(3, 64)]), [3, 63, 64, 65, 66], []))
-@example((Hypergraph(1001, [(500, 501), (1, 1001)]), [1, *range(495, 506), 1001],
-          [0b1010101010101, 0b0111111111110]))
-@example((Hypergraph(2**60, [(1, 2**60), (2, 2**59, 2**60 - 1), (7,)]),
-          [1, 2, 3, 2**59 + 1, 2**60 - 1, 2**60], []))
-def test_frame_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
-    # The lows of frame_lows at every rank, or at the ranks where the set
-    # changes shape: the rebuilt set has the one run-code form, the toggles
-    # of the chosen members plus the r smallest outside vertices, which up to
-    # t = 1001 are also the constructor's from those members given twice (so
-    # duplicate and touching) and a mask-coded set's _toggles(); the frame
-    # answers as a throwaway oracle on either set; and rank r names the r-th
-    # smallest outside vertex.
+def check_frame_queries(case) -> None:
+    """The lows of frame_lows at every rank, or at the ranks where the set
+    changes shape: the rebuilt set has the one run-code form, the toggles of
+    the chosen members plus the r smallest outside vertices, which up to
+    t = 1001 are also the constructor's from those members given twice (so
+    duplicate and touching) and a mask-coded set's _toggles(); the frame
+    answers as a throwaway oracle on either set; and rank r names the r-th
+    smallest outside vertex."""
     hidden, vertices, drawn = case
     t, n = hidden.t, len(vertices)
     small = t <= 1001
@@ -782,6 +782,35 @@ def test_frame_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
         assert_reference_bytes(o)
 
 
+@settings(max_examples=80, deadline=None)
+@given(frame_cases())
+@example((Hypergraph(1, [(1,)]), [], []))
+@example((Hypergraph(1, [(1,)]), [1], []))
+@example((Hypergraph(9), [], []))
+@example((Hypergraph(9, [(3,)]), [], []))
+@example((Hypergraph(9, [(1, 9), (2, 5)]), [1, 2, 8, 9], []))
+@example((Hypergraph(9, [(3, 4), (1, 6)]), [3, 4, 5], []))
+@example((Hypergraph(9, [(1, 2, 9), (5,)]), [1, 2, 3, 9], []))
+@example((Hypergraph(2**60, [(1, 2**60), (2, 2**59, 2**60 - 1), (7,)]),
+          [1, 2, 3, 2**59 + 1, 2**60 - 1, 2**60], []))
+def test_frame_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
+    check_frame_queries(case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(frame_cases(run_min=1))
+@example((Hypergraph(9, [(3,)]), [3], []))
+@example((Hypergraph(9, [(1, 9), (2, 5)]), [2, 3, 4, 9], []))
+@example((Hypergraph(9, [(3, 4), (1, 6)]), [5, 6, 7], []))
+@example((Hypergraph(70, [(3, 64)]), [3, 63, 64, 65, 66], []))
+@example((Hypergraph(1001, [(500, 501), (1, 1001)]), [1, *range(495, 506), 1001],
+          [0b1010101010101, 0b0111111111110]))
+def test_prefix_queries_match_a_throwaway_oracle_on_the_rebuilt_set(case):
+    # With a run of consecutive members in F, the low bits hold a base among
+    # them and the ranks grow it by the smallest vertices outside F.
+    check_frame_queries(case)
+
+
 @settings(max_examples=60, deadline=None)
 @given(frame_cases())
 @example((Hypergraph(9), [], []))
@@ -802,10 +831,16 @@ def test_frame_edge_is_the_chosen_members_of_the_rebuilt_set(case):
 
 def test_frame_refuses_vertices_over_another_universe():
     o = Oracle(Hypergraph(10, [(2, 3)]))
-    for t, vertices in ((11, (5,)), (9, ()), (9, (1,)), (11, (1, 2)), (10.5, ())):
+    for t, vertices in ((11, (5,)), (9, ()), (11, (1, 2)), (10.5, ())):
         with pytest.raises(ValueError, match=rf"universe mismatch: {t} != 10"):
             o.frame(t, vertices)
     assert o.count == 0 and o.transcript_jsonl() == ""
+
+
+def test_prefixes_refuse_another_universe_or_a_shared_vertex():
+    o = Oracle(Hypergraph(10, [(2, 3)]))
+    with pytest.raises(ValueError, match=r"universe mismatch: 9 != 10"):
+        o.frame(9, (1,))
     # Ranks count only the vertices outside F, so no rank names a member
     # again: with every member chosen, rank r adds r more vertices. vertex
     # refuses a rank outside 1..t-n, and vertex_set and edge a mask outside
@@ -849,99 +884,123 @@ def test_frame_refuses_members_that_are_not_increasing_ints_of_the_universe():
     assert frame.vertices == (1, 2, 3, 10) and o.query((frame, 0b0110))
 
 
-def test_query_refuses_a_frame_of_another_oracle():
-    # Edgeless oracles read equal (empty) edge tables; their frames are
-    # still their own. Two vertices of eight give masks 0..27, the low two
-    # bits and ranks 0..6 above them; one gives masks 0..15, ranks 0..7. A
-    # mask that is no int is refused like one out of range (rank -1 or one
-    # past the last), before anything is logged. Per frame: its vertices,
-    # its last mask, a mask asking {1, 2}, and a negative mask and its set.
-    cases = (((1, 2), 27, 0b11, 6 << 2 | 0b10, range(2, 9)),
-             ((1,), 15, 1 << 1 | 1, 0b1, [1]))
+def check_query_refuses_a_frame_of_another_oracle(vertices, top, pair, negative, asked) -> None:
+    """Edgeless oracles read equal (empty) edge tables; their frames are
+    still their own. A mask that is no int is refused like one out of range
+    (rank -1 or one past the last), before anything is logged. Given the
+    frame's vertices of 1..8, its last mask, a mask asking {1, 2}, and a
+    negative mask and its set."""
+    n = len(vertices)
     for h in (Hypergraph(8, [(1, 2)]), Hypergraph(8)):
-        for vertices, top, pair, negative, asked in cases:
-            n = len(vertices)
-            mine, other = Oracle(h), Oracle(h)
-            frame = other.frame(8, vertices)
-            with pytest.raises(ValueError, match="another oracle"):
-                mine.query((frame, pair))
-            for m in (-1, -1 << n | 1, top + 1, 1 << 70, 1.5, 3.0, True, "3", None):
-                with pytest.raises(ValueError, match=rf"index mask {re.escape(repr(m))} "
-                                                     rf"outside the ints 0\.\.{top}$"):
-                    other.query((frame, m))
-            assert mine.count == other.count == 0
-            assert mine.transcript == other.transcript == ()
-            assert other.transcript_jsonl() == ""
-            assert mine.query((mine.frame(8, vertices), pair)) == bool(h.edges)
-            assert not other.query((frame, negative))
-            assert other.query((frame, top)) == bool(h.edges)
-            assert [r.query for r in other.transcript] == [VertexSet(8, asked),
-                                                           VertexSet(8, range(1, 9))]
+        mine, other = Oracle(h), Oracle(h)
+        frame = other.frame(8, vertices)
+        with pytest.raises(ValueError, match="another oracle"):
+            mine.query((frame, pair))
+        for m in (-1, -1 << n | 1, top + 1, 1 << 70, 1.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match=rf"index mask {re.escape(repr(m))} "
+                                                 rf"outside the ints 0\.\.{top}$"):
+                other.query((frame, m))
+        assert mine.count == other.count == 0
+        assert mine.transcript == other.transcript == ()
+        assert other.transcript_jsonl() == ""
+        assert mine.query((mine.frame(8, vertices), pair)) == bool(h.edges)
+        assert not other.query((frame, negative))
+        assert other.query((frame, top)) == bool(h.edges)
+        assert [r.query for r in other.transcript] == [VertexSet(8, asked),
+                                                       VertexSet(8, range(1, 9))]
+
+
+def test_query_refuses_a_frame_of_another_oracle():
+    # Two vertices of eight give masks 0..27: the low two bits and ranks
+    # 0..6 above them.
+    check_query_refuses_a_frame_of_another_oracle((1, 2), 27, 0b11, 6 << 2 | 0b10, range(2, 9))
+
+
+def test_query_refuses_a_prefix_frame_of_another_oracle_or_a_rank_out_of_range():
+    # One vertex of eight gives ranks 0..7 above the low bit, masks 0..15.
+    check_query_refuses_a_frame_of_another_oracle((1,), 15, 1 << 1 | 1, 0b1, [1])
+
+
+def check_budget_stops_at_the_same_index_as_sets(budget, edges, vertices, masks) -> None:
+    h = Hypergraph(16, edges)
+    by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
+    frame = by_frame.frame(16, vertices)
+
+    def stop(ask) -> tuple[int, str] | None:
+        for i, m in enumerate(masks):
+            try:
+                ask(m)
+            except BudgetExceededError as e:
+                return i, str(e)
+        return None
+
+    got = stop(lambda m: by_frame.query((frame, m)))
+    want = stop(lambda m: by_set.query(frame.vertex_set(m)))
+    assert got == want == (budget, f"query budget {budget} exhausted")
+    assert by_frame.count == by_set.count == budget
+    assert by_frame.transcript == by_set.transcript
+    assert by_frame.transcript_jsonl() == by_set.transcript_jsonl()
 
 
 @pytest.mark.parametrize("budget", [0, 1, 5])
 def test_budget_stops_frame_queries_at_the_same_index_as_sets(budget):
     # Over F = {2, 3, 4}: every vertex outside first, then ranks 0 and 5
-    # (vertex 9 is rank 6), for each low. Over F = {2, 3}, both chosen:
-    # ranks around 4 (rank 2), 9 (rank 7) and 12 (rank 10).
-    cases = [((2, 9), (4,), (2, 3, 4), [r << 3 | k for k in range(8) for r in (13, 0, 5)]),
-             ((2, 9), (4, 12), (2, 3), [r << 2 | 0b11 for r in (10, 0, 7, 2, 14, 7, 10, 0)])]
-    for *edges, vertices, masks in cases:
-        h = Hypergraph(16, edges)
-        by_frame, by_set = Oracle(h, budget=budget), Oracle(h, budget=budget)
-        frame = by_frame.frame(16, vertices)
+    # (vertex 9 is rank 6), for each low.
+    check_budget_stops_at_the_same_index_as_sets(
+        budget, [(2, 9), (4,)], (2, 3, 4), [r << 3 | k for k in range(8) for r in (13, 0, 5)])
 
-        def stop(ask) -> tuple[int, str] | None:
-            for i, m in enumerate(masks):
-                try:
-                    ask(m)
-                except BudgetExceededError as e:
-                    return i, str(e)
-            return None
 
-        got = stop(lambda m: by_frame.query((frame, m)))
-        want = stop(lambda m: by_set.query(frame.vertex_set(m)))
-        assert got == want == (budget, f"query budget {budget} exhausted")
-        assert by_frame.count == by_set.count == budget
-        assert by_frame.transcript == by_set.transcript
-        assert by_frame.transcript_jsonl() == by_set.transcript_jsonl()
+@pytest.mark.parametrize("budget", [0, 1, 5])
+def test_budget_stops_prefix_queries_at_the_same_index_as_sets(budget):
+    # Over F = {2, 3}, both chosen: ranks around 4 (rank 2), 9 (rank 7) and
+    # 12 (rank 10).
+    check_budget_stops_at_the_same_index_as_sets(
+        budget, [(2, 9), (4, 12)], (2, 3), [r << 2 | 0b11 for r in (10, 0, 7, 2, 14, 7, 10, 0)])
+
+
+def check_frame_query_records(path, vertices, ranks, asked) -> None:
+    """Given a frame's vertices of 1..70 (hidden edge {3, 64}), the vertices
+    of some ranks, and the masks asked with their answers and sets."""
+    o = Oracle(Hypergraph(70, [(3, 64)]))
+    frame = o.frame(70, vertices)
+    assert {r: frame.vertex(r) for r in ranks} == ranks
+    assert [o.query((frame, m)) for m, _, _ in asked] == [a for _, a, _ in asked]
+    # The log keeps the pair, O(1) ints; a read rebuilds the set.
+    assert [q for q, _ in o._log] == [(frame, m) for m, _, _ in asked]
+    assert o.transcript == tuple(QueryRecord(i, VertexSet(70, q), a)
+                                 for i, (_, a, q) in enumerate(asked, 1))
+    assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
+    # perfbench/tracing.py sums sys.getsizeof(rec.query.mask) over the records.
+    assert [r.query.mask for r in o.transcript] == [edge_mask(q) for _, _, q in asked]
+    jsonl = "".join(json.dumps({"i": i, "q": q, "a": int(a)}) + "\n"
+                    for i, (_, a, q) in enumerate(asked, 1))
+    assert o.transcript_jsonl() == jsonl
+    o.write_transcript(str(path))
+    assert path.read_text() == jsonl
 
 
 def test_frame_query_records_hold_run_coded_sets(tmp_path):
-    # Per frame: its vertices, the vertices of some ranks, and the masks
-    # asked with their answers and sets. Outside {3, 63, 66}, 64 is the
-    # 62nd vertex, after 1, 2 and 4..62; outside {3, 63..66}, ranks 1..61
-    # are 1, 2 and 4..62, and ranks 62..65 are 67..70.
-    cases = [
-        ((3, 63, 66), {1: 1, 2: 2, 3: 4, 61: 62, 62: 64, 63: 65, 64: 67, 67: 70},
-         [(67 << 3 | 0b001, True, [v for v in range(1, 71) if v not in (63, 66)]),
-          (0b110, False, [63, 66]),
-          (61 << 3 | 0b001, False, list(range(1, 63))),
-          (62 << 3 | 0b101, True, [*range(1, 63), 64, 66])]),
-        ((3, 63, 64, 65, 66), {1: 1, 2: 2, 3: 4, 61: 62, 62: 67, 65: 70},
-         [(0b00011, False, [3, 63]),
-          (0b11111, True, [3, 63, 64, 65, 66]),
-          (2 << 5 | 0b00001, False, [1, 2, 3]),
-          (62 << 5 | 0b00010, False, [1, 2, *range(4, 64), 67]),
-          (65 << 5 | 0b00101, True, [*range(1, 63), 64, *range(67, 71)])]),
-    ]
-    for k, (vertices, ranks, asked) in enumerate(cases):
-        o = Oracle(Hypergraph(70, [(3, 64)]))
-        frame = o.frame(70, vertices)
-        assert {r: frame.vertex(r) for r in ranks} == ranks
-        assert [o.query((frame, m)) for m, _, _ in asked] == [a for _, a, _ in asked]
-        # The log keeps the pair, O(1) ints; a read rebuilds the set.
-        assert [q for q, _ in o._log] == [(frame, m) for m, _, _ in asked]
-        assert o.transcript == tuple(QueryRecord(i, VertexSet(70, q), a)
-                                     for i, (_, a, q) in enumerate(asked, 1))
-        assert all(type(r.query) is VertexSet and r.query._runs is not None for r in o.transcript)
-        # perfbench/tracing.py sums sys.getsizeof(rec.query.mask) over the records.
-        assert [r.query.mask for r in o.transcript] == [edge_mask(q) for _, _, q in asked]
-        jsonl = "".join(json.dumps({"i": i, "q": q, "a": int(a)}) + "\n"
-                        for i, (_, a, q) in enumerate(asked, 1))
-        assert o.transcript_jsonl() == jsonl
-        o.write_transcript(str(tmp_path / f"{k}.jsonl"))
-        assert (tmp_path / f"{k}.jsonl").read_text() == jsonl
+    # Outside {3, 63, 66}, 64 is the 62nd vertex, after 1, 2 and 4..62.
+    check_frame_query_records(
+        tmp_path / "t.jsonl", (3, 63, 66),
+        {1: 1, 2: 2, 3: 4, 61: 62, 62: 64, 63: 65, 64: 67, 67: 70},
+        [(67 << 3 | 0b001, True, [v for v in range(1, 71) if v not in (63, 66)]),
+         (0b110, False, [63, 66]),
+         (61 << 3 | 0b001, False, list(range(1, 63))),
+         (62 << 3 | 0b101, True, [*range(1, 63), 64, 66])])
+
+
+def test_prefix_query_records_hold_run_coded_sets(tmp_path):
+    # Outside {3, 63..66}, ranks 1..61 are 1, 2 and 4..62, and ranks 62..65
+    # are 67..70.
+    check_frame_query_records(
+        tmp_path / "t.jsonl", (3, 63, 64, 65, 66),
+        {1: 1, 2: 2, 3: 4, 61: 62, 62: 67, 65: 70},
+        [(0b00011, False, [3, 63]),
+         (0b11111, True, [3, 63, 64, 65, 66]),
+         (2 << 5 | 0b00001, False, [1, 2, 3]),
+         (62 << 5 | 0b00010, False, [1, 2, *range(4, 64), 67]),
+         (65 << 5 | 0b00101, True, [*range(1, 63), 64, *range(67, 71)])])
 
 
 def test_frame_over_every_vertex_of_a_wide_universe():
